@@ -48,7 +48,6 @@ inline void JsonStagePercentiles(JsonWriter& json,
     const char* name;
     const HistogramSnapshot& hist;
   } rows[] = {
-      {"enqueue", stages.enqueue},
       {"batch_apply", stages.batch_apply},
       {"queue_wait", stages.queue_wait},
       {"sort", stages.sort},

@@ -1,10 +1,10 @@
-// Batched vs per-point ingest: the perf target of the batch-native write
-// path. Identical per-sensor disordered streams are ingested twice into
-// fresh engines — once through per-point Write() (one shard-lock
-// acquisition and one WAL record per point, which is byte-for-byte how the
-// pre-batching WriteBatch applied a wire batch internally) and once
-// through the group-commit WriteBatch() in batches of
-// BACKSORT_INGEST_BATCH. Prints both throughputs and writes
+// Batched vs per-point ingest over the engine's single write path.
+// Identical per-sensor disordered streams are ingested twice into fresh
+// engines — once point by point through Write(), which is a one-point
+// group commit (one shard-lock acquisition and one WAL batch record per
+// point), and once through WriteBatch() in group commits of
+// BACKSORT_INGEST_BATCH points. Both sides run the same shard code; only
+// the group size differs. Prints both throughputs and writes
 // $BACKSORT_METRICS_DIR/BENCH_ingest.json with the per-stage p50/p99 and
 // "speedup_batched_over_per_point" — tools/ci.sh's perf smoke gates on
 // that key staying >= 1.5. Scale knobs:
@@ -129,7 +129,7 @@ int Run() {
 
   PrintTitle("batched vs per-point ingest (staging throughput)");
   PrintHeader("path", {"kpts/s", "seconds"});
-  PrintRow("per-point Write", {pp_pps / 1e3, per_point.seconds});
+  PrintRow("one-point Write", {pp_pps / 1e3, per_point.seconds});
   PrintRow("batched WriteBatch", {b_pps / 1e3, batched.seconds});
   std::printf("speedup (batched / per-point): %.2fx\n", speedup);
 
@@ -154,11 +154,9 @@ int Run() {
     json.EndObject();
   }
   json.Field("speedup_batched_over_per_point", speedup);
-  // PR 4 reference on this container (bench/system_net, 400k points, 4
-  // clients), where WriteBatch still applied per point internally:
-  // loopback 1236.495 kpts/s, in-process 1879.831 kpts/s. The per_point
-  // side above reproduces that apply loop, so the speedup key is the
-  // before/after delta of the batch-native path.
+  // Historical reference (bench/system_net, 400k points, 4 clients) from
+  // before WriteBatch was batch-native, when it still applied a wire batch
+  // point by point: loopback 1236.495 kpts/s, in-process 1879.831 kpts/s.
   json.Field("pr4_net_loopback_write_kpts_per_sec", 1236.495);
   json.Field("pr4_net_in_process_write_kpts_per_sec", 1879.831);
   WriteBenchJson(json, "ingest");

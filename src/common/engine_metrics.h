@@ -67,13 +67,10 @@ struct FlushTrace {
 /// instrumented stage. All values are nanoseconds; recording is lock-free
 /// (relaxed atomics shared by every shard and flush worker).
 struct StageLatencySnapshots {
-  /// One Write call: separation policy + WAL append + memtable insert,
-  /// including shard-lock wait (and inline flush stalls when async_flush
-  /// is off) — the client-visible write-enqueue latency.
-  HistogramSnapshot enqueue;
-  /// One WriteBatch call applied to a shard: the batched analog of
-  /// `enqueue` — one sample per batch, spanning the whole group commit
-  /// (partition + WAL batch record + bulk memtable appends).
+  /// One group commit applied to a shard (a Write call is a one-point
+  /// group): separation partition + WAL batch record + bulk memtable
+  /// appends, including shard-lock wait (and inline flush stalls when
+  /// async_flush is off) — the client-visible write latency.
   HistogramSnapshot batch_apply;
   /// Seal -> dequeue wait of a sealed memtable in the flush queue.
   HistogramSnapshot queue_wait;
@@ -92,7 +89,6 @@ struct StageLatencySnapshots {
 
   /// Folds another set of stage snapshots into this one, bucket-wise.
   void Merge(const StageLatencySnapshots& other) {
-    enqueue.Merge(other.enqueue);
     batch_apply.Merge(other.batch_apply);
     queue_wait.Merge(other.queue_wait);
     sort.Merge(other.sort);

@@ -160,7 +160,6 @@ void ExportEngineMetrics(const EngineMetricsSnapshot& snapshot,
     const char* stage;
     const HistogramSnapshot& hist;
   } stages[] = {
-      {"enqueue", snapshot.stages.enqueue},
       {"batch_apply", snapshot.stages.batch_apply},
       {"queue_wait", snapshot.stages.queue_wait},
       {"sort", snapshot.stages.sort},
@@ -174,7 +173,7 @@ void ExportEngineMetrics(const EngineMetricsSnapshot& snapshot,
     labels.emplace_back("stage", s.stage);
     registry->Summary(
         "backsort_stage_duration_seconds",
-        "Write-path stage latency in seconds (stages: enqueue, batch_apply, "
+        "Write-path stage latency in seconds (stages: batch_apply, "
         "queue_wait, sort, sort_job, encode, seal, flush); quantile=\"1\" is "
         "the observed max.",
         labels, s.hist, kNsToSec);

@@ -97,7 +97,7 @@ struct EngineOptions {
   /// Make every WAL Sync() also ::fsync the segment to the storage device,
   /// not just into the OS page cache. Off, a Sync survives a process crash
   /// but not a power cut; on, it survives both at a large latency cost
-  /// (combine with sync_wal_every_write for per-point durability). Also
+  /// (combine with sync_wal_every_write for per-write durability). Also
   /// extends the same power-cut guarantee to flush: a sealed file and its
   /// directory entry are fsync'd before the WAL segment covering it is
   /// deleted. Default off to keep benches honest; tradeoff in DESIGN.md's
@@ -131,11 +131,6 @@ struct EngineOptions {
   /// contract) and that the result reflects the snapshot, not later
   /// writes. Null in production.
   std::function<void()> query_read_hook;
-
-  /// Last-write-wins deduplication of equal timestamps on query, matching
-  /// IoTDB's read semantics (an unsequence rewrite of an existing
-  /// timestamp shadows the sequence value). Off = return all duplicates.
-  bool dedup_on_query = true;
 
   /// Run the tiered background compaction scheduler (engine/compaction.h):
   /// a thread that keeps the sealed-file count bounded by merging size

@@ -118,60 +118,6 @@ Status EngineShard::ShipAppendLocked(const SensorSpanDouble* groups,
   return Status::OK();
 }
 
-Status EngineShard::Write(const std::string& sensor, Timestamp t, double v) {
-  const EngineOptions& options = shared_->options;
-  // Write-enqueue latency: the whole call including shard-lock wait (and
-  // inline flush stalls when async_flush is off) — what a client sees.
-  WallTimer enqueue_timer;
-  std::unique_lock<std::mutex> lock(mu_);
-  // Separation policy: points at or below the sensor's flushed watermark
-  // would rewrite history already on disk — they go to the unsequence
-  // memtable instead of the sequence one.
-  const SensorId sid = InternSensor(sensor);
-  const bool sequence =
-      (flags_[sid] & kHasWatermark) == 0 || t > states_[sid].watermark;
-  MemTable* target = sequence ? working_seq_.get() : working_unseq_.get();
-  if (options.enable_wal) {
-    std::unique_ptr<WalWriter>& wal = sequence ? wal_seq_ : wal_unseq_;
-    // Segments are created lazily on first append, so idle shards leave no
-    // files behind.
-    if (wal == nullptr) RETURN_NOT_OK(RotateWalLocked(sequence));
-    RETURN_NOT_OK(wal->Append(sensor, t, v));
-    if (options.sync_wal_every_write) RETURN_NOT_OK(wal->Sync());
-  }
-  if (options.replication_log) {
-    const TvPairDouble point{t, v};
-    const SensorSpanDouble span{&sensor, &point, 1};
-    RETURN_NOT_OK(ShipAppendLocked(&span, 1));
-  }
-  target->Write(sid, interner_.NameOf(sid), t, v);
-  approx_working_points_.fetch_add(1, std::memory_order_relaxed);
-  {
-    SensorState& state = states_[sid];
-    if ((flags_[sid] & kHasLast) == 0 || t >= state.last.t) {
-      state.last = {t, v};
-      flags_[sid] |= kHasLast;
-    }
-  }
-  if (target->total_points() >= flush_threshold_) {
-    SealLocked(sequence);
-    if (!options.async_flush) {
-      // Synchronous mode: drain the queue inline.
-      while (!flush_queue_.empty()) {
-        FlushJob job = flush_queue_.front();
-        flush_queue_.pop_front();
-        lock.unlock();
-        Status st = FlushTable(job);
-        lock.lock();
-        if (!st.ok()) return st;
-      }
-    }
-  }
-  shared_->histograms.enqueue.Record(
-      static_cast<uint64_t>(enqueue_timer.ElapsedNanos()));
-  return Status::OK();
-}
-
 Status EngineShard::WriteBatch(const SensorSpanDouble* groups,
                                size_t group_count, size_t* applied,
                                bool ship) {
@@ -182,11 +128,14 @@ Status EngineShard::WriteBatch(const SensorSpanDouble* groups,
   if (total == 0) return Status::OK();
 
   // Batch-apply latency: the whole group commit including shard-lock wait
-  // (and inline flush stalls when async_flush is off) — the batched
-  // counterpart of the per-point enqueue stage.
+  // (and inline flush stalls when async_flush is off) — what a client sees.
   WallTimer batch_timer;
   std::unique_lock<std::mutex> lock(mu_);
 
+  // Separation policy: points at or below the sensor's flushed watermark
+  // would rewrite history already on disk — they go to the unsequence
+  // memtable instead of the sequence one.
+  //
   // Partition every group against its sensor's watermark in one pass: one
   // watermark lookup per group instead of one per point. Groups that land
   // entirely on one side are passed through as views of the caller's
@@ -245,6 +194,8 @@ Status EngineShard::WriteBatch(const SensorSpanDouble* groups,
     if (spans.empty()) return Status::OK();
     if (options.enable_wal) {
       std::unique_ptr<WalWriter>& wal = sequence ? wal_seq_ : wal_unseq_;
+      // Segments are created lazily on first append, so idle shards leave
+      // no files behind.
       if (wal == nullptr) RETURN_NOT_OK(RotateWalLocked(sequence));
       RETURN_NOT_OK(wal->AppendBatch(spans.data(), spans.size()));
       // Replicated applies (ship == false) flush to the OS before
@@ -301,18 +252,27 @@ Status EngineShard::WriteBatch(const SensorSpanDouble* groups,
     if (target->total_points() >= flush_threshold_) SealLocked(sequence);
   }
   if (!options.async_flush) {
-    while (!flush_queue_.empty()) {
-      FlushJob job = flush_queue_.front();
-      flush_queue_.pop_front();
-      lock.unlock();
-      Status flush_status = FlushTable(job);
-      lock.lock();
-      // The batch itself is staged and queryable; only the flush failed.
-      if (!flush_status.ok()) return flush_status;
-    }
+    // The batch itself is staged and queryable; only the flush can fail.
+    RETURN_NOT_OK(DrainQueueSyncLocked(lock));
   }
   shared_->histograms.batch_apply.Record(
       static_cast<uint64_t>(batch_timer.ElapsedNanos()));
+  return Status::OK();
+}
+
+Status EngineShard::DrainQueueSyncLocked(std::unique_lock<std::mutex>& lock) {
+  while (!flush_queue_.empty()) {
+    FlushJob job = std::move(flush_queue_.front());
+    flush_queue_.pop_front();
+    lock.unlock();
+    const size_t freed_bytes =
+        job.table != nullptr ? job.table->ApproxMemoryBytes() : 0;
+    Status st = FlushTable(job);
+    job.table.reset();
+    MaybeTrimHeap(freed_bytes);
+    lock.lock();
+    if (!st.ok()) return st;
+  }
   return Status::OK();
 }
 
@@ -368,19 +328,7 @@ Status EngineShard::SealAndDrainSync() {
   std::unique_lock<std::mutex> lock(mu_);
   SealLocked(true);
   SealLocked(false);
-  while (!flush_queue_.empty()) {
-    FlushJob job = flush_queue_.front();
-    flush_queue_.pop_front();
-    lock.unlock();
-    const size_t freed_bytes =
-        job.table != nullptr ? job.table->ApproxMemoryBytes() : 0;
-    Status st = FlushTable(job);
-    job.table.reset();
-    MaybeTrimHeap(freed_bytes);
-    lock.lock();
-    if (!st.ok()) return st;
-  }
-  return Status::OK();
+  return DrainQueueSyncLocked(lock);
 }
 
 void EngineShard::WaitFlushed() {
@@ -852,7 +800,7 @@ Status EngineShard::Query(const std::string& sensor, Timestamp t_min,
 
   // Stage 4 — k-way last-write-wins merge.
   WallTimer merge_timer;
-  MergeRuns(std::move(runs), shared.options.dedup_on_query, out);
+  MergeRuns(std::move(runs), out);
   qh.merge.Record(static_cast<uint64_t>(merge_timer.ElapsedNanos()));
   return Status::OK();
 }

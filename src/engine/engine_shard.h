@@ -30,9 +30,8 @@ class FlushPool;
 /// Engine-wide write-path latency histograms, one per instrumented stage
 /// (see StageLatencySnapshots for stage semantics). Shared by every shard
 /// and flush worker; recording is lock-free, so the histograms sit on the
-/// per-point write path without adding contention.
+/// write path without adding contention.
 struct WritePathHistograms {
-  LatencyHistogram enqueue;
   LatencyHistogram batch_apply;
   LatencyHistogram queue_wait;
   LatencyHistogram sort;
@@ -43,7 +42,6 @@ struct WritePathHistograms {
 
   StageLatencySnapshots Snapshot() const {
     StageLatencySnapshots snap;
-    snap.enqueue = enqueue.Snapshot();
     snap.batch_apply = batch_apply.Snapshot();
     snap.queue_wait = queue_wait.Snapshot();
     snap.sort = sort.Snapshot();
@@ -235,14 +233,12 @@ class EngineShard {
 
   size_t shard_id() const { return shard_id_; }
 
-  Status Write(const std::string& sensor, Timestamp t, double v);
-
-  /// Batch-native ingest: applies every group's points under ONE shard-lock
-  /// acquisition — each group is partitioned against its sensor's watermark
-  /// in a single pass, each target memtable gets one group-commit WAL
-  /// record (WalWriter::AppendBatch) and bulk appends
-  /// (MemTable::WriteN), amortizing the per-point mutex/map/WAL-frame
-  /// costs the per-point path pays N times.
+  /// The shard's only ingest path: applies every group's points under ONE
+  /// shard-lock acquisition — each group is partitioned against its
+  /// sensor's watermark in a single pass, each target memtable gets one
+  /// group-commit WAL record (WalWriter::AppendBatch) and bulk appends
+  /// (MemTable::WriteN), so the mutex/map/WAL-frame costs are paid once
+  /// per call, not once per point. A single point is a one-point group.
   ///
   /// `applied` (optional) reports how many of the batch's points were
   /// durably staged (WAL record written, memtable updated) when the call
@@ -255,8 +251,8 @@ class EngineShard {
   /// the flush itself failed.
   ///
   /// Seal checks run after the whole batch is applied, so a batch may
-  /// overshoot `flush_threshold` by up to its own size (the per-point path
-  /// seals mid-stream); the threshold is a trigger, not a cap.
+  /// overshoot `flush_threshold` by up to its own size (one-point calls
+  /// seal exactly at it); the threshold is a trigger, not a cap.
   /// `ship` gates the replication ship log (EngineOptions::replication_log):
   /// local ingest ships, records applied FROM replication do not — a
   /// follower re-shipping its source's records would cycle them around the
@@ -378,6 +374,11 @@ class EngineShard {
 
   /// Seals one working memtable into the flush queue. Caller holds mu_.
   void SealLocked(bool sequence);
+
+  /// Synchronous-flush drain: pops and flushes queued jobs one by one,
+  /// releasing `lock` (held on mu_) around each flush and trimming the
+  /// heap after it. Stops at and returns the first flush error.
+  Status DrainQueueSyncLocked(std::unique_lock<std::mutex>& lock);
 
   /// Sort + encode + write one sealed memtable to a TsFile, then — in seal
   /// order, under a single shard-lock critical section — publish the file

@@ -18,34 +18,19 @@ struct SortedRun {
   int priority = 0;
 };
 
-/// K-way merges sorted runs into `out`.
-///
-/// With `dedup` true, equal timestamps collapse to the highest-priority
-/// source's value (ties within one run keep the later element — TVLists
-/// sort stably, so that is the latest arrival). With `dedup` false all
-/// duplicates are kept, ordered by priority.
+/// K-way merges sorted runs into `out`. Equal timestamps collapse to the
+/// highest-priority source's value (ties within one run keep the later
+/// element — TVLists sort stably, so that is the latest arrival).
 ///
 /// O(N log k) with a min-heap; runs are consumed without copying until
 /// output.
-inline void MergeRuns(std::vector<SortedRun>&& runs, bool dedup,
+inline void MergeRuns(std::vector<SortedRun>&& runs,
                       std::vector<TvPairDouble>* out) {
   out->clear();
   size_t total = 0;
-  size_t non_empty = 0;
-  for (const SortedRun& r : runs) {
-    total += r.points.size();
-    if (!r.points.empty()) ++non_empty;
-  }
+  for (const SortedRun& r : runs) total += r.points.size();
   out->reserve(total);
-  if (non_empty == 0) return;
-  if (non_empty == 1 && !dedup) {
-    for (SortedRun& r : runs) {
-      if (!r.points.empty()) {
-        *out = std::move(r.points);
-        return;
-      }
-    }
-  }
+  if (total == 0) return;
 
   // Heap entry: (timestamp, priority, run index, element index). Pop order:
   // smallest timestamp first; among equal timestamps, LOWER priority first
@@ -71,7 +56,7 @@ inline void MergeRuns(std::vector<SortedRun>&& runs, bool dedup,
     const Cursor c = heap.top();
     heap.pop();
     const TvPairDouble& p = runs[c.run].points[c.idx];
-    if (dedup && !out->empty() && out->back().t == p.t) {
+    if (!out->empty() && out->back().t == p.t) {
       out->back() = p;  // higher-priority duplicate overwrites
     } else {
       out->push_back(p);

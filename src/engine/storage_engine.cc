@@ -259,7 +259,9 @@ Status StorageEngine::RecoverAll() {
 
 Status StorageEngine::Write(const std::string& sensor, Timestamp t,
                             double v) {
-  return shards_[ShardFor(sensor)]->Write(sensor, t, v);
+  const TvPairDouble point{t, v};
+  const SensorSpanDouble span{&sensor, &point, 1};
+  return shards_[ShardFor(sensor)]->WriteBatch(&span, 1, nullptr);
 }
 
 Status StorageEngine::WriteBatch(const std::string& sensor,
@@ -267,16 +269,6 @@ Status StorageEngine::WriteBatch(const std::string& sensor,
                                  size_t* applied) {
   const SensorSpanDouble group{&sensor, points.data(), points.size()};
   return shards_[ShardFor(sensor)]->WriteBatch(&group, 1, applied);
-}
-
-Status StorageEngine::WriteMulti(const std::vector<SensorBatch>& batches,
-                                 size_t* applied) {
-  std::vector<SensorSpanDouble> spans;
-  spans.reserve(batches.size());
-  for (const SensorBatch& batch : batches) {
-    spans.push_back({&batch.sensor, batch.points.data(), batch.points.size()});
-  }
-  return WriteMulti(spans.data(), spans.size(), applied);
 }
 
 Status StorageEngine::WriteMulti(const SensorSpanDouble* spans,

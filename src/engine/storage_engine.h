@@ -47,14 +47,17 @@ class StorageEngine {
   /// starts the flush pool.
   Status Open();
 
-  /// Ingests one point (arrival order = call order).
+  /// Ingests one point (arrival order = call order) as a one-point group
+  /// commit: a thin wrapper over the same shard WriteBatch every other
+  /// ingest entry uses, with no heap allocation of its own. There is one
+  /// ingest path; batching (WriteBatch/WriteMulti) only amortizes its
+  /// per-call lock and WAL-frame cost over more points.
   Status Write(const std::string& sensor, Timestamp t, double v);
 
-  /// Ingests a batch of one sensor's points through the batch-native shard
-  /// path (the benchmark writes batches of 500): one shard-lock
-  /// acquisition, one watermark partition pass, one group-commit WAL
-  /// record per target memtable and bulk TVList appends — instead of the
-  /// per-point costs N times over.
+  /// Ingests a batch of one sensor's points (the benchmark writes batches
+  /// of 500): one shard-lock acquisition, one watermark partition pass,
+  /// one group-commit WAL record per target memtable and bulk TVList
+  /// appends — instead of the per-call costs N times over.
   ///
   /// `applied` (optional) reports how many points were durably staged when
   /// the call returns: the batch size on success, an exact count on a
@@ -64,28 +67,16 @@ class StorageEngine {
                     const std::vector<TvPairDouble>& points,
                     size_t* applied = nullptr);
 
-  /// One sensor's slice of a multi-sensor batch (owning, unlike the
-  /// non-owning SensorSpanDouble the internals use).
-  struct SensorBatch {
-    std::string sensor;
-    std::vector<TvPairDouble> points;
-  };
-
-  /// Multi-sensor batched ingest: groups the batches by shard and
-  /// dispatches ONE batched call per shard, so a batch spanning S sensors
-  /// on one shard still pays one lock/WAL-record round instead of S.
-  /// Shards apply in index order; `applied` accumulates exact per-shard
-  /// counts and the first shard error stops the dispatch (later shards'
-  /// points are not applied).
-  Status WriteMulti(const std::vector<SensorBatch>& batches,
-                    size_t* applied = nullptr);
-
-  /// Non-owning flavor of WriteMulti: the spans' sensor names and point
-  /// arrays must stay alive for the duration of the call. This is the
-  /// zero-copy entry the network server feeds from its streaming
-  /// WriteBatch decode (net/protocol.h WriteBatchView) — wire payload
-  /// bytes flow into the shard group-commit without an owning
-  /// intermediate vector. The owning overload above is a thin wrapper.
+  /// Multi-sensor batched ingest: groups the spans by shard and dispatches
+  /// ONE batched call per shard, so a batch spanning S sensors on one
+  /// shard still pays one lock/WAL-record round instead of S. Shards apply
+  /// in index order; `applied` accumulates exact per-shard counts and the
+  /// first shard error stops the dispatch (later shards' points are not
+  /// applied). The spans are non-owning: their sensor names and point
+  /// arrays must stay alive for the duration of the call. The network
+  /// server feeds this from its streaming WriteBatch decode
+  /// (net/protocol.h WriteBatchView), so wire payload bytes flow into the
+  /// shard group commit without an owning intermediate copy.
   Status WriteMulti(const SensorSpanDouble* spans, size_t span_count,
                     size_t* applied = nullptr);
 

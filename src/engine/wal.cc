@@ -18,7 +18,8 @@ constexpr char kWalMagic[4] = {'B', 'W', 'A', 'L'};
 constexpr uint8_t kWalVersion = 2;
 constexpr size_t kWalHeaderLen = sizeof(kWalMagic) + 1;
 
-// Leading byte of every v2 record payload.
+// Leading byte of every v2 record payload. Point records are no longer
+// written, only replayed from older segments.
 enum WalRecordType : uint8_t {
   kWalPoint = 1,
   kWalBatch = 2,
@@ -31,19 +32,8 @@ void PutPoint(Timestamp t, double v, ByteBuffer* payload) {
   payload->PutFixed64(bits);
 }
 
-Status AppendFrame(std::FILE* out, const std::string& path,
-                   const ByteBuffer& payload, size_t* bytes) {
-  ByteBuffer frame;
-  frame.PutFixed32(static_cast<uint32_t>(payload.size()));
-  frame.PutFixed32(Crc32(payload.data().data(), payload.size()));
-  frame.Append(payload);
-  if (std::fwrite(frame.data().data(), 1, frame.size(), out) !=
-      frame.size()) {
-    return Status::IOError("WAL append failed: " + path);
-  }
-  *bytes += frame.size();
-  return Status::OK();
-}
+// Frame header: fixed32 payload size + fixed32 payload CRC.
+constexpr size_t kFrameHeaderLen = 8;
 
 bool ParsePointBody(ByteReader* body, WalRecord* record) {
   uint64_t t_bits = 0, v_bits = 0;
@@ -135,15 +125,6 @@ Status WalWriter::Open() {
   return Status::OK();
 }
 
-Status WalWriter::Append(const std::string& sensor, Timestamp t, double v) {
-  if (out_ == nullptr) return Status::InvalidArgument("WAL not open");
-  ByteBuffer payload;
-  payload.PutU8(kWalPoint);
-  payload.PutLengthPrefixedString(sensor);
-  PutPoint(t, v, &payload);
-  return AppendFrame(out_, path_, payload, &bytes_);
-}
-
 Status WalWriter::AppendBatch(const SensorSpanDouble* groups,
                               size_t group_count) {
   if (out_ == nullptr) return Status::InvalidArgument("WAL not open");
@@ -152,19 +133,33 @@ Status WalWriter::AppendBatch(const SensorSpanDouble* groups,
     if (groups[g].count > 0) ++non_empty;
   }
   if (non_empty == 0) return Status::OK();
-  ByteBuffer payload;
-  payload.PutU8(kWalBatch);
-  payload.PutVarint64(non_empty);
+  // The whole frame is encoded in place into the reused buffer, header
+  // words first as placeholders patched once the payload is known: a
+  // steady-state append allocates nothing and issues one fwrite.
+  frame_.Clear();
+  frame_.PutFixed32(0);
+  frame_.PutFixed32(0);
+  frame_.PutU8(kWalBatch);
+  frame_.PutVarint64(non_empty);
   for (size_t g = 0; g < group_count; ++g) {
     const SensorSpanDouble& group = groups[g];
     if (group.count == 0) continue;
-    payload.PutLengthPrefixedString(*group.sensor);
-    payload.PutVarint64(group.count);
+    frame_.PutLengthPrefixedString(*group.sensor);
+    frame_.PutVarint64(group.count);
     for (size_t i = 0; i < group.count; ++i) {
-      PutPoint(group.points[i].t, group.points[i].v, &payload);
+      PutPoint(group.points[i].t, group.points[i].v, &frame_);
     }
   }
-  return AppendFrame(out_, path_, payload, &bytes_);
+  const size_t payload_size = frame_.size() - kFrameHeaderLen;
+  frame_.PatchFixed32(0, static_cast<uint32_t>(payload_size));
+  frame_.PatchFixed32(
+      4, Crc32(frame_.data().data() + kFrameHeaderLen, payload_size));
+  if (std::fwrite(frame_.data().data(), 1, frame_.size(), out_) !=
+      frame_.size()) {
+    return Status::IOError("WAL append failed: " + path_);
+  }
+  bytes_ += frame_.size();
+  return Status::OK();
 }
 
 Status WalWriter::Sync() {

@@ -8,6 +8,7 @@
 
 #include "common/status.h"
 #include "common/types.h"
+#include "encoding/bytes.h"
 
 namespace backsort {
 
@@ -31,8 +32,11 @@ struct WalRecord {
 ///   batch (2): group count (varint), then per group
 ///              sensor (length-prefixed) + point count (varint) +
 ///              count x (fixed64 time, fixed64 value bits)
-/// The batch record is the group commit of the batched write path: one
-/// frame, one CRC, one buffered write for a whole multi-sensor batch.
+/// The batch record is the group commit of the write path: one frame, one
+/// CRC, one buffered write for a whole multi-sensor batch, and the only
+/// record the writer emits (a single point is a one-point batch). Point
+/// records are replay-only: segments written before the write paths were
+/// unified still carry them.
 /// Legacy (pre-versioning) segments have no header and bare point payloads;
 /// ReadWal sniffs the header and parses either format, so WALs written
 /// before the version byte existed still replay. (The magic cannot collide
@@ -58,13 +62,11 @@ class WalWriter {
   /// gets the v2 format header.
   Status Open();
 
-  /// Appends one point. Buffered; call Sync() to force it to the OS (and,
-  /// in fsync mode, to the device).
-  Status Append(const std::string& sensor, Timestamp t, double v);
-
   /// Appends one group-commit batch record covering every non-empty group:
   /// one frame and one CRC however many sensors and points the batch
   /// spans. Empty groups are skipped; an all-empty batch writes nothing.
+  /// Buffered; call Sync() to force it to the OS (and, in fsync mode, to
+  /// the device).
   Status AppendBatch(const SensorSpanDouble* groups, size_t group_count);
 
   Status Sync();
@@ -82,6 +84,9 @@ class WalWriter {
   bool fsync_on_sync_;
   std::FILE* out_ = nullptr;
   size_t bytes_ = 0;
+  /// Encode buffer of the last appended frame, reused so appends do not
+  /// allocate; holds the capacity of the largest batch seen.
+  ByteBuffer frame_;
 };
 
 /// Length of the "BWAL" + version header that starts every v2 segment —

@@ -350,21 +350,22 @@ TEST_F(EngineConcurrencyTest, BatchedWritersWithParallelFlush) {
       const auto ts = GenerateArrivalOrderedTimestamps(kPoints, delay, rng);
       const std::string sensor = own_sensor(w);
       std::vector<TvPairDouble> own_batch;
-      std::vector<StorageEngine::SensorBatch> multi(1);
-      multi[0].sensor = shared_sensor;
+      std::vector<TvPairDouble> shared_batch;
       for (size_t i = 0; i < ts.size(); ++i) {
         own_batch.push_back({ts[i], value_of(w, ts[i])});
         const auto shared_t = static_cast<Timestamp>(i * kWriters + w);
-        multi[0].points.push_back({shared_t, value_of(w, shared_t)});
+        shared_batch.push_back({shared_t, value_of(w, shared_t)});
         if (own_batch.size() == kBatch || i + 1 == ts.size()) {
           size_t applied = 0;
           ASSERT_TRUE(engine.WriteBatch(sensor, own_batch, &applied).ok());
           ASSERT_EQ(applied, own_batch.size());
           applied = 0;
-          ASSERT_TRUE(engine.WriteMulti(multi, &applied).ok());
-          ASSERT_EQ(applied, multi[0].points.size());
+          const SensorSpanDouble multi{&shared_sensor, shared_batch.data(),
+                                       shared_batch.size()};
+          ASSERT_TRUE(engine.WriteMulti(&multi, 1, &applied).ok());
+          ASSERT_EQ(applied, shared_batch.size());
           own_batch.clear();
-          multi[0].points.clear();
+          shared_batch.clear();
         }
       }
     });
@@ -540,15 +541,25 @@ TEST_F(EngineConcurrencyTest, HighCardinalityInternerRaceSurface) {
   std::vector<std::thread> threads;
   for (size_t w = 0; w < kWriters; ++w) {
     threads.emplace_back([&, w] {
-      std::vector<StorageEngine::SensorBatch> multi;
+      // Names and points are reserved to one group, so the spans into
+      // them stay valid while the group fills.
+      std::vector<std::string> names;
+      std::vector<TvPairDouble> points;
+      std::vector<SensorSpanDouble> multi;
+      names.reserve(kGroup);
+      points.reserve(kGroup);
       for (size_t i = 0; i < kSensorsPerWriter; ++i) {
-        multi.push_back(
-            {sensor_of(w, i),
-             {{static_cast<Timestamp>(1 + (i % 7)), static_cast<double>(i)}}});
+        names.push_back(sensor_of(w, i));
+        points.push_back(
+            {static_cast<Timestamp>(1 + (i % 7)), static_cast<double>(i)});
+        multi.push_back({&names.back(), &points.back(), 1});
         if (multi.size() == kGroup || i + 1 == kSensorsPerWriter) {
           size_t applied = 0;
-          ASSERT_TRUE(engine.WriteMulti(multi, &applied).ok());
+          ASSERT_TRUE(engine.WriteMulti(multi.data(), multi.size(), &applied)
+                          .ok());
           ASSERT_EQ(applied, multi.size());
+          names.clear();
+          points.clear();
           multi.clear();
         }
       }

@@ -364,15 +364,16 @@ TEST_F(EngineTest, WriteBatchPartialApplyOnMidBatchError) {
 TEST_F(EngineTest, WriteMultiAppliesEverySensor) {
   StorageEngine engine(Options(SorterId::kBackward));
   ASSERT_TRUE(engine.Open().ok());
-  std::vector<StorageEngine::SensorBatch> batches;
+  std::vector<std::string> names(5);
+  std::vector<std::vector<TvPairDouble>> points(5);
+  std::vector<SensorSpanDouble> spans;
   for (int s = 0; s < 5; ++s) {
-    StorageEngine::SensorBatch b;
-    b.sensor = "multi." + std::to_string(s);
-    for (int i = 0; i < 100; ++i) b.points.push_back({i, s + i * 0.001});
-    batches.push_back(std::move(b));
+    names[s] = "multi." + std::to_string(s);
+    for (int i = 0; i < 100; ++i) points[s].push_back({i, s + i * 0.001});
+    spans.push_back({&names[s], points[s].data(), points[s].size()});
   }
   size_t applied = 0;
-  ASSERT_TRUE(engine.WriteMulti(batches, &applied).ok());
+  ASSERT_TRUE(engine.WriteMulti(spans.data(), spans.size(), &applied).ok());
   EXPECT_EQ(applied, 500u);
   for (int s = 0; s < 5; ++s) {
     std::vector<TvPairDouble> out;

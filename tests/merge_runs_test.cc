@@ -17,12 +17,12 @@ std::vector<TvPairDouble> Points(
 
 TEST(MergeRuns, EmptyInputs) {
   std::vector<TvPairDouble> out = Points({{1, 1.0}});
-  MergeRuns({}, true, &out);
+  MergeRuns({}, &out);
   EXPECT_TRUE(out.empty());
   std::vector<SortedRun> runs;
   runs.push_back({{}, 0});
   runs.push_back({{}, 1});
-  MergeRuns(std::move(runs), true, &out);
+  MergeRuns(std::move(runs), &out);
   EXPECT_TRUE(out.empty());
 }
 
@@ -30,7 +30,7 @@ TEST(MergeRuns, SingleRunPassThrough) {
   std::vector<SortedRun> runs;
   runs.push_back({Points({{1, 1.0}, {2, 2.0}, {5, 5.0}}), 3});
   std::vector<TvPairDouble> out;
-  MergeRuns(std::move(runs), false, &out);
+  MergeRuns(std::move(runs), &out);
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[2].t, 5);
 }
@@ -41,7 +41,7 @@ TEST(MergeRuns, InterleavesSortedRuns) {
   runs.push_back({Points({{2, 2.0}, {5, 5.0}}), 1});
   runs.push_back({Points({{0, 0.0}, {3, 3.0}, {6, 6.0}, {8, 8.0}}), 2});
   std::vector<TvPairDouble> out;
-  MergeRuns(std::move(runs), true, &out);
+  MergeRuns(std::move(runs), &out);
   ASSERT_EQ(out.size(), 9u);
   for (int i = 0; i < 9; ++i) {
     EXPECT_EQ(out[static_cast<size_t>(i)].t, i);
@@ -55,7 +55,7 @@ TEST(MergeRuns, DedupKeepsHighestPriority) {
   runs.push_back({Points({{1, 11.0}, {3, 30.0}}), /*priority=*/2});
   runs.push_back({Points({{1, 12.0}}), /*priority=*/0});
   std::vector<TvPairDouble> out;
-  MergeRuns(std::move(runs), true, &out);
+  MergeRuns(std::move(runs), &out);
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0].t, 1);
   EXPECT_DOUBLE_EQ(out[0].v, 11.0);  // priority 2 wins
@@ -67,21 +67,9 @@ TEST(MergeRuns, DedupWithinOneRunKeepsLastElement) {
   std::vector<SortedRun> runs;
   runs.push_back({Points({{5, 1.0}, {5, 2.0}, {5, 3.0}}), 0});
   std::vector<TvPairDouble> out;
-  MergeRuns(std::move(runs), true, &out);
+  MergeRuns(std::move(runs), &out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_DOUBLE_EQ(out[0].v, 3.0);
-}
-
-TEST(MergeRuns, NoDedupKeepsAll) {
-  std::vector<SortedRun> runs;
-  runs.push_back({Points({{1, 10.0}}), 1});
-  runs.push_back({Points({{1, 11.0}}), 2});
-  std::vector<TvPairDouble> out;
-  MergeRuns(std::move(runs), false, &out);
-  ASSERT_EQ(out.size(), 2u);
-  // Ordered by priority within equal timestamps.
-  EXPECT_DOUBLE_EQ(out[0].v, 10.0);
-  EXPECT_DOUBLE_EQ(out[1].v, 11.0);
 }
 
 TEST(MergeRuns, RandomizedAgainstReference) {
@@ -113,7 +101,7 @@ TEST(MergeRuns, RandomizedAgainstReference) {
       }
     }
     std::vector<TvPairDouble> out;
-    MergeRuns(std::move(runs), true, &out);
+    MergeRuns(std::move(runs), &out);
     ASSERT_EQ(out.size(), best.size()) << "round " << round;
     size_t i = 0;
     for (const auto& [t, pv] : best) {

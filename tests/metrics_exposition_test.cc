@@ -172,9 +172,8 @@ class MetricsExpositionTest : public ::testing::Test {
         ASSERT_TRUE(engine.Write(sensor, t, static_cast<double>(i)).ok());
       }
     }
-    // Exercise the batched ingest path too, so the batch_apply stage and
-    // the batch counters carry data: one single-sensor WriteBatch and one
-    // multi-sensor WriteMulti (which fans out as one batched call per
+    // Exercise the batched entries too: one single-sensor WriteBatch and
+    // one multi-sensor WriteMulti (which fans out as one batched call per
     // shard). The timestamps sit past the per-point data so the query
     // assertions below are unaffected.
     std::vector<TvPairDouble> batch;
@@ -185,12 +184,16 @@ class MetricsExpositionTest : public ::testing::Test {
     size_t applied = 0;
     ASSERT_TRUE(engine.WriteBatch("s0", batch, &applied).ok());
     ASSERT_EQ(applied, batch.size());
-    std::vector<StorageEngine::SensorBatch> multi;
-    multi.push_back({"s1", batch});
-    multi.push_back({"s2", batch});
+    const SensorSpanDouble multi[] = {
+        {&sensors[1], batch.data(), batch.size()},
+        {&sensors[2], batch.data(), batch.size()},
+    };
     applied = 0;
-    ASSERT_TRUE(engine.WriteMulti(multi, &applied).ok());
+    const uint64_t calls_before = engine.GetMetricsSnapshot().batch_writes;
+    ASSERT_TRUE(engine.WriteMulti(multi, 2, &applied).ok());
     ASSERT_EQ(applied, 2 * batch.size());
+    multi_shard_calls_ =
+        engine.GetMetricsSnapshot().batch_writes - calls_before;
     ASSERT_TRUE(engine.FlushAll().ok());
     // Exercise the read path so the query-stage histograms and cache
     // counters carry data: the repeated range hits the chunk cache on the
@@ -243,10 +246,13 @@ class MetricsExpositionTest : public ::testing::Test {
 
   static std::string dir_;
   static EngineMetricsSnapshot* snapshot_;
+  /// Shard-level group commits the fixture's WriteMulti fanned out to.
+  static uint64_t multi_shard_calls_;
 };
 
 std::string MetricsExpositionTest::dir_;
 EngineMetricsSnapshot* MetricsExpositionTest::snapshot_ = nullptr;
+uint64_t MetricsExpositionTest::multi_shard_calls_ = 0;
 
 TEST_F(MetricsExpositionTest, GoldenFamilySet) {
   Exposition e;
@@ -306,7 +312,7 @@ TEST_F(MetricsExpositionTest, GoldenFamilySet) {
 TEST_F(MetricsExpositionTest, StageSummariesCarryRequiredQuantiles) {
   Exposition e;
   ParseExposition(Render(/*include_traces=*/false), &e);
-  for (const char* stage : {"enqueue", "queue_wait", "sort", "flush"}) {
+  for (const char* stage : {"batch_apply", "queue_wait", "sort", "flush"}) {
     for (const char* q : {"0.5", "0.99"}) {
       const std::string labels =
           std::string("stage=\"") + stage + "\",quantile=\"" + q + "\"";
@@ -323,10 +329,14 @@ TEST_F(MetricsExpositionTest, StageSummariesCarryRequiredQuantiles) {
   EXPECT_GT(flush_count, 0.0);
   EXPECT_EQ(flush_count,
             static_cast<double>(snapshot().total_completed_flushes()));
-  // One enqueue record per Write call.
+  // One batch_apply record per Write call (a one-point group commit) plus
+  // one per batch: the WriteBatch, and the WriteMulti once per shard it
+  // touched.
+  EXPECT_GE(multi_shard_calls_, 1u);
+  EXPECT_LE(multi_shard_calls_, 2u);
   EXPECT_EQ(SampleValue(e, "backsort_stage_duration_seconds_count",
-                        "stage=\"enqueue\""),
-            600.0 * 4);
+                        "stage=\"batch_apply\""),
+            600.0 * 4 + 1.0 + static_cast<double>(multi_shard_calls_));
 }
 
 TEST_F(MetricsExpositionTest, BatchStageAndCountersCarryData) {
@@ -341,8 +351,10 @@ TEST_F(MetricsExpositionTest, BatchStageAndCountersCarryData) {
   EXPECT_EQ(SampleValue(e, "backsort_stage_duration_seconds_count",
                         "stage=\"batch_apply\""),
             batch_writes);
-  // The fixture pushed 50 points via WriteBatch plus 2×50 via WriteMulti.
-  EXPECT_EQ(SampleValue(e, "backsort_engine_batch_points_total", ""), 150.0);
+  // Every ingested point is counted: 600×4 one-point Write calls, 50
+  // points via WriteBatch and 2×50 via WriteMulti.
+  EXPECT_EQ(SampleValue(e, "backsort_engine_batch_points_total", ""),
+            600.0 * 4 + 150.0);
   for (const char* q : {"0.5", "0.99"}) {
     const std::string labels =
         std::string("stage=\"batch_apply\",quantile=\"") + q + "\"";

@@ -49,7 +49,10 @@ std::string SensorName(size_t i) {
 /// (r*17)%40 round permutation: after the first seal advances the
 /// watermarks, later rounds with smaller timestamps land in unsequence
 /// memtables, so both seq-*.bstf and unseq-*.bstf files are produced.
-void RunWorkload(StorageEngine* engine) {
+/// `per_point` feeds every point through its own Write call instead of
+/// 61-span WriteMulti batches, so seals fire mid-round at the exact
+/// threshold point rather than after a whole batch.
+void RunWorkload(StorageEngine* engine, bool per_point = false) {
   constexpr size_t kSensors = 257;
   constexpr size_t kRounds = 40;
   std::vector<std::string> names;
@@ -63,6 +66,12 @@ void RunWorkload(StorageEngine* engine) {
     for (size_t s = 0; s < kSensors; ++s) {
       pts[s] = {t, static_cast<double>(s) * 4096.0 + static_cast<double>(t)};
       spans[s] = {&names[s], &pts[s], 1};
+    }
+    if (per_point) {
+      for (size_t s = 0; s < kSensors; ++s) {
+        ASSERT_TRUE(engine->Write(names[s], pts[s].t, pts[s].v).ok());
+      }
+      continue;
     }
     // Uneven chunking (61 spans per call) exercises batch grouping.
     for (size_t off = 0; off < kSensors; off += 61) {
@@ -166,6 +175,43 @@ TEST(SealedIdentity, Bstf1BytesMatchPreInterningGolden) {
   constexpr uint64_t kGoldenFileBytes = 0xd1992864828c106aull;
   EXPECT_EQ(d.file_bytes, kGoldenFileBytes)
       << "sealed byte stream diverged; actual 0x" << std::hex << d.file_bytes;
+}
+
+// Same workload fed point by point through Write. The goldens were
+// captured while Write still had its own per-point shard path; Write is
+// now a one-point group commit, and this pins that its seal points and
+// sealed bytes did not move.
+TEST(SealedIdentity, PerPointWriteMatchesGolden) {
+  const fs::path dir = TestDir("golden_per_point");
+  fs::remove_all(dir);
+
+  EngineOptions opt;
+  opt.data_dir = dir.string();
+  opt.shard_count = 3;
+  opt.flush_parallelism = 2;
+  opt.async_flush = false;
+  opt.memtable_flush_threshold = 3'000;
+  opt.footer_stats = true;
+
+  SealedDigest d;
+  {
+    StorageEngine engine(opt);
+    ASSERT_TRUE(engine.Open().ok());
+    RunWorkload(&engine, /*per_point=*/true);
+    d = DigestEngineOutput(&engine, dir);
+  }
+  fs::remove_all(dir);
+
+  constexpr uint64_t kGoldenFileBytes = 0xcdf38fdfd31cd384ull;
+  constexpr uint64_t kGoldenQueries = 0xa683a956a590e3e7ull;
+  constexpr size_t kGoldenFiles = 12;
+
+  EXPECT_EQ(d.points, size_t{257 * 40});
+  EXPECT_EQ(d.files, kGoldenFiles) << "sealed file count changed";
+  EXPECT_EQ(d.file_bytes, kGoldenFileBytes)
+      << "sealed byte stream diverged; actual 0x" << std::hex << d.file_bytes;
+  EXPECT_EQ(d.queries, kGoldenQueries)
+      << "query results diverged; actual 0x" << std::hex << d.queries;
 }
 
 }  // namespace

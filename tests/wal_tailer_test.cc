@@ -38,16 +38,18 @@ class WalTailerTest : public ::testing::Test {
     return (dir_ / ShipSegmentName(shard, seq)).string();
   }
 
-  /// Appends `count` single-point frames for `sensor` starting at t0.
+  /// Appends `count` one-point group-commit frames for `sensor` starting
+  /// at t0.
   void WriteSegment(size_t shard, size_t seq, const std::string& sensor,
                     Timestamp t0, size_t count) {
     WalWriter writer(SegmentPath(shard, seq));
     ASSERT_TRUE(writer.Open().ok());
     for (size_t i = 0; i < count; ++i) {
-      ASSERT_TRUE(
-          writer.Append(sensor, t0 + static_cast<Timestamp>(i),
-                        static_cast<double>(t0) + static_cast<double>(i))
-              .ok());
+      const TvPairDouble point{
+          t0 + static_cast<Timestamp>(i),
+          static_cast<double>(t0) + static_cast<double>(i)};
+      const SensorSpanDouble span{&sensor, &point, 1};
+      ASSERT_TRUE(writer.AppendBatch(&span, 1).ok());
     }
     ASSERT_TRUE(writer.Sync().ok());
   }

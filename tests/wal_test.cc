@@ -31,6 +31,14 @@ class WalTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
+/// Appends one point as a one-point group commit — the record Write emits.
+Status AppendPoint(WalWriter& writer, const std::string& sensor, Timestamp t,
+                   double v) {
+  const TvPairDouble point{t, v};
+  const SensorSpanDouble span{&sensor, &point, 1};
+  return writer.AppendBatch(&span, 1);
+}
+
 TEST(Crc32, KnownVectors) {
   // "123456789" -> 0xCBF43926 is the canonical CRC-32 check value.
   EXPECT_EQ(Crc32("123456789", 9), 0xcbf43926u);
@@ -47,9 +55,9 @@ TEST_F(WalTest, AppendAndReplay) {
   {
     WalWriter writer(path);
     ASSERT_TRUE(writer.Open().ok());
-    ASSERT_TRUE(writer.Append("s1", 10, 1.5).ok());
-    ASSERT_TRUE(writer.Append("s2", -7, -2.25).ok());
-    ASSERT_TRUE(writer.Append("s1", 11, 3.0).ok());
+    ASSERT_TRUE(AppendPoint(writer, "s1", 10, 1.5).ok());
+    ASSERT_TRUE(AppendPoint(writer, "s2", -7, -2.25).ok());
+    ASSERT_TRUE(AppendPoint(writer, "s1", 11, 3.0).ok());
     ASSERT_TRUE(writer.Close().ok());
   }
   std::vector<WalRecord> records;
@@ -71,7 +79,7 @@ TEST_F(WalTest, TornTailLosesOnlyLastRecord) {
     WalWriter writer(path);
     ASSERT_TRUE(writer.Open().ok());
     for (int i = 0; i < 100; ++i) {
-      ASSERT_TRUE(writer.Append("s", i, i * 1.0).ok());
+      ASSERT_TRUE(AppendPoint(writer, "s", i, i * 1.0).ok());
     }
     ASSERT_TRUE(writer.Close().ok());
   }
@@ -91,8 +99,8 @@ TEST_F(WalTest, BitFlipDetectedByCrc) {
   {
     WalWriter writer(path);
     ASSERT_TRUE(writer.Open().ok());
-    ASSERT_TRUE(writer.Append("s", 1, 1.0).ok());
-    ASSERT_TRUE(writer.Append("s", 2, 2.0).ok());
+    ASSERT_TRUE(AppendPoint(writer, "s", 1, 1.0).ok());
+    ASSERT_TRUE(AppendPoint(writer, "s", 2, 2.0).ok());
     ASSERT_TRUE(writer.Close().ok());
   }
   {
@@ -122,14 +130,14 @@ TEST_F(WalTest, BatchAppendExpandsInWriteOrder) {
   {
     WalWriter writer(path);
     ASSERT_TRUE(writer.Open().ok());
-    ASSERT_TRUE(writer.Append("solo", 0, 9.0).ok());
+    ASSERT_TRUE(AppendPoint(writer, "solo", 0, 9.0).ok());
     const SensorSpanDouble groups[] = {
         {&s1, p1.data(), p1.size()},
         {&s2, nullptr, 0},  // empty group: skipped, not encoded
         {&s2, p2.data(), p2.size()},
     };
     ASSERT_TRUE(writer.AppendBatch(groups, 3).ok());
-    ASSERT_TRUE(writer.Append("solo", 1, 10.0).ok());
+    ASSERT_TRUE(AppendPoint(writer, "solo", 1, 10.0).ok());
     ASSERT_TRUE(writer.Close().ok());
   }
   std::vector<WalRecord> records;
@@ -137,7 +145,7 @@ TEST_F(WalTest, BatchAppendExpandsInWriteOrder) {
   ASSERT_TRUE(ReadWal(path, &records, &torn).ok());
   EXPECT_FALSE(torn);
   // The batch flattens to per-point records in write order, between the
-  // two per-point frames around it.
+  // two one-point frames around it.
   ASSERT_EQ(records.size(), 6u);
   EXPECT_EQ(records[0].sensor, "solo");
   EXPECT_EQ(records[1].sensor, "a");
@@ -187,7 +195,7 @@ TEST_F(WalTest, BatchTornTailLosesOnlyLastFrame) {
   {
     WalWriter writer(path);
     ASSERT_TRUE(writer.Open().ok());
-    ASSERT_TRUE(writer.Append("s", -1, 0.5).ok());
+    ASSERT_TRUE(AppendPoint(writer, "s", -1, 0.5).ok());
     ASSERT_TRUE(writer.AppendBatch(&group, 1).ok());
     ASSERT_TRUE(writer.AppendBatch(&group, 1).ok());
     ASSERT_TRUE(writer.Close().ok());
@@ -204,22 +212,49 @@ TEST_F(WalTest, BatchTornTailLosesOnlyLastFrame) {
   EXPECT_EQ(records.back().t, 9);
 }
 
-// Builds one legacy (pre-versioning) frame: no type byte, payload is
-// lp-sensor + fixed64 time + fixed64 value-bits.
-void AppendLegacyFrame(std::ofstream& out, const std::string& sensor,
-                       Timestamp t, double v) {
-  ByteBuffer payload;
-  payload.PutLengthPrefixedString(sensor);
-  payload.PutFixed64(static_cast<uint64_t>(t));
-  uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  payload.PutFixed64(bits);
+// Writes one hand-built frame: fixed32 size + fixed32 CRC + payload.
+void WriteFrame(std::ofstream& out, const ByteBuffer& payload) {
   ByteBuffer frame;
   frame.PutFixed32(static_cast<uint32_t>(payload.size()));
   frame.PutFixed32(Crc32(payload.data().data(), payload.size()));
   frame.Append(payload);
   out.write(reinterpret_cast<const char*>(frame.data().data()),
             static_cast<std::streamsize>(frame.size()));
+}
+
+// Point body shared by legacy frames and v2 point records: lp-sensor +
+// fixed64 time + fixed64 value-bits.
+void PutPointBody(ByteBuffer* payload, const std::string& sensor, Timestamp t,
+                  double v) {
+  payload->PutLengthPrefixedString(sensor);
+  payload->PutFixed64(static_cast<uint64_t>(t));
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  payload->PutFixed64(bits);
+}
+
+// Builds one legacy (pre-versioning) frame: no type byte, bare point body.
+void AppendLegacyFrame(std::ofstream& out, const std::string& sensor,
+                       Timestamp t, double v) {
+  ByteBuffer payload;
+  PutPointBody(&payload, sensor, t, v);
+  WriteFrame(out, payload);
+}
+
+// Builds one v2 point record (type byte 1 + point body). The writer no
+// longer emits these, but segments from before the write paths were
+// unified hold them, so replay must keep decoding them.
+void AppendV2PointFrame(std::ofstream& out, const std::string& sensor,
+                        Timestamp t, double v) {
+  ByteBuffer payload;
+  payload.PutU8(1);
+  PutPointBody(&payload, sensor, t, v);
+  WriteFrame(out, payload);
+}
+
+void WriteV2Header(std::ofstream& out) {
+  const char header[] = {'B', 'W', 'A', 'L', 2};
+  out.write(header, sizeof(header));
 }
 
 TEST_F(WalTest, LegacyHeaderlessSegmentStillReplays) {
@@ -246,6 +281,59 @@ TEST_F(WalTest, LegacyHeaderlessSegmentStillReplays) {
   EXPECT_EQ(records[2].t, 11);
 }
 
+TEST_F(WalTest, V2PointRecordsStillReplay) {
+  // A v2 segment of point records (type 1) around one batch record, as an
+  // engine that still had a per-point writer left it. ReadWal flattens both
+  // record types into one stream in write order, and an engine opened on a
+  // data dir holding such a segment recovers every point.
+  const std::string data_dir = Path("engine_v2_points");
+  std::filesystem::create_directories(data_dir);
+  const std::string path = data_dir + "/wal-00000000-s00.log";
+  {
+    std::ofstream out(path, std::ios::binary);
+    WriteV2Header(out);
+    AppendV2PointFrame(out, "p", 10, 1.5);
+    ByteBuffer batch;
+    batch.PutU8(2);          // batch record
+    batch.PutVarint64(1);    // one group
+    batch.PutLengthPrefixedString("p");
+    batch.PutVarint64(1);    // one point
+    batch.PutFixed64(11);
+    uint64_t bits = 0;
+    const double v = 2.5;
+    std::memcpy(&bits, &v, sizeof(bits));
+    batch.PutFixed64(bits);
+    WriteFrame(out, batch);
+    AppendV2PointFrame(out, "q", -3, -2.25);
+    AppendV2PointFrame(out, "p", 12, 3.0);
+  }
+  std::vector<WalRecord> records;
+  bool torn = true;
+  ASSERT_TRUE(ReadWal(path, &records, &torn).ok());
+  EXPECT_FALSE(torn);
+  ASSERT_EQ(records.size(), 4u);
+  EXPECT_EQ(records[0].sensor, "p");
+  EXPECT_EQ(records[0].t, 10);
+  EXPECT_DOUBLE_EQ(records[0].v, 1.5);
+  EXPECT_EQ(records[1].t, 11);
+  EXPECT_DOUBLE_EQ(records[1].v, 2.5);
+  EXPECT_EQ(records[2].sensor, "q");
+  EXPECT_EQ(records[2].t, -3);
+  EXPECT_EQ(records[3].t, 12);
+
+  EngineOptions opt;
+  opt.data_dir = data_dir;
+  StorageEngine engine(opt);
+  ASSERT_TRUE(engine.Open().ok());
+  std::vector<TvPairDouble> out;
+  ASSERT_TRUE(engine.Query("p", 0, 100, &out).ok());
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_DOUBLE_EQ(out[2].v, 3.0);
+  ASSERT_TRUE(engine.Query("q", -10, 0, &out).ok());
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_DOUBLE_EQ(out[0].v, -2.25);
+}
+
 TEST_F(WalTest, UnknownRecordTypeIsCorruption) {
   // A v2 segment with a CRC-valid frame of an unknown type byte: that is
   // real corruption (or a future format), not a torn tail — replay must
@@ -253,16 +341,10 @@ TEST_F(WalTest, UnknownRecordTypeIsCorruption) {
   const std::string path = Path("wal-unknown-type.log");
   {
     std::ofstream out(path, std::ios::binary);
-    const char header[] = {'B', 'W', 'A', 'L', 2};
-    out.write(header, sizeof(header));
+    WriteV2Header(out);
     ByteBuffer payload;
     payload.PutU8(99);
-    ByteBuffer frame;
-    frame.PutFixed32(static_cast<uint32_t>(payload.size()));
-    frame.PutFixed32(Crc32(payload.data().data(), payload.size()));
-    frame.Append(payload);
-    out.write(reinterpret_cast<const char*>(frame.data().data()),
-              static_cast<std::streamsize>(frame.size()));
+    WriteFrame(out, payload);
   }
   std::vector<WalRecord> records;
   EXPECT_TRUE(ReadWal(path, &records, nullptr).IsCorruption());
@@ -279,7 +361,7 @@ TEST_F(WalTest, FsyncModeAppendsAndReplays) {
   const std::string path = Path("wal-fsync.log");
   WalWriter writer(path, /*fsync_on_sync=*/true);
   ASSERT_TRUE(writer.Open().ok());
-  ASSERT_TRUE(writer.Append("s", 1, 1.5).ok());
+  ASSERT_TRUE(AppendPoint(writer, "s", 1, 1.5).ok());
   ASSERT_TRUE(writer.Sync().ok());
   // After a device-level Sync the record is visible to an independent
   // reader while the writer is still open (fflush + fsync completed).
@@ -289,7 +371,7 @@ TEST_F(WalTest, FsyncModeAppendsAndReplays) {
   EXPECT_FALSE(torn);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].t, 1);
-  ASSERT_TRUE(writer.Append("s", 2, 2.5).ok());
+  ASSERT_TRUE(AppendPoint(writer, "s", 2, 2.5).ok());
   ASSERT_TRUE(writer.Sync().ok());
   ASSERT_TRUE(writer.Close().ok());
   ASSERT_TRUE(ReadWal(path, &records, &torn).ok());
@@ -302,7 +384,7 @@ TEST_F(WalTest, SyncOnUnopenedWriterFails) {
 }
 
 TEST_F(WalTest, EngineWalFsyncStillRecovers) {
-  // wal_fsync + sync_wal_every_write = per-point device durability; the
+  // wal_fsync + sync_wal_every_write = per-write device durability; the
   // recovery contract must be unchanged from the page-cache default.
   const std::string data_dir = Path("engine_fsync");
   {
@@ -400,9 +482,9 @@ TEST_F(WalTest, EngineRecoversUnflushedPoints) {
 }
 
 TEST_F(WalTest, EngineRecoversBatchedWrites) {
-  // Batched ingest writes one group-commit record per target memtable;
-  // recovery must replay those exactly like per-point records, including
-  // when the two paths interleave on one sensor.
+  // Every ingest call writes one group-commit record per target memtable,
+  // whether it carries one point or many; recovery must replay them in
+  // write order when batched and one-point calls interleave on one sensor.
   const std::string data_dir = Path("engine_batch");
   {
     EngineOptions opt;
@@ -418,10 +500,11 @@ TEST_F(WalTest, EngineRecoversBatchedWrites) {
     ASSERT_TRUE(engine.WriteBatch("bs", batch, &applied).ok());
     EXPECT_EQ(applied, batch.size());
     ASSERT_TRUE(engine.Write("bs", 2000, 7.0).ok());
-    std::vector<StorageEngine::SensorBatch> multi;
-    multi.push_back({"m0", {{1, 1.0}, {2, 2.0}}});
-    multi.push_back({"m1", {{3, 3.0}}});
-    ASSERT_TRUE(engine.WriteMulti(multi).ok());
+    const std::string m0 = "m0", m1 = "m1";
+    const TvPairDouble p0[] = {{1, 1.0}, {2, 2.0}};
+    const TvPairDouble p1[] = {{3, 3.0}};
+    const SensorSpanDouble multi[] = {{&m0, p0, 2}, {&m1, p1, 1}};
+    ASSERT_TRUE(engine.WriteMulti(multi, 2).ok());
     // Destroyed without FlushAll: simulated crash.
   }
   EngineOptions opt;

@@ -406,14 +406,15 @@ int CmdWatch(int argc, char** argv) {
           cache_hits + Sample(samples, "backsort_chunk_cache_misses_total");
       std::printf(
           "[%s] flushes=%-6.0f queued=%-4.0f working=%-9.0f files=%-5.0f "
-          "cache=%5.1f%% | p99 ms: enqueue=%.3f qwait=%.1f sort=%.1f "
+          "cache=%5.1f%% | p99 ms: apply=%.3f qwait=%.1f sort=%.1f "
           "encode=%.1f seal=%.1f flush=%.1f\n",
           clock, Sample(samples, "backsort_flushes_total"),
           Sample(samples, "backsort_queued_flushes"),
           Sample(samples, "backsort_working_points"),
           Sample(samples, "backsort_sealed_files"),
           cache_lookups == 0 ? 0.0 : 100.0 * cache_hits / cache_lookups,
-          stage_p99_ms(samples, "enqueue"), stage_p99_ms(samples, "queue_wait"),
+          stage_p99_ms(samples, "batch_apply"),
+          stage_p99_ms(samples, "queue_wait"),
           stage_p99_ms(samples, "sort"), stage_p99_ms(samples, "encode"),
           stage_p99_ms(samples, "seal"), stage_p99_ms(samples, "flush"));
     }
@@ -575,7 +576,6 @@ int CmdIngest(int argc, char** argv) {
     const char* name;
     const HistogramSnapshot& hist;
   } stages[] = {
-      {"enqueue", snap.stages.enqueue},
       {"batch-apply", snap.stages.batch_apply},
       {"queue-wait", snap.stages.queue_wait},
       {"sort", snap.stages.sort},

@@ -52,10 +52,13 @@
 #      recorded, not gated — in-process nodes share this host's cores,
 #      so scale-out is only measurable multi-host, see
 #      bench/baselines/BENCH_system_cluster.json "host_cores")
-#  11. cardinality: the sensor-interner and arena-backed TVList suites
-#      under AddressSanitizer (the interner hands out string_views into
-#      a bump arena and the memtable frees TVList blocks wholesale at
-#      seal — exactly the lifetimes ASan is for), then a scaled 100k-
+#  11. ASan + cardinality: the sensor-interner and arena-backed TVList
+#      suites under AddressSanitizer (the interner hands out string_views
+#      into a bump arena and the memtable frees TVList blocks wholesale at
+#      seal — exactly the lifetimes ASan is for), plus the WAL and
+#      WAL-tailer suites (their replay decoders parse untrusted bytes from
+#      disk and from replication, so every out-of-bounds read must trip
+#      ASan rather than pass silently), then a scaled 100k-
 #      sensor bench/system_cardinality run gated on idle heap staying
 #      <= 600 bytes/sensor (full scale measures ~191 vs ~1676 on the
 #      pre-interning string path, bench/baselines/
@@ -331,12 +334,17 @@ cmake --build build-tsan -j --target wal_tailer_test cluster_test
 ./build-tsan/tests/wal_tailer_test
 ./build-tsan/tests/cluster_test
 # Real-process smoke. Fixed ports are required up front (each node ships
-# to its follower's configured address), so grab two free ones.
+# to its follower's configured address), so grab two free ones. The probe
+# sockets are closed before the ports are printed: `read` returns as soon
+# as the line arrives, and a probe still open then would make the first
+# node's bind fail with "Address already in use".
 read -r port_a port_b < <(python3 - <<'EOF'
 import socket
 a = socket.socket(); a.bind(("127.0.0.1", 0))
 b = socket.socket(); b.bind(("127.0.0.1", 0))
-print(a.getsockname()[1], b.getsockname()[1])
+ports = (a.getsockname()[1], b.getsockname()[1])
+a.close(); b.close()
+print(*ports)
 EOF
 )
 cmap="a=127.0.0.1:$port_a,b=127.0.0.1:$port_b"
@@ -452,14 +460,20 @@ scale2=$(grep '"scale_out_2v1"' "$smoke_dir/BENCH_system_cluster.json" \
   | awk -F': ' '{print $2}' | tr -d ',')
 echo "cluster bench passed (2-node/1-node write ratio ${scale2} on this host)"
 
-echo "=== [11/11] cardinality: ASan interner/arena suites + 100k-sensor smoke ==="
+echo "=== [11/11] ASan: interner/arena/WAL suites + 100k-sensor smoke ==="
 # The interner and arenas trade allocator nodes for raw pointer lifetimes
 # (string_views into a bump arena, TVList blocks freed wholesale at seal);
 # run their suites under AddressSanitizer to keep those lifetimes honest.
+# The WAL replay decoders (ReadWal, ParseWalPayloadV2, the tailer's frame
+# reader) read bytes from disk and from replication peers: their torn,
+# bit-flipped and unknown-type cases must stay in bounds under ASan too.
 cmake -B build-asan -S . -DBACKSORT_SANITIZE=address
-cmake --build build-asan -j --target interner_test tvlist_test
+cmake --build build-asan -j --target interner_test tvlist_test wal_test \
+  wal_tailer_test
 ./build-asan/tests/interner_test
 ./build-asan/tests/tvlist_test
+./build-asan/tests/wal_test
+./build-asan/tests/wal_tailer_test
 # Scaled cardinality smoke: 100k sensors, one rep, disorder panels off.
 # Two gates against the flat JSON: idle heap per sensor (absolute budget —
 # full scale measures ~191 B/sensor; 600 leaves 3x noise headroom while
