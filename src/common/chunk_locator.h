@@ -54,6 +54,52 @@ struct ChunkLocator {
   }
 };
 
+/// One page of a sealed chunk, as its header describes it: where the page
+/// sits in the chunk, its point count, time range and value statistics
+/// (NaN excluded, like the footer's), and the sizes of its two encoded
+/// buffers. Times are non-decreasing from page to page, so a time range
+/// maps to a contiguous page span by binary search.
+struct PageEntry {
+  /// Byte offset of the page header from the start of the chunk.
+  uint64_t offset = 0;
+  /// Offsets of the encoded time / value buffers from the start of the
+  /// chunk, as the header walk found them (past each buffer's varint size).
+  uint64_t time_offset = 0;
+  uint64_t value_offset = 0;
+  /// Bytes from the page header through the end of the value buffer.
+  uint32_t length = 0;
+  uint32_t points = 0;
+  /// Encoded time / value buffer sizes.
+  uint32_t time_size = 0;
+  uint32_t value_size = 0;
+  Timestamp min_t = 0;
+  Timestamp max_t = 0;
+  double min_v = 0;
+  double max_v = 0;
+  double sum_v = 0;
+
+  /// NaN page stats (only in hand-crafted files) force a decode.
+  bool stats_usable() const {
+    return !std::isnan(min_v) && !std::isnan(max_v) && !std::isnan(sum_v);
+  }
+};
+
+/// Every page of one (file, sensor) chunk plus the chunk's encodings: the
+/// read path's only cached per-chunk entry. Derived once from the chunk
+/// bytes (no format change), it lets a query read and decode just the
+/// pages that overlap its range. Encodings are kept raw, like
+/// ChunkLocator::raw_type, so common/ needs no encoding types.
+struct PageDirectory {
+  uint8_t time_encoding = 0;
+  uint8_t value_encoding = 0;
+  std::vector<PageEntry> pages;
+
+  /// Heap footprint charged against the cache capacity.
+  size_t MemoryBytes() const {
+    return sizeof(PageDirectory) + pages.capacity() * sizeof(PageEntry);
+  }
+};
+
 /// One file's footer: sensor id -> chunk locator. The tree form is
 /// transient — the TsFile footer parser builds it sensor by sensor — and is
 /// flattened into a FooterIndex before any long-lived holder (the chunk

@@ -220,6 +220,11 @@ struct EngineMetricsSnapshot {
   /// Sealed files that contributed a run to a query (opened or served from
   /// cache), summed over queries.
   uint64_t query_files_opened = 0;
+  /// Bytes read from sealed chunks by Query and AggregateFast: spans of
+  /// overlapping pages plus page-directory derivations on cache misses.
+  uint64_t sealed_bytes_read = 0;
+  /// Sealed pages decoded by Query and AggregateFast.
+  uint64_t sealed_pages_decoded = 0;
   /// Aggregation-path stage histograms (plan / stats / decode / merge).
   AggregateStageSnapshots agg_stages;
   /// AggregateFast calls served since open.

@@ -288,12 +288,22 @@ void ExportEngineMetrics(const EngineMetricsSnapshot& snapshot,
       "Sealed files that contributed a run to a query (disk or cache), all "
       "queries.",
       base_labels, static_cast<double>(snapshot.query_files_opened));
+  registry->Counter(
+      "backsort_engine_sealed_bytes_read_total",
+      "Bytes read from sealed chunks by queries and aggregations: spans of "
+      "overlapping pages plus page-directory derivations.",
+      base_labels, static_cast<double>(snapshot.sealed_bytes_read));
+  registry->Counter(
+      "backsort_engine_sealed_pages_decoded_total",
+      "Sealed pages decoded by queries and aggregations.", base_labels,
+      static_cast<double>(snapshot.sealed_pages_decoded));
 
   registry->Counter("backsort_chunk_cache_hits_total",
-                    "Decoded-chunk lookups served from the chunk cache.",
+                    "Page-directory lookups served from the chunk cache.",
                     base_labels, static_cast<double>(snapshot.cache.hits));
   registry->Counter("backsort_chunk_cache_misses_total",
-                    "Decoded-chunk lookups that went to disk.", base_labels,
+                    "Page-directory lookups that read the chunk from disk.",
+                    base_labels,
                     static_cast<double>(snapshot.cache.misses));
   registry->Counter(
       "backsort_chunk_cache_evictions_total",
@@ -307,10 +317,10 @@ void ExportEngineMetrics(const EngineMetricsSnapshot& snapshot,
                     "Footer/index lookups that read the file.", base_labels,
                     static_cast<double>(snapshot.cache.footer_misses));
   registry->Gauge("backsort_chunk_cache_bytes",
-                  "Resident chunk-cache bytes (chunks + footers).",
+                  "Resident chunk-cache bytes (page directories + footers).",
                   base_labels, static_cast<double>(snapshot.cache.bytes));
   registry->Gauge("backsort_chunk_cache_entries",
-                  "Resident chunk-cache entries (chunks + footers).",
+                  "Resident chunk-cache entries (page directories + footers).",
                   base_labels, static_cast<double>(snapshot.cache.entries));
   registry->Gauge(
       "backsort_chunk_cache_capacity_bytes",

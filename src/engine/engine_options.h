@@ -111,12 +111,12 @@ struct EngineOptions {
   /// Built-in chunk-cache capacity when nothing else is configured.
   static constexpr size_t kDefaultChunkCacheBytes = 64u << 20;  // 64 MiB
 
-  /// Byte capacity of the engine-wide chunk cache (decoded sensor chunks +
+  /// Byte capacity of the engine-wide chunk cache (page directories +
   /// parsed footers, shared by all shards; see common/chunk_cache.h).
   /// kChunkCacheAuto = resolve $BACKSORT_CHUNK_CACHE_BYTES when set, else
-  /// 64 MiB. 0 disables the cache entirely: every query re-opens and
-  /// re-decodes its files, exactly the pre-cache read path. Sizing
-  /// guidance in docs/OPERATIONS.md.
+  /// 64 MiB. 0 disables the cache: footers stay pinned per file and every
+  /// page read derives its chunk's page directory again. Sizing guidance
+  /// in docs/OPERATIONS.md.
   size_t chunk_cache_bytes = kChunkCacheAuto;
 
   /// File-level time pruning: skip sealed files whose footer says the

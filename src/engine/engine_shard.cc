@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <limits>
+#include <optional>
 #include <thread>
 
 #if defined(__GLIBC__)
@@ -37,6 +38,14 @@ void MaybeTrimHeap(size_t freed_bytes) {
 #else
   (void)freed_bytes;
 #endif
+}
+
+/// Adds one chunk read to the amplification counters.
+void CountPageReads(EngineSharedState* shared, const PageReader& reader) {
+  shared->sealed_bytes_read.fetch_add(reader.bytes_read(),
+                                      std::memory_order_relaxed);
+  shared->sealed_pages_decoded.fetch_add(reader.pages_decoded(),
+                                         std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -671,38 +680,16 @@ void EngineShard::TakeSnapshot(const std::string& sensor, Timestamp t_min,
 Status EngineShard::ReadFileRange(const SealedFileMeta& file,
                                   const std::string& sensor, Timestamp t_min,
                                   Timestamp t_max,
-                                  std::vector<Timestamp>* ts,
-                                  std::vector<double>* values) {
-  ChunkCache* cache = shared_->chunk_cache.get();
-  if (!cache->enabled()) {
-    // Cache disabled: the pre-cache read path, bit for bit.
-    TsFileReader reader(file.path());
-    RETURN_NOT_OK(reader.Open());
-    return reader.QueryRangeF64(sensor, t_min, t_max, ts, values);
-  }
-  std::shared_ptr<const CachedChunk> chunk =
-      cache->GetChunk(file.path(), sensor);
-  if (chunk == nullptr) {
-    std::shared_ptr<const FooterIndex> footer;
-    RETURN_NOT_OK(file.Footer(&footer));
-    const ChunkLocator* locator = footer->Find(sensor);
-    if (locator == nullptr) return Status::NotFound("sensor: " + sensor);
-    auto decoded = std::make_shared<CachedChunk>();
-    RETURN_NOT_OK(ReadTsFileChunkF64(file.path(), sensor, *locator,
-                                     &decoded->ts, &decoded->values));
-    cache->PutChunk(file.path(), sensor, decoded);
-    chunk = std::move(decoded);
-  }
-  // Chunks are sorted ascending (the writer enforces it), so the range
-  // filter is a binary search over the shared decoded columns.
-  const auto lo =
-      std::lower_bound(chunk->ts.begin(), chunk->ts.end(), t_min);
-  const auto hi = std::upper_bound(lo, chunk->ts.end(), t_max);
-  const size_t a = static_cast<size_t>(lo - chunk->ts.begin());
-  const size_t b = static_cast<size_t>(hi - chunk->ts.begin());
-  ts->assign(chunk->ts.begin() + a, chunk->ts.begin() + b);
-  values->assign(chunk->values.begin() + a, chunk->values.begin() + b);
-  return Status::OK();
+                                  std::vector<TvPairDouble>* out) {
+  std::shared_ptr<const FooterIndex> footer;
+  RETURN_NOT_OK(file.Footer(&footer));
+  const ChunkLocator* locator = footer->Find(sensor);
+  if (locator == nullptr) return Status::NotFound("sensor: " + sensor);
+  std::optional<PageReader> reader;
+  RETURN_NOT_OK(file.OpenChunk(sensor, *locator, &reader));
+  const Status st = reader->Query(t_min, t_max, out);
+  CountPageReads(shared_, *reader);
+  return st;
 }
 
 Status EngineShard::Query(const std::string& sensor, Timestamp t_min,
@@ -766,9 +753,9 @@ Status EngineShard::Query(const std::string& sensor, Timestamp t_min,
   WallTimer read_timer;
   std::vector<SortedRun> runs;
   for (auto& [file, file_priority] : files) {
-    std::vector<Timestamp> ts;
-    std::vector<double> values;
-    Status st = ReadFileRange(*file, sensor, t_min, t_max, &ts, &values);
+    SortedRun run;
+    run.priority = file_priority;
+    Status st = ReadFileRange(*file, sensor, t_min, t_max, &run.points);
     if (st.IsNotFound()) continue;
     if (!st.ok()) {
       // Propagate the failure with no partial state: a half-gathered
@@ -777,10 +764,6 @@ Status EngineShard::Query(const std::string& sensor, Timestamp t_min,
       return st;
     }
     shared.query_files_opened.fetch_add(1, std::memory_order_relaxed);
-    SortedRun run;
-    run.priority = file_priority;
-    run.points.resize(ts.size());
-    for (size_t i = 0; i < ts.size(); ++i) run.points[i] = {ts[i], values[i]};
     runs.push_back(std::move(run));
   }
   for (const auto& table : snap.flushing) {
@@ -896,25 +879,8 @@ Status EngineShard::AggregateFast(const std::string& sensor, Timestamp t_min,
     RETURN_NOT_OK(Query(sensor, t_min, t_max, &points));
     ah.decode.Record(static_cast<uint64_t>(decode_timer.ElapsedNanos()));
     WallTimer merge_timer;
-    for (const TvPairDouble& p : points) {
-      if (stats->count == 0) {
-        stats->first = p.v;
-        stats->first_time = p.t;
-        stats->min = std::numeric_limits<double>::infinity();
-        stats->max = -std::numeric_limits<double>::infinity();
-      }
-      ++stats->count;
-      stats->last = p.v;
-      stats->last_time = p.t;
-      // Same NaN contract as the statistics tiers (see
-      // TsFileReader::RangeStats): NaN is counted and may be first/last
-      // but never contributes to min/max/sum.
-      if (!std::isnan(p.v)) {
-        stats->min = std::min(stats->min, p.v);
-        stats->max = std::max(stats->max, p.v);
-        stats->sum += p.v;
-      }
-    }
+    // Same NaN-contract fold as the statistics tiers.
+    for (const TvPairDouble& p : points) stats->Fold(p.t, p.v);
     ah.merge.Record(static_cast<uint64_t>(merge_timer.ElapsedNanos()));
     return Status::OK();
   }
@@ -974,60 +940,19 @@ Status EngineShard::AggregateFast(const std::string& sensor, Timestamp t_min,
   WallTimer stats_timer;
   ah.stats.Record(static_cast<uint64_t>(stats_timer.ElapsedNanos()));
 
-  // Stage 3 — decode: run the tier-2 chunk aggregations, fanning a small
-  // reader pool across chunks when several need decoding (each task does
-  // its own seek + read + page decode; they share nothing but the cache).
+  // Stage 3 — decode: run the tier-2 chunk aggregations in file order.
+  // Each reads and decodes at most its chunk's two boundary pages (the
+  // interior folds from the cached page directory), too little work to be
+  // worth a thread.
   WallTimer decode_timer;
   Status decode_status = Status::OK();
-  if (!tasks.empty()) {
-    std::mutex status_mu;
-    ChunkCache* cache = shared.chunk_cache.get();
-    auto run_task = [&](const DecodeTask& task) {
-      // Boundary pages decoded for one aggregation are worth caching:
-      // repeated range sweeps hit the same chunk edges. The synthesized
-      // per-page key lives under the file's path, so InvalidateFile (file
-      // obsoleted by compaction) drops these entries too.
-      PageCacheHooks hooks;
-      const std::string& path = task.file->path();
-      // NUL separator: no real sensor name can collide with a page key.
-      const std::string key_base = sensor + std::string("\0p", 2);
-      if (cache->enabled()) {
-        hooks.lookup = [&, cache](size_t page) {
-          return cache->GetChunk(path, key_base + std::to_string(page));
-        };
-        hooks.insert = [&, cache](size_t page,
-                                  std::shared_ptr<const CachedChunk> c) {
-          cache->PutChunk(path, key_base + std::to_string(page),
-                          std::move(c));
-        };
-      }
-      Status st = AggregateTsFileChunkF64(
-          path, sensor, *task.locator, t_min, t_max, &partials[task.slot],
-          nullptr, cache->enabled() ? &hooks : nullptr);
-      if (!st.ok() && !st.IsNotFound()) {
-        std::lock_guard<std::mutex> g(status_mu);
-        if (decode_status.ok()) decode_status = st;
-      }
-    };
-    const size_t hw = std::thread::hardware_concurrency();
-    const size_t workers = std::min(
-        {tasks.size(), size_t{4}, hw == 0 ? size_t{1} : hw});
-    if (workers <= 1) {
-      for (const DecodeTask& task : tasks) run_task(task);
-    } else {
-      std::atomic<size_t> next{0};
-      auto drain = [&] {
-        for (size_t i = next.fetch_add(1); i < tasks.size();
-             i = next.fetch_add(1)) {
-          run_task(tasks[i]);
-        }
-      };
-      std::vector<std::thread> pool;
-      pool.reserve(workers - 1);
-      for (size_t w = 0; w + 1 < workers; ++w) pool.emplace_back(drain);
-      drain();
-      for (std::thread& t : pool) t.join();
-    }
+  for (const DecodeTask& task : tasks) {
+    std::optional<PageReader> reader;
+    decode_status = task.file->OpenChunk(sensor, *task.locator, &reader);
+    if (!decode_status.ok()) break;
+    decode_status = reader->Aggregate(t_min, t_max, &partials[task.slot]);
+    CountPageReads(&shared, *reader);
+    if (!decode_status.ok()) break;
   }
   ah.decode.Record(static_cast<uint64_t>(decode_timer.ElapsedNanos()));
   if (!decode_status.ok()) {

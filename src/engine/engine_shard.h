@@ -122,7 +122,7 @@ struct EngineSharedState {
   EngineOptions options;
   FlushPool* pool = nullptr;
 
-  /// Shared read cache (decoded chunks + footers). Created by the facade
+  /// Shared read cache (page directories + footers). Created by the facade
   /// constructor before any shard exists; never null once the engine is
   /// built. Declared before the file registries below so it outlives every
   /// SealedFileMeta (whose destructor invalidates its cache entries).
@@ -143,6 +143,11 @@ struct EngineSharedState {
   std::atomic<uint64_t> queries{0};
   std::atomic<uint64_t> query_files_pruned{0};
   std::atomic<uint64_t> query_files_opened{0};
+  /// Sealed-data read amplification (Query + AggregateFast): bytes read
+  /// from sealed chunks (page spans and directory derivations) and pages
+  /// decoded.
+  std::atomic<uint64_t> sealed_bytes_read{0};
+  std::atomic<uint64_t> sealed_pages_decoded{0};
 
   /// Lock-free aggregation-stage latency histograms (see
   /// AggregatePathHistograms).
@@ -362,15 +367,13 @@ class EngineShard {
   void TakeSnapshot(const std::string& sensor, Timestamp t_min,
                     Timestamp t_max, bool want_points, ReadSnapshot* snap);
 
-  /// Reads `sensor`'s points in [t_min, t_max] from one sealed file, via
-  /// the shared chunk cache when enabled (footer lookup + single-chunk
-  /// read + binary-search filter) or the direct whole-file reader when
-  /// disabled (bit-identical to the pre-cache path). Runs without any
-  /// engine lock.
+  /// Appends `sensor`'s points in [t_min, t_max] from one sealed file to
+  /// `out`: a PageReader over the chunk decodes only the overlapping
+  /// pages. NotFound when the file has no chunk for the sensor. Runs
+  /// without any engine lock.
   Status ReadFileRange(const SealedFileMeta& file, const std::string& sensor,
                        Timestamp t_min, Timestamp t_max,
-                       std::vector<Timestamp>* ts,
-                       std::vector<double>* values);
+                       std::vector<TvPairDouble>* out);
 
   /// Seals one working memtable into the flush queue. Caller holds mu_.
   void SealLocked(bool sequence);

@@ -3,12 +3,14 @@
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "common/chunk_cache.h"
 #include "common/chunk_locator.h"
 #include "common/status.h"
 #include "common/types.h"
+#include "tsfile/tsfile.h"
 
 namespace backsort {
 
@@ -27,10 +29,14 @@ namespace backsort {
 /// not by cardinality. With the cache disabled the footer is pinned,
 /// preserving the zero-I/O pre-cache pruning path bit for bit.
 ///
+/// No fd is held between reads: each OpenChunk opens the file for the
+/// one PageReader it returns, so open descriptors are bounded by reads in
+/// flight, not by the number of sealed files (compaction may be off).
+///
 /// Lifetime doubles as deferred deletion: compaction retires a file by
 /// calling MarkObsolete() and dropping its registry refs. The last reader
-/// holding a ref keeps the bytes on disk readable; when that ref dies the
-/// destructor invalidates the file's cache entries and unlinks it. File
+/// holding a ref keeps the file on disk; when that ref dies the destructor
+/// invalidates the file's cache entries and unlinks the file. File
 /// ids are never reused (the engine's file counter is monotonic), so a
 /// stale cache entry for a retired path can never alias a new file.
 class SealedFileMeta {
@@ -73,6 +79,15 @@ class SealedFileMeta {
   /// re-inserted) if it was evicted. Thread-safe; fails only on I/O
   /// errors reading the footer back.
   Status Footer(std::shared_ptr<const FooterIndex>* out) const;
+
+  /// A page reader over `sensor`'s chunk (`locator`, from Footer()): a
+  /// fresh read-only fd of the file, owned by the reader, plus the chunk's
+  /// page directory — the cache entry, or derived from the chunk bytes on
+  /// a miss (and cached; the reader's bytes_read() then starts at
+  /// `locator.length`). The caller must hold a ref to this file for as
+  /// long as it uses the reader. Thread-safe.
+  Status OpenChunk(const std::string& sensor, const ChunkLocator& locator,
+                   std::optional<PageReader>* out) const;
 
   /// Flags the file for deletion once the last ref drops. Called by
   /// compaction after the replacement file is published.

@@ -23,12 +23,34 @@ struct SortedRun {
 /// element — TVLists sort stably, so that is the latest arrival).
 ///
 /// O(N log k) with a min-heap; runs are consumed without copying until
-/// output.
+/// output. A single non-empty run (the common sealed-only query) skips the
+/// heap: it becomes the output and equal timestamps collapse in place.
 inline void MergeRuns(std::vector<SortedRun>&& runs,
                       std::vector<TvPairDouble>* out) {
   out->clear();
   size_t total = 0;
-  for (const SortedRun& r : runs) total += r.points.size();
+  size_t nonempty = 0;
+  SortedRun* only = nullptr;
+  for (SortedRun& r : runs) {
+    total += r.points.size();
+    if (!r.points.empty()) {
+      ++nonempty;
+      only = &r;
+    }
+  }
+  if (nonempty == 1) {
+    *out = std::move(only->points);
+    size_t w = 0;
+    for (const TvPairDouble& p : *out) {
+      if (w > 0 && (*out)[w - 1].t == p.t) {
+        (*out)[w - 1] = p;  // the later element wins
+      } else {
+        (*out)[w++] = p;
+      }
+    }
+    out->resize(w);
+    return;
+  }
   out->reserve(total);
   if (total == 0) return;
 

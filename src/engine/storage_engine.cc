@@ -359,6 +359,10 @@ EngineMetricsSnapshot StorageEngine::GetMetricsSnapshot() const {
       shared_.query_files_pruned.load(std::memory_order_relaxed);
   snap.query_files_opened =
       shared_.query_files_opened.load(std::memory_order_relaxed);
+  snap.sealed_bytes_read =
+      shared_.sealed_bytes_read.load(std::memory_order_relaxed);
+  snap.sealed_pages_decoded =
+      shared_.sealed_pages_decoded.load(std::memory_order_relaxed);
   snap.agg_stages = shared_.agg_histograms.Snapshot();
   snap.agg_requests = shared_.agg_requests.load(std::memory_order_relaxed);
   snap.agg_stats_hits =

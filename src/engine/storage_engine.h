@@ -99,8 +99,9 @@ class StorageEngine {
   /// (sealed-file refs + memtable copies); all file I/O, cache lookups,
   /// decoding and merging run lock-free, so same-shard writers progress
   /// while a query reads. Files are pruned by footer time range before
-  /// being opened, and decoded chunks are served from the shared
-  /// ChunkCache (EngineOptions::chunk_cache_bytes).
+  /// being opened; a surviving file's chunk is read page by page through
+  /// its page directory (cached in the shared ChunkCache), so only the
+  /// pages overlapping the range are read and decoded.
   Status Query(const std::string& sensor, Timestamp t_min, Timestamp t_max,
                std::vector<TvPairDouble>* out);
 
@@ -114,9 +115,9 @@ class StorageEngine {
   /// over [t_min, t_max]), planned in three tiers per chunk. Tier 1:
   /// sequence chunks fully inside the range whose footers carry value
   /// statistics (BSTF2) answer from metadata alone — no chunk byte is
-  /// read. Tier 2: partially covered (or stat-less BSTF1) chunks run a
-  /// page-level partial aggregation that decodes only boundary pages,
-  /// fanned across a small reader pool when several chunks need it. Both
+  /// read. Tier 2: partially covered (or stat-less BSTF1) chunks fold
+  /// interior pages from their cached page directory and read and decode
+  /// only the two boundary pages. Both
   /// tiers are only sound when no data source can shadow another
   /// (duplicate timestamps are resolved last-write-wins by Query), so any
   /// in-memory points or overlapping unsequence file in range drops the

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstring>
 #include <fstream>
@@ -49,81 +50,34 @@ Status EncodeTimeAndValues(Encoding time_enc,
   return EncodeI64(time_enc, ts, out);
 }
 
-Status DecodeValuesDispatch(Encoding enc, ByteReader* reader, size_t count,
-                            std::vector<int64_t>* out) {
-  return DecodeI64(enc, reader, count, out);
-}
-
-Status DecodeValuesDispatch(Encoding enc, ByteReader* reader, size_t count,
-                            std::vector<double>* out) {
-  return DecodeF64(enc, reader, count, out);
-}
-
-/// Decodes one chunk from its byte span (header + pages), appending the
-/// points inside [t_min, t_max] to the output columns. Shared by the
-/// whole-file reader and the standalone single-chunk read, so both paths
-/// stay byte-for-byte identical in what they accept and return.
+/// Decodes one chunk from its bytes, appending the points inside
+/// [t_min, t_max] to the output columns — TsFileReader's whole-chunk scan.
+/// It shares only the header walk with PageReader; page selection, decode
+/// and filtering are its own, so the two check each other in the read-path
+/// differential tests.
 template <typename V>
-Status DecodeChunkSpan(const uint8_t* chunk, size_t size,
-                       const std::string& sensor, DataType expect_type,
-                       Timestamp t_min, Timestamp t_max,
-                       std::vector<Timestamp>* ts, std::vector<V>* values) {
-  ByteReader r(chunk, size);
-  std::string stored_sensor;
-  RETURN_NOT_OK(r.GetLengthPrefixedString(&stored_sensor));
-  if (stored_sensor != sensor) {
-    return Status::Corruption("chunk header sensor mismatch");
-  }
-  uint8_t type = 0, time_enc = 0, value_enc = 0;
-  RETURN_NOT_OK(r.GetU8(&type));
-  RETURN_NOT_OK(r.GetU8(&time_enc));
-  RETURN_NOT_OK(r.GetU8(&value_enc));
-  if (static_cast<DataType>(type) != expect_type) {
-    return Status::InvalidArgument("data type mismatch for " + sensor);
-  }
-  uint64_t page_count = 0;
-  RETURN_NOT_OK(r.GetVarint64(&page_count));
-
+Status DecodeChunkSpan(const uint8_t* chunk, const ChunkLocator& locator,
+                       const std::string& sensor, Timestamp t_min,
+                       Timestamp t_max, std::vector<Timestamp>* ts,
+                       std::vector<V>* values) {
+  PageDirectory dir;
+  RETURN_NOT_OK(
+      ParsePageDirectory(chunk, locator.length, sensor, locator, &dir));
   ts->clear();
   values->clear();
   std::vector<Timestamp> page_ts;
   std::vector<V> page_vals;
-  for (uint64_t p = 0; p < page_count; ++p) {
-    uint64_t count = 0;
-    RETURN_NOT_OK(r.GetVarint64(&count));
-    int64_t page_min = 0, page_max = 0;
-    RETURN_NOT_OK(r.GetVarintSigned64(&page_min));
-    RETURN_NOT_OK(r.GetVarintSigned64(&page_max));
-    RETURN_NOT_OK(r.Skip(3 * 8));  // value stats: min, max, sum
-    uint64_t time_size = 0;
-    RETURN_NOT_OK(r.GetVarint64(&time_size));
-    const bool prune = page_max < t_min || page_min > t_max;
-    if (prune) {
-      RETURN_NOT_OK(r.Skip(time_size));
-      uint64_t value_size = 0;
-      RETURN_NOT_OK(r.GetVarint64(&value_size));
-      RETURN_NOT_OK(r.Skip(value_size));
-      continue;
-    }
-    if (time_size > r.remaining()) {
-      return Status::Corruption("page time buffer overruns file");
-    }
-    {
-      ByteReader time_reader(chunk + r.position(), time_size);
-      RETURN_NOT_OK(DecodeI64(static_cast<Encoding>(time_enc), &time_reader,
-                              count, &page_ts));
-      RETURN_NOT_OK(r.Skip(time_size));
-    }
-    uint64_t value_size = 0;
-    RETURN_NOT_OK(r.GetVarint64(&value_size));
-    if (value_size > r.remaining()) {
-      return Status::Corruption("page value buffer overruns file");
-    }
-    {
-      ByteReader value_reader(chunk + r.position(), value_size);
-      RETURN_NOT_OK(DecodeValuesDispatch(static_cast<Encoding>(value_enc),
-                                         &value_reader, count, &page_vals));
-      RETURN_NOT_OK(r.Skip(value_size));
+  for (const PageEntry& e : dir.pages) {
+    if (e.max_t < t_min || e.min_t > t_max) continue;
+    ByteReader time_reader(chunk + e.time_offset, e.time_size);
+    RETURN_NOT_OK(DecodeI64(static_cast<Encoding>(dir.time_encoding),
+                            &time_reader, e.points, &page_ts));
+    ByteReader value_reader(chunk + e.value_offset, e.value_size);
+    const auto value_enc = static_cast<Encoding>(dir.value_encoding);
+    if constexpr (std::is_same_v<V, int64_t>) {
+      RETURN_NOT_OK(DecodeI64(value_enc, &value_reader, e.points, &page_vals));
+    } else {
+      RETURN_NOT_OK(DecodeF64(value_enc, &value_reader, e.points, &page_vals));
     }
     for (size_t i = 0; i < page_ts.size(); ++i) {
       if (page_ts[i] >= t_min && page_ts[i] <= t_max) {
@@ -600,8 +554,8 @@ Status TsFileReader::ReadChunkImpl(const std::string& sensor,
     return Status::InvalidArgument("data type mismatch for " + sensor);
   }
   const ChunkLocator& locator = it->second;
-  return DecodeChunkSpan(data_.data() + locator.offset, locator.length,
-                         sensor, expect_type, t_min, t_max, ts, values);
+  return DecodeChunkSpan(data_.data() + locator.offset, locator, sensor,
+                         t_min, t_max, ts, values);
 }
 
 Status TsFileReader::ReadChunkI64(const std::string& sensor,
@@ -627,165 +581,6 @@ Status TsFileReader::QueryRangeF64(const std::string& sensor, Timestamp t_min,
   return ReadChunkImpl(sensor, DataType::kDouble, t_min, t_max, ts, values);
 }
 
-namespace {
-
-/// Aggregates one chunk byte span over [t_min, t_max] with page-statistics
-/// pushdown — the single fold both TsFileReader::AggregateRangeF64 and the
-/// standalone AggregateTsFileChunkF64 run, so the slurping and the seeking
-/// paths agree bit for bit. NaN semantics: NaN values are excluded from
-/// min/max/sum, counted in count, kept raw in first/last; a page whose
-/// stored stats are themselves NaN (hand-crafted v1 files) is decoded
-/// instead of trusted.
-Status AggregateChunkSpanF64(const uint8_t* chunk, size_t size,
-                             const std::string& sensor, Timestamp t_min,
-                             Timestamp t_max,
-                             TsFileReader::RangeStats* stats,
-                             size_t* pages_skipped,
-                             const PageCacheHooks* hooks) {
-  ByteReader r(chunk, size);
-  std::string stored_sensor;
-  RETURN_NOT_OK(r.GetLengthPrefixedString(&stored_sensor));
-  if (stored_sensor != sensor) {
-    return Status::Corruption("chunk header sensor mismatch");
-  }
-  uint8_t type = 0, time_enc = 0, value_enc = 0;
-  RETURN_NOT_OK(r.GetU8(&type));
-  RETURN_NOT_OK(r.GetU8(&time_enc));
-  RETURN_NOT_OK(r.GetU8(&value_enc));
-  if (static_cast<DataType>(type) != DataType::kDouble) {
-    return Status::InvalidArgument("data type mismatch for " + sensor);
-  }
-  uint64_t page_count = 0;
-  RETURN_NOT_OK(r.GetVarint64(&page_count));
-
-  // Pass 1: page metadata (statistics live in the header, so this pass
-  // never touches the encoded buffers).
-  struct PageMeta {
-    uint64_t count;
-    Timestamp min_t, max_t;
-    double min_v, max_v, sum_v;
-    size_t time_buf_pos;  // offset within the chunk span
-    uint64_t time_size;
-    size_t value_buf_pos;
-    uint64_t value_size;
-    bool contributes;
-    bool fully_inside;
-  };
-  std::vector<PageMeta> pages;
-  pages.reserve(page_count);
-  for (uint64_t p = 0; p < page_count; ++p) {
-    PageMeta m{};
-    RETURN_NOT_OK(r.GetVarint64(&m.count));
-    int64_t lo = 0, hi = 0;
-    RETURN_NOT_OK(r.GetVarintSigned64(&lo));
-    RETURN_NOT_OK(r.GetVarintSigned64(&hi));
-    m.min_t = lo;
-    m.max_t = hi;
-    uint64_t bits[3];
-    for (uint64_t& b : bits) RETURN_NOT_OK(r.GetFixed64(&b));
-    m.min_v = BitsToDouble(bits[0]);
-    m.max_v = BitsToDouble(bits[1]);
-    m.sum_v = BitsToDouble(bits[2]);
-    RETURN_NOT_OK(r.GetVarint64(&m.time_size));
-    m.time_buf_pos = r.position();
-    RETURN_NOT_OK(r.Skip(m.time_size));
-    RETURN_NOT_OK(r.GetVarint64(&m.value_size));
-    m.value_buf_pos = r.position();
-    RETURN_NOT_OK(r.Skip(m.value_size));
-    m.contributes = !(m.max_t < t_min || m.min_t > t_max);
-    m.fully_inside = m.min_t >= t_min && m.max_t <= t_max;
-    pages.push_back(m);
-  }
-
-  // Pass 2: fold. The first and last contributing pages are decoded so the
-  // first/last values are exact; partial-overlap pages are decoded for
-  // filtering; interior fully-covered pages fold from statistics.
-  ptrdiff_t first_idx = -1, last_idx = -1;
-  for (size_t p = 0; p < pages.size(); ++p) {
-    if (pages[p].contributes) {
-      if (first_idx < 0) first_idx = static_cast<ptrdiff_t>(p);
-      last_idx = static_cast<ptrdiff_t>(p);
-    }
-  }
-  bool have_any = false;
-  auto begin_fold = [&] {
-    if (!have_any) {
-      stats->min = std::numeric_limits<double>::infinity();
-      stats->max = -std::numeric_limits<double>::infinity();
-      have_any = true;
-    }
-  };
-  auto fold_point = [&](Timestamp t, double v) {
-    if (!have_any) {
-      begin_fold();
-      stats->first = v;
-      stats->first_time = t;
-    }
-    if (!std::isnan(v)) {
-      stats->min = std::min(stats->min, v);
-      stats->max = std::max(stats->max, v);
-      stats->sum += v;
-    }
-    ++stats->count;
-    stats->last = v;
-    stats->last_time = t;
-  };
-  std::vector<Timestamp> page_ts;
-  std::vector<double> page_vals;
-  for (size_t p = 0; p < pages.size(); ++p) {
-    const PageMeta& m = pages[p];
-    if (!m.contributes) continue;
-    const bool stats_poisoned = std::isnan(m.min_v) ||
-                                std::isnan(m.max_v) || std::isnan(m.sum_v);
-    const bool must_decode = !m.fully_inside ||
-                             static_cast<ptrdiff_t>(p) == first_idx ||
-                             static_cast<ptrdiff_t>(p) == last_idx ||
-                             stats_poisoned;
-    if (!must_decode) {
-      begin_fold();
-      stats->min = std::min(stats->min, m.min_v);
-      stats->max = std::max(stats->max, m.max_v);
-      stats->sum += m.sum_v;
-      stats->count += m.count;
-      if (pages_skipped != nullptr) ++(*pages_skipped);
-      continue;
-    }
-    // Boundary/partial page: batch-decode the whole page (through the
-    // page cache when the caller wired one) and filter.
-    std::shared_ptr<const CachedChunk> cached;
-    if (hooks != nullptr && hooks->lookup) cached = hooks->lookup(p);
-    const std::vector<Timestamp>* pts = nullptr;
-    const std::vector<double>* pvs = nullptr;
-    if (cached != nullptr) {
-      pts = &cached->ts;
-      pvs = &cached->values;
-    } else {
-      ByteReader time_reader(chunk + m.time_buf_pos, m.time_size);
-      RETURN_NOT_OK(DecodeI64(static_cast<Encoding>(time_enc), &time_reader,
-                              m.count, &page_ts));
-      ByteReader value_reader(chunk + m.value_buf_pos, m.value_size);
-      RETURN_NOT_OK(DecodeF64(static_cast<Encoding>(value_enc),
-                              &value_reader, m.count, &page_vals));
-      if (hooks != nullptr && hooks->insert) {
-        auto page = std::make_shared<CachedChunk>();
-        page->ts = page_ts;
-        page->values = page_vals;
-        hooks->insert(p, std::move(page));
-      }
-      pts = &page_ts;
-      pvs = &page_vals;
-    }
-    for (size_t i = 0; i < pts->size(); ++i) {
-      if ((*pts)[i] >= t_min && (*pts)[i] <= t_max) {
-        fold_point((*pts)[i], (*pvs)[i]);
-      }
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Status TsFileReader::AggregateRangeF64(const std::string& sensor,
                                        Timestamp t_min, Timestamp t_max,
                                        RangeStats* stats,
@@ -794,40 +589,245 @@ Status TsFileReader::AggregateRangeF64(const std::string& sensor,
   if (pages_skipped != nullptr) *pages_skipped = 0;
   auto it = locators_.find(sensor);
   if (it == locators_.end()) return Status::NotFound("sensor: " + sensor);
-  if (static_cast<DataType>(it->second.raw_type) != DataType::kDouble) {
-    return Status::InvalidArgument("data type mismatch for " + sensor);
-  }
   const ChunkLocator& locator = it->second;
-  return AggregateChunkSpanF64(data_.data() + locator.offset, locator.length,
-                               sensor, t_min, t_max, stats, pages_skipped,
-                               nullptr);
-}
-
-Status AggregateTsFileChunkF64(const std::string& path,
-                               const std::string& sensor,
-                               const ChunkLocator& locator, Timestamp t_min,
-                               Timestamp t_max,
-                               TsFileReader::RangeStats* stats,
-                               size_t* pages_skipped,
-                               const PageCacheHooks* hooks) {
-  *stats = TsFileReader::RangeStats{};
-  if (pages_skipped != nullptr) *pages_skipped = 0;
   if (static_cast<DataType>(locator.raw_type) != DataType::kDouble) {
     return Status::InvalidArgument("data type mismatch for " + sensor);
   }
-  if (locator.points == 0 || locator.max_t < t_min ||
-      locator.min_t > t_max) {
-    return Status::OK();  // nothing in range; avoid the read entirely
+  const uint8_t* chunk = data_.data() + locator.offset;
+  auto directory = std::make_shared<PageDirectory>();
+  RETURN_NOT_OK(ParsePageDirectory(chunk, locator.length, sensor, locator,
+                                   directory.get()));
+  return PageReader(chunk, std::move(directory))
+      .Aggregate(t_min, t_max, stats, pages_skipped);
+}
+
+// --- page directory + page reader -------------------------------------------
+
+namespace {
+
+/// Reads exactly `len` bytes at `offset`; a short read is a truncated file.
+Status PreadExact(int fd, uint64_t offset, size_t len, uint8_t* dst) {
+  size_t done = 0;
+  while (done < len) {
+    const ssize_t n = ::pread(fd, dst + done, len - done,
+                              static_cast<off_t>(offset + done));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::IOError(std::string("pread failed: ") +
+                             std::strerror(errno));
+    }
+    if (n == 0) return Status::Corruption("chunk truncated");
+    done += static_cast<size_t>(n);
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open for read: " + path);
+  return Status::OK();
+}
+
+}  // namespace
+
+Status ParsePageDirectory(const uint8_t* chunk, size_t size,
+                          const std::string& sensor,
+                          const ChunkLocator& locator, PageDirectory* out) {
+  ByteReader r(chunk, size);
+  std::string stored_sensor;
+  RETURN_NOT_OK(r.GetLengthPrefixedString(&stored_sensor));
+  if (stored_sensor != sensor) {
+    return Status::Corruption("chunk header sensor mismatch");
+  }
+  uint8_t type = 0;
+  RETURN_NOT_OK(r.GetU8(&type));
+  RETURN_NOT_OK(r.GetU8(&out->time_encoding));
+  RETURN_NOT_OK(r.GetU8(&out->value_encoding));
+  auto integer_encoding = [](uint8_t e) {
+    return e <= static_cast<uint8_t>(Encoding::kSimple8b) &&
+           e != static_cast<uint8_t>(Encoding::kGorilla);
+  };
+  const bool value_ok =
+      type == static_cast<uint8_t>(DataType::kDouble)
+          ? (out->value_encoding == static_cast<uint8_t>(Encoding::kPlain) ||
+             out->value_encoding == static_cast<uint8_t>(Encoding::kGorilla))
+          : integer_encoding(out->value_encoding);
+  if (type != locator.raw_type || !integer_encoding(out->time_encoding) ||
+      !value_ok) {
+    return Status::Corruption("chunk header type or encoding invalid");
+  }
+  uint64_t page_count = 0;
+  RETURN_NOT_OK(r.GetVarint64(&page_count));
+  if (page_count > locator.points) {
+    return Status::Corruption("more pages than chunk points");
+  }
+  out->pages.clear();
+  out->pages.reserve(page_count);
+  uint64_t points = 0;
+  for (uint64_t p = 0; p < page_count; ++p) {
+    PageEntry e;
+    e.offset = r.position();
+    uint64_t count = 0;
+    RETURN_NOT_OK(r.GetVarint64(&count));
+    if (count == 0 || count > locator.points - points) {
+      return Status::Corruption("page counts do not match chunk points");
+    }
+    RETURN_NOT_OK(r.GetVarintSigned64(&e.min_t));
+    RETURN_NOT_OK(r.GetVarintSigned64(&e.max_t));
+    if (e.min_t > e.max_t ||
+        (!out->pages.empty() && e.min_t < out->pages.back().max_t)) {
+      return Status::Corruption("page times go backwards");
+    }
+    uint64_t bits[3];
+    for (uint64_t& b : bits) RETURN_NOT_OK(r.GetFixed64(&b));
+    e.min_v = BitsToDouble(bits[0]);
+    e.max_v = BitsToDouble(bits[1]);
+    e.sum_v = BitsToDouble(bits[2]);
+    uint64_t time_size = 0, value_size = 0;
+    RETURN_NOT_OK(r.GetVarint64(&time_size));
+    if (time_size > r.remaining()) {
+      return Status::Corruption("page time buffer overruns chunk");
+    }
+    e.time_offset = r.position();
+    RETURN_NOT_OK(r.Skip(time_size));
+    RETURN_NOT_OK(r.GetVarint64(&value_size));
+    if (value_size > r.remaining()) {
+      return Status::Corruption("page value buffer overruns chunk");
+    }
+    e.value_offset = r.position();
+    RETURN_NOT_OK(r.Skip(value_size));
+    const uint64_t length = r.position() - e.offset;
+    if (length > std::numeric_limits<uint32_t>::max()) {
+      return Status::Corruption("page too large");
+    }
+    e.length = static_cast<uint32_t>(length);
+    e.points = static_cast<uint32_t>(count);
+    e.time_size = static_cast<uint32_t>(time_size);
+    e.value_size = static_cast<uint32_t>(value_size);
+    points += count;
+    out->pages.push_back(e);
+  }
+  if (points != locator.points) {
+    return Status::Corruption("page counts do not match chunk points");
+  }
+  return Status::OK();
+}
+
+Status ReadPageDirectory(int fd, const std::string& sensor,
+                         const ChunkLocator& locator, PageDirectory* out) {
+  if (static_cast<DataType>(locator.raw_type) != DataType::kDouble) {
+    return Status::InvalidArgument("data type mismatch for " + sensor);
+  }
   std::vector<uint8_t> chunk(static_cast<size_t>(locator.length));
-  in.seekg(static_cast<std::streamoff>(locator.offset));
-  in.read(reinterpret_cast<char*>(chunk.data()),
-          static_cast<std::streamsize>(chunk.size()));
-  if (!in) return Status::IOError("read failed: " + path);
-  return AggregateChunkSpanF64(chunk.data(), chunk.size(), sensor, t_min,
-                               t_max, stats, pages_skipped, hooks);
+  RETURN_NOT_OK(PreadExact(fd, locator.offset, chunk.size(), chunk.data()));
+  return ParsePageDirectory(chunk.data(), chunk.size(), sensor, locator, out);
+}
+
+PageReader::PageReader(int fd, uint64_t chunk_offset,
+                       std::shared_ptr<const PageDirectory> directory,
+                       uint64_t bytes_read)
+    : fd_(fd),
+      chunk_offset_(chunk_offset),
+      dir_(std::move(directory)),
+      bytes_read_(bytes_read) {}
+
+PageReader::PageReader(const uint8_t* chunk,
+                       std::shared_ptr<const PageDirectory> directory)
+    : image_(chunk), dir_(std::move(directory)) {}
+
+PageReader::~PageReader() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+std::pair<size_t, size_t> PageReader::Overlap(Timestamp t_min,
+                                              Timestamp t_max) const {
+  // Page times are non-decreasing (ParsePageDirectory checks), so both
+  // bounds are partition points.
+  const std::vector<PageEntry>& pages = dir_->pages;
+  const auto first = std::partition_point(
+      pages.begin(), pages.end(),
+      [t_min](const PageEntry& e) { return e.max_t < t_min; });
+  const auto last = std::partition_point(
+      first, pages.end(),
+      [t_max](const PageEntry& e) { return e.min_t <= t_max; });
+  return {static_cast<size_t>(first - pages.begin()),
+          static_cast<size_t>(last - pages.begin())};
+}
+
+Status PageReader::Load(size_t first, size_t last) {
+  const PageEntry& tail = dir_->pages[last - 1];
+  span_base_ = dir_->pages[first].offset;
+  const size_t len = static_cast<size_t>(tail.offset + tail.length - span_base_);
+  bytes_read_ += len;
+  if (image_ != nullptr) {
+    span_ = image_ + span_base_;
+    return Status::OK();
+  }
+  buf_.resize(len);
+  span_ = buf_.data();
+  return PreadExact(fd_, chunk_offset_ + span_base_, len, buf_.data());
+}
+
+Status PageReader::Decode(size_t p) {
+  const PageEntry& e = dir_->pages[p];
+  ByteReader time_reader(span_ + (e.time_offset - span_base_), e.time_size);
+  RETURN_NOT_OK(DecodeI64(static_cast<Encoding>(dir_->time_encoding),
+                          &time_reader, e.points, &ts_));
+  ByteReader value_reader(span_ + (e.value_offset - span_base_),
+                          e.value_size);
+  RETURN_NOT_OK(DecodeF64(static_cast<Encoding>(dir_->value_encoding),
+                          &value_reader, e.points, &vals_));
+  if (ts_.size() != e.points || vals_.size() != e.points ||
+      ts_.front() != e.min_t || ts_.back() != e.max_t) {
+    return Status::Corruption("page decode disagrees with its header");
+  }
+  ++pages_decoded_;
+  return Status::OK();
+}
+
+Status PageReader::Query(Timestamp t_min, Timestamp t_max,
+                         std::vector<TvPairDouble>* out) {
+  const auto [first, last] = Overlap(t_min, t_max);
+  if (first >= last) return Status::OK();
+  RETURN_NOT_OK(Load(first, last));
+  size_t points = 0;
+  for (size_t p = first; p < last; ++p) points += dir_->pages[p].points;
+  out->reserve(out->size() + points);
+  for (size_t p = first; p < last; ++p) {
+    RETURN_NOT_OK(Decode(p));
+    const PageEntry& e = dir_->pages[p];
+    const bool inside = e.min_t >= t_min && e.max_t <= t_max;
+    for (size_t i = 0; i < ts_.size(); ++i) {
+      if (inside || (ts_[i] >= t_min && ts_[i] <= t_max)) {
+        out->push_back({ts_[i], vals_[i]});
+      }
+    }
+  }
+  return Status::OK();
+}
+
+Status PageReader::Aggregate(Timestamp t_min, Timestamp t_max,
+                             TsFileReader::RangeStats* stats,
+                             size_t* pages_skipped) {
+  *stats = TsFileReader::RangeStats{};
+  if (pages_skipped != nullptr) *pages_skipped = 0;
+  const auto [first, last] = Overlap(t_min, t_max);
+  // The first and last overlapping pages are always decoded, so first/last
+  // are exact. With two or more pages in the span, the first page's max_t
+  // lies in range (Decode checks it against the data), so stats->count is
+  // already non-zero when an interior page folds its stats.
+  for (size_t p = first; p < last; ++p) {
+    const PageEntry& e = dir_->pages[p];
+    const bool inside = e.min_t >= t_min && e.max_t <= t_max;
+    if (inside && p != first && p + 1 != last && e.stats_usable()) {
+      stats->min = std::min(stats->min, e.min_v);
+      stats->max = std::max(stats->max, e.max_v);
+      stats->sum += e.sum_v;
+      stats->count += e.points;
+      if (pages_skipped != nullptr) ++(*pages_skipped);
+      continue;
+    }
+    RETURN_NOT_OK(Load(p, p + 1));
+    RETURN_NOT_OK(Decode(p));
+    for (size_t i = 0; i < ts_.size(); ++i) {
+      if (ts_[i] >= t_min && ts_[i] <= t_max) stats->Fold(ts_[i], vals_[i]);
+    }
+  }
+  return Status::OK();
 }
 
 void CombineRangeStats(const TsFileReader::RangeStats& part,
@@ -1039,7 +1039,7 @@ Status TsFileReader::RunCursor::Advance() {
   return LoadNextPage();
 }
 
-// --- standalone footer/chunk reads ------------------------------------------
+// --- standalone footer read ------------------------------------------------
 
 Status ReadTsFileFooter(const std::string& path, FooterMap* out) {
   std::ifstream in(path, std::ios::binary | std::ios::ate);
@@ -1078,26 +1078,6 @@ Status ReadTsFileFooter(const std::string& path, FooterMap* out) {
   if (!in) return Status::IOError("read failed: " + path);
   return ParseIndexBlock(block.data(), block.size(), index_offset, file_size,
                          has_stats, out);
-}
-
-Status ReadTsFileChunkF64(const std::string& path, const std::string& sensor,
-                          const ChunkLocator& locator,
-                          std::vector<Timestamp>* ts,
-                          std::vector<double>* values) {
-  if (static_cast<DataType>(locator.raw_type) != DataType::kDouble) {
-    return Status::InvalidArgument("data type mismatch for " + sensor);
-  }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open for read: " + path);
-  std::vector<uint8_t> chunk(static_cast<size_t>(locator.length));
-  in.seekg(static_cast<std::streamoff>(locator.offset));
-  in.read(reinterpret_cast<char*>(chunk.data()),
-          static_cast<std::streamsize>(chunk.size()));
-  if (!in) return Status::IOError("read failed: " + path);
-  return DecodeChunkSpan(chunk.data(), chunk.size(), sensor,
-                         DataType::kDouble,
-                         std::numeric_limits<Timestamp>::min(),
-                         std::numeric_limits<Timestamp>::max(), ts, values);
 }
 
 Status SyncFileToDisk(const std::string& path) {

@@ -1,10 +1,10 @@
 #ifndef BACKSORT_TSFILE_TSFILE_H_
 #define BACKSORT_TSFILE_TSFILE_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
-#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -12,7 +12,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/chunk_cache.h"
 #include "common/chunk_locator.h"
 #include "common/status.h"
 #include "common/types.h"
@@ -288,6 +287,24 @@ class TsFileReader {
     double first = 0.0;
     Timestamp last_time = 0;
     double last = 0.0;
+
+    /// Folds the next point in time order under the NaN contract.
+    void Fold(Timestamp t, double v) {
+      if (count == 0) {
+        first_time = t;
+        first = v;
+        min = std::numeric_limits<double>::infinity();
+        max = -std::numeric_limits<double>::infinity();
+      }
+      ++count;
+      last_time = t;
+      last = v;
+      if (!std::isnan(v)) {
+        min = std::min(min, v);
+        max = std::max(max, v);
+        sum += v;
+      }
+    }
   };
   Status AggregateRangeF64(const std::string& sensor, Timestamp t_min,
                            Timestamp t_max, RangeStats* stats,
@@ -371,43 +388,85 @@ class TsFileReader {
 /// seek metadata when the footer is not already cached.
 Status ReadTsFileFooter(const std::string& path, FooterMap* out);
 
-/// Reads and decodes exactly one sensor's chunk — a seek + one
-/// `locator.length`-byte read, independent of file size — returning the
-/// full sorted column pair. Pair with ReadTsFileFooter for cache fills:
-/// the decoded chunk is what the ChunkCache stores and every query range
-/// then filters with binary search.
-Status ReadTsFileChunkF64(const std::string& path, const std::string& sensor,
-                          const ChunkLocator& locator,
-                          std::vector<Timestamp>* ts,
-                          std::vector<double>* values);
+/// Derives the page directory of `sensor`'s chunk from the chunk bytes
+/// `chunk[0, size)` — no format change: BSTF1 and BSTF2 pages carry the
+/// same headers. Every header is validated against the locator, so hostile
+/// bytes yield Corruption, never an out-of-bounds read: type and encodings
+/// must be valid, both buffers must stay inside the chunk, page counts must
+/// be non-zero and sum to `locator.points`, and page times must not go
+/// backwards.
+Status ParsePageDirectory(const uint8_t* chunk, size_t size,
+                          const std::string& sensor,
+                          const ChunkLocator& locator, PageDirectory* out);
 
-/// Optional per-page decoded-column cache for AggregateTsFileChunkF64.
-/// `lookup` returns the decoded columns of page `index` within the chunk
-/// (nullptr on miss); `insert` receives each freshly decoded page so
-/// repeated boundary-page aggregations skip decode. One cache entry = one
-/// decoded page; the engine wires these to the shared ChunkCache under a
-/// synthesized per-page key so InvalidateFile still drops them.
-struct PageCacheHooks {
-  std::function<std::shared_ptr<const CachedChunk>(size_t page_index)> lookup;
-  std::function<void(size_t page_index,
-                     std::shared_ptr<const CachedChunk>)> insert;
+/// ParsePageDirectory of an F64 chunk through a sealed file's descriptor:
+/// one pread of the chunk's `locator.length` bytes, then the header walk.
+Status ReadPageDirectory(int fd, const std::string& sensor,
+                         const ChunkLocator& locator, PageDirectory* out);
+
+/// Reads one F64 chunk page by page through its PageDirectory — the
+/// engine's sealed read path, and TsFileReader's page-stats aggregation.
+/// A call binary-searches the directory for the pages overlapping its
+/// range, fetches their bytes with one pread (or from an in-memory chunk)
+/// and decodes only those pages into reused scratch columns; nothing
+/// decoded outlives the call.
+class PageReader {
+ public:
+  /// Reads with pread from `fd`, where the chunk starts at `chunk_offset`.
+  /// The reader owns `fd` and closes it on destruction. `bytes_read` seeds
+  /// the amplification counter with what it cost to get `directory` (the
+  /// chunk length when it was just derived, 0 when it came from a cache).
+  PageReader(int fd, uint64_t chunk_offset,
+             std::shared_ptr<const PageDirectory> directory,
+             uint64_t bytes_read);
+  /// Reads from the chunk's bytes already in memory.
+  PageReader(const uint8_t* chunk,
+             std::shared_ptr<const PageDirectory> directory);
+  ~PageReader();
+
+  PageReader(const PageReader&) = delete;
+  PageReader& operator=(const PageReader&) = delete;
+
+  /// Appends the points in [t_min, t_max] to `out`, in time order. Only
+  /// the two boundary pages are filtered; interior pages copy whole.
+  Status Query(Timestamp t_min, Timestamp t_max,
+               std::vector<TvPairDouble>* out);
+
+  /// Aggregates [t_min, t_max] with page-statistics pushdown: interior
+  /// pages fold from the directory's stats, and only the first and last
+  /// overlapping pages (plus any page whose stats are NaN) are read and
+  /// decoded. Same NaN contract and reset-on-entry behavior as
+  /// TsFileReader::AggregateRangeF64; count == 0 means nothing matched.
+  /// Partials from several chunks combine with CombineRangeStats.
+  Status Aggregate(Timestamp t_min, Timestamp t_max,
+                   TsFileReader::RangeStats* stats,
+                   size_t* pages_skipped = nullptr);
+
+  /// Read amplification: chunk bytes fetched (directory derivation
+  /// included) and pages decoded so far.
+  uint64_t bytes_read() const { return bytes_read_; }
+  uint64_t pages_decoded() const { return pages_decoded_; }
+
+ private:
+  /// Pages [first, last) whose time range overlaps [t_min, t_max].
+  std::pair<size_t, size_t> Overlap(Timestamp t_min, Timestamp t_max) const;
+  /// Makes the bytes of pages [first, last) addressable (one pread).
+  Status Load(size_t first, size_t last);
+  /// Decodes page `p`, which must lie in the loaded span, into ts_/vals_.
+  Status Decode(size_t p);
+
+  int fd_ = -1;
+  uint64_t chunk_offset_ = 0;
+  const uint8_t* image_ = nullptr;  // in-memory chunk, instead of fd_
+  std::shared_ptr<const PageDirectory> dir_;
+  std::vector<uint8_t> buf_;       // pread target
+  const uint8_t* span_ = nullptr;  // loaded bytes, from chunk offset span_base_
+  uint64_t span_base_ = 0;
+  std::vector<Timestamp> ts_;      // one decoded page
+  std::vector<double> vals_;
+  uint64_t bytes_read_ = 0;
+  uint64_t pages_decoded_ = 0;
 };
-
-/// Aggregates one sensor chunk over [t_min, t_max] with a seek + one
-/// `locator.length`-byte read — never slurping the file. Pages fully
-/// inside the range fold from their stored statistics; boundary pages are
-/// batch-decoded (through `hooks`, when provided) and filtered. This is
-/// the engine's tier-2 plan for chunks the footer statistics alone cannot
-/// answer (partial range overlap). Same NaN semantics and reset-on-entry
-/// behavior as TsFileReader::AggregateRangeF64; count == 0 means nothing
-/// matched. Partials from several chunks combine with CombineRangeStats.
-Status AggregateTsFileChunkF64(const std::string& path,
-                               const std::string& sensor,
-                               const ChunkLocator& locator, Timestamp t_min,
-                               Timestamp t_max,
-                               TsFileReader::RangeStats* stats,
-                               size_t* pages_skipped = nullptr,
-                               const PageCacheHooks* hooks = nullptr);
 
 /// Merges the partial aggregate `part` into `*into`. Partials must come
 /// from duplicate-free sources (the engine guarantees sequence chunks are

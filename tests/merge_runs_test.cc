@@ -35,6 +35,31 @@ TEST(MergeRuns, SingleRunPassThrough) {
   EXPECT_EQ(out[2].t, 5);
 }
 
+TEST(MergeRuns, SingleRunCollapsesDuplicatesToLaterElement) {
+  // The single-run fast path skips the heap but keeps its contract: equal
+  // adjacent timestamps collapse to the later element, whatever sits in
+  // the other (empty) runs.
+  std::vector<SortedRun> runs;
+  runs.push_back({{}, 5});
+  runs.push_back({Points({{1, 1.0},
+                          {1, 1.5},
+                          {2, 2.0},
+                          {3, 3.0},
+                          {3, 3.5},
+                          {3, 3.75},
+                          {4, 4.0}}),
+                  1});
+  runs.push_back({{}, 0});
+  std::vector<TvPairDouble> out = Points({{99, 99.0}});
+  MergeRuns(std::move(runs), &out);
+  ASSERT_EQ(out.size(), 4u);
+  const double want[] = {1.5, 2.0, 3.75, 4.0};
+  for (size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i].t, static_cast<Timestamp>(i + 1));
+    EXPECT_EQ(out[i].v, want[i]);
+  }
+}
+
 TEST(MergeRuns, InterleavesSortedRuns) {
   std::vector<SortedRun> runs;
   runs.push_back({Points({{1, 1.0}, {4, 4.0}, {7, 7.0}}), 0});

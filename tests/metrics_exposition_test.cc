@@ -196,8 +196,8 @@ class MetricsExpositionTest : public ::testing::Test {
         engine.GetMetricsSnapshot().batch_writes - calls_before;
     ASSERT_TRUE(engine.FlushAll().ok());
     // Exercise the read path so the query-stage histograms and cache
-    // counters carry data: the repeated range hits the chunk cache on the
-    // second pass.
+    // counters carry data: the repeated range hits the cached page
+    // directories on the second pass.
     for (int pass = 0; pass < 2; ++pass) {
       for (const std::string& sensor : sensors) {
         std::vector<TvPairDouble> points;
@@ -274,6 +274,8 @@ TEST_F(MetricsExpositionTest, GoldenFamilySet) {
       {"backsort_queries_total", "counter"},
       {"backsort_query_files_pruned_total", "counter"},
       {"backsort_query_files_opened_total", "counter"},
+      {"backsort_engine_sealed_bytes_read_total", "counter"},
+      {"backsort_engine_sealed_pages_decoded_total", "counter"},
       {"backsort_chunk_cache_hits_total", "counter"},
       {"backsort_chunk_cache_misses_total", "counter"},
       {"backsort_chunk_cache_evictions_total", "counter"},
@@ -389,7 +391,18 @@ TEST_F(MetricsExpositionTest, QueryStagesAndCacheCountersCarryData) {
     EXPECT_GT(count, 0.0) << stage;
   }
   EXPECT_GT(SampleValue(e, "backsort_queries_total", ""), 0.0);
-  // The second query pass over the same range must be served from cache.
+  // The query passes read and decoded sealed pages (the amplification
+  // counters), and the exposition carries the snapshot's exact totals.
+  const double pages =
+      SampleValue(e, "backsort_engine_sealed_pages_decoded_total", "");
+  const double bytes =
+      SampleValue(e, "backsort_engine_sealed_bytes_read_total", "");
+  EXPECT_GT(pages, 0.0);
+  EXPECT_GT(bytes, pages);
+  EXPECT_EQ(pages, static_cast<double>(snapshot().sealed_pages_decoded));
+  EXPECT_EQ(bytes, static_cast<double>(snapshot().sealed_bytes_read));
+  // The second query pass over the same range must hit the cached page
+  // directories.
   EXPECT_GT(SampleValue(e, "backsort_chunk_cache_hits_total", ""), 0.0);
   EXPECT_GT(SampleValue(e, "backsort_chunk_cache_capacity_bytes", ""), 0.0);
   EXPECT_GT(SampleValue(e, "backsort_chunk_cache_entries", ""), 0.0);

@@ -1,23 +1,36 @@
-// Integration tests for the rebuilt read path (engine/engine_shard.cc):
+// Integration tests for the sealed read path (engine/engine_shard.cc):
 // lock-free query snapshots (writers progress while a query reads),
-// footer-based file pruning, the shared chunk cache (repeat queries are
-// served from memory, compaction invalidates), clean error handling on
-// corrupted sealed files, and bit-identical results with the cache and
-// pruning disabled — the pre-refactor read path.
+// footer-based file pruning, open descriptors bounded by reads in flight
+// rather than sealed files, the shared chunk cache (repeat queries hit
+// cached page directories, compaction invalidates), clean error handling
+// on corrupted sealed files, bit-identical results with the cache and
+// pruning disabled, and page-granular reads of large compacted chunks:
+// differential checks against TsFileReader and a brute-force fold, read
+// amplification counters, and seeded mutation of real chunk bytes.
 
 #include <algorithm>
+#include <cmath>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "engine/storage_engine.h"
+#include "tsfile/tsfile.h"
 
 namespace backsort {
 namespace {
@@ -143,6 +156,56 @@ TEST_F(ReadPathTest, CacheServesRepeatedQuery) {
   EXPECT_GT(after_second.hits, after_first.hits);
   EXPECT_EQ(after_second.misses, after_first.misses);
   EXPECT_GT(after_second.entries, 0u);
+}
+
+TEST_F(ReadPathTest, ManySealedFilesStayUnderTheFdLimit) {
+  // Compaction is off, so every flush leaves one more sealed file. Reads
+  // must not keep a descriptor per file they have touched: with the soft
+  // fd limit a few dozen above what is open now, querying and aggregating
+  // each of 100 files in turn must still succeed.
+  constexpr int kFiles = 100;
+  constexpr Timestamp kPerFile = 10;
+  EngineOptions opt = Options();
+  opt.chunk_cache_bytes = 8u << 20;
+  StorageEngine engine(opt);
+  ASSERT_TRUE(engine.Open().ok());
+  for (int f = 0; f < kFiles; ++f) {
+    WriteFileRange(&engine, "s", f * kPerFile, (f + 1) * kPerFile, 0.0);
+  }
+  ASSERT_EQ(engine.GetMetricsSnapshot().sealed_files,
+            static_cast<size_t>(kFiles));
+
+  struct rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  const auto open_now = static_cast<rlim_t>(std::distance(
+      std::filesystem::directory_iterator("/proc/self/fd"),
+      std::filesystem::directory_iterator{}));
+  struct RestoreLimit {
+    rlimit saved;
+    ~RestoreLimit() { ::setrlimit(RLIMIT_NOFILE, &saved); }
+  } restore{saved};
+  rlimit low = saved;
+  low.rlim_cur = std::min<rlim_t>(saved.rlim_cur, open_now + 24);
+  ASSERT_LT(low.rlim_cur, open_now + kFiles);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+
+  for (int f = 0; f < kFiles; ++f) {
+    const Timestamp lo = f * kPerFile + 2;
+    const Timestamp hi = f * kPerFile + 6;
+    std::vector<TvPairDouble> out;
+    ASSERT_TRUE(engine.Query("s", lo, hi, &out).ok()) << "file " << f;
+    ASSERT_EQ(out.size(), 5u);
+    EXPECT_EQ(out.front().t, lo);
+    TsFileReader::RangeStats stats;
+    ASSERT_TRUE(engine.AggregateFast("s", lo, hi, &stats).ok())
+        << "file " << f;
+    EXPECT_EQ(stats.count, 5u);
+    EXPECT_DOUBLE_EQ(stats.sum, static_cast<double>(5 * lo + 10));
+  }
+  // Once more over everything, with all files in one query.
+  std::vector<TvPairDouble> all;
+  ASSERT_TRUE(engine.Query("s", 0, kFiles * kPerFile, &all).ok());
+  EXPECT_EQ(all.size(), static_cast<size_t>(kFiles * kPerFile));
 }
 
 TEST_F(ReadPathTest, CompactionInvalidatesCache) {
@@ -362,6 +425,422 @@ TEST_F(ReadPathTest, WritesProgressDuringSlowQuery) {
   std::vector<TvPairDouble> out;
   ASSERT_TRUE(engine.Query("s", 0, 1'000'000, &out).ok());
   EXPECT_EQ(out.size(), 1100u);
+}
+
+// --- Page-granular reads of large compacted chunks -------------------------
+
+/// One sensor's expected contents after last-write-wins: sorted times and
+/// their surviving values.
+struct SensorPoints {
+  std::vector<Timestamp> ts;
+  std::vector<double> vs;
+};
+
+/// Brute-force NaN-contract fold over the expected points [a, b).
+TsFileReader::RangeStats BruteFold(const SensorPoints& pts, size_t a,
+                                   size_t b) {
+  TsFileReader::RangeStats r;
+  for (size_t i = a; i < b; ++i) {
+    const double v = pts.vs[i];
+    if (r.count == 0) {
+      r.first = v;
+      r.first_time = pts.ts[i];
+      r.min = std::numeric_limits<double>::infinity();
+      r.max = -std::numeric_limits<double>::infinity();
+    }
+    ++r.count;
+    r.last = v;
+    r.last_time = pts.ts[i];
+    if (!std::isnan(v)) {
+      r.min = std::min(r.min, v);
+      r.max = std::max(r.max, v);
+      r.sum += v;
+    }
+  }
+  return r;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
+class PageReadTest : public ReadPathTest {
+ protected:
+  static constexpr size_t kPoints = 104'000;  // 102 pages of 1024
+  static constexpr size_t kPageSize = 1024;
+  static constexpr Timestamp kGap = 20'000;   // mid-series hole, in ticks
+
+  static std::string SensorName(int s) { return "p" + std::to_string(s); }
+
+  /// Point i's timestamp: stride 2, with a kGap hole after the midpoint
+  /// (inside page 50) so some ranges fall between points of one page.
+  static Timestamp TimeOf(size_t i) {
+    return static_cast<Timestamp>(2 * i) + (i >= kPoints / 2 ? kGap : 0);
+  }
+
+  /// Ingests `sensors` sensors out of order — the newer three quarters
+  /// first, then the older quarter (unsequence), then rewrites of every
+  /// 1000th point (unsequence, last write wins) — and compacts the lot into
+  /// one file: one chunk of >= 100 pages per sensor. Every 97th value is
+  /// NaN and page 30 is NaN throughout. Returns the compacted file's path.
+  std::string SeedCompacted(StorageEngine* engine, int sensors,
+                            std::vector<SensorPoints>* expected) {
+    expected->assign(static_cast<size_t>(sensors), SensorPoints{});
+    for (int s = 0; s < sensors; ++s) {
+      std::map<Timestamp, double> model;
+      auto write = [&](size_t begin, size_t end, bool rewrite) {
+        std::vector<TvPairDouble> batch;
+        for (size_t i = begin; i < end; ++i) {
+          if (rewrite && i % 1000 != 0) continue;
+          double v = std::sin(static_cast<double>(i) * 1e-3) * 100.0 +
+                     static_cast<double>((i * 7 + static_cast<size_t>(s)) % 13);
+          if (rewrite) v = -v - 1.0;
+          if (i % 97 == 0 || (i >= 30 * kPageSize && i < 31 * kPageSize)) {
+            v = std::nan("");
+          }
+          batch.push_back({TimeOf(i), v});
+          model[TimeOf(i)] = v;
+          if (batch.size() == 4096) {
+            ASSERT_TRUE(engine->WriteBatch(SensorName(s), batch).ok());
+            batch.clear();
+          }
+        }
+        if (!batch.empty()) {
+          ASSERT_TRUE(engine->WriteBatch(SensorName(s), batch).ok());
+        }
+      };
+      write(kPoints / 4, kPoints, false);
+      EXPECT_TRUE(engine->FlushAll().ok());
+      write(0, kPoints / 4, false);
+      EXPECT_TRUE(engine->FlushAll().ok());
+      write(kPoints / 2, kPoints, true);
+      EXPECT_TRUE(engine->FlushAll().ok());
+      SensorPoints& pts = (*expected)[static_cast<size_t>(s)];
+      for (const auto& [t, v] : model) {
+        pts.ts.push_back(t);
+        pts.vs.push_back(v);
+      }
+    }
+    EXPECT_TRUE(engine->Compact().ok());
+    EXPECT_EQ(engine->sealed_file_count(), 1u);
+    std::string path;
+    for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+      if (entry.path().extension() == ".bstf") path = entry.path().string();
+    }
+    return path;
+  }
+
+  /// The probe ranges: seeded random ranges, ranges starting or ending
+  /// exactly on page boundaries, single points, gaps between points (inside
+  /// a page and between pages), out-of-range and full-range probes.
+  static std::vector<std::pair<Timestamp, Timestamp>> Ranges(
+      const SensorPoints& pts, uint64_t seed) {
+    std::vector<std::pair<Timestamp, Timestamp>> out;
+    const std::vector<Timestamp>& ts = pts.ts;
+    const Timestamp lo = ts.front();
+    const Timestamp hi = ts.back();
+    Rng rng(seed);
+    auto any_t = [&] {
+      return lo - 10 + static_cast<Timestamp>(
+                           rng.NextBelow(static_cast<uint64_t>(hi - lo + 20)));
+    };
+    for (int i = 0; i < 20; ++i) {
+      Timestamp a = any_t();
+      Timestamp b = any_t();
+      if (a > b) std::swap(a, b);
+      out.push_back({a, b});
+    }
+    for (int i = 0; i < 10; ++i) {
+      // Narrow ranges: a few points to a few pages.
+      const Timestamp a = any_t();
+      out.push_back({a, a + static_cast<Timestamp>(rng.NextBelow(6000))});
+    }
+    const size_t pages = (ts.size() + kPageSize - 1) / kPageSize;
+    for (int i = 0; i < 8; ++i) {
+      const size_t k = rng.NextBelow(pages - 1);
+      const size_t j = k + rng.NextBelow(pages - k);
+      const Timestamp first_k = ts[k * kPageSize];
+      const Timestamp last_k = ts[k * kPageSize + kPageSize - 1];
+      const Timestamp last_j = ts[std::min((j + 1) * kPageSize, ts.size()) - 1];
+      out.push_back({first_k, last_j});        // exactly pages k..j
+      out.push_back({first_k, any_t()});       // starts on a boundary
+      out.push_back({any_t(), last_k});        // ends on a boundary
+      out.push_back({last_k, last_k + 2});     // straddles k | k+1
+      out.push_back({last_k + 1, last_k + 1}); // gap between pages
+      out.push_back({first_k, first_k});       // single point
+    }
+    const Timestamp mid_gap = TimeOf(kPoints / 2 - 1) + 1;
+    out.push_back({mid_gap, mid_gap + kGap - 4});  // gap inside a page
+    out.push_back({mid_gap - 1, mid_gap + kGap});  // just its edges
+    out.push_back({hi + 1, hi + 100});             // after the data
+    out.push_back({lo - 100, lo - 1});             // before the data
+    out.push_back({lo, hi});                       // everything
+    return out;
+  }
+
+  /// Query and AggregateFast against TsFileReader::QueryRangeF64 over the
+  /// compacted file and the brute-force fold, for every probe range.
+  void CheckAgainstOracles(StorageEngine* engine, const std::string& path,
+                           const std::vector<SensorPoints>& expected) {
+    TsFileReader reader(path);
+    ASSERT_TRUE(reader.Open().ok());
+    for (size_t s = 0; s < expected.size(); ++s) {
+      const std::string sensor = SensorName(static_cast<int>(s));
+      const ChunkLocator& locator = reader.Locators().at(sensor);
+      ASSERT_GE((locator.points + kPageSize - 1) / kPageSize, 100u);
+      for (const auto& [lo, hi] : Ranges(expected[s], 7 + s)) {
+        const std::string where = sensor + " [" + std::to_string(lo) + ", " +
+                                  std::to_string(hi) + "]";
+        std::vector<TvPairDouble> got;
+        ASSERT_TRUE(engine->Query(sensor, lo, hi, &got).ok()) << where;
+        std::vector<Timestamp> want_ts;
+        std::vector<double> want_vs;
+        ASSERT_TRUE(
+            reader.QueryRangeF64(sensor, lo, hi, &want_ts, &want_vs).ok());
+        ASSERT_EQ(got.size(), want_ts.size()) << where;
+        size_t same = 0;
+        while (same < got.size() && got[same].t == want_ts[same] &&
+               SameBits(got[same].v, want_vs[same])) {
+          ++same;
+        }
+        ASSERT_EQ(same, got.size()) << where << ": first mismatch";
+        // And against the written model, which shares no code with either.
+        const std::vector<Timestamp>& model_ts = expected[s].ts;
+        const size_t a = static_cast<size_t>(
+            std::lower_bound(model_ts.begin(), model_ts.end(), lo) -
+            model_ts.begin());
+        const size_t b = std::max(
+            a, static_cast<size_t>(
+                   std::upper_bound(model_ts.begin(), model_ts.end(), hi) -
+                   model_ts.begin()));  // inverted ranges are empty
+        ASSERT_EQ(got.size(), b - a) << where;
+        same = 0;
+        while (same < got.size() && got[same].t == model_ts[a + same] &&
+               SameBits(got[same].v, expected[s].vs[a + same])) {
+          ++same;
+        }
+        ASSERT_EQ(same, got.size()) << where << ": first mismatch";
+
+        TsFileReader::RangeStats agg;
+        bool fast = false;
+        ASSERT_TRUE(engine->AggregateFast(sensor, lo, hi, &agg, &fast).ok())
+            << where;
+        EXPECT_TRUE(fast) << where;
+        const TsFileReader::RangeStats ref = BruteFold(expected[s], a, b);
+        ASSERT_EQ(agg.count, ref.count) << where;
+        if (ref.count == 0) continue;
+        EXPECT_EQ(agg.min, ref.min) << where;
+        EXPECT_EQ(agg.max, ref.max) << where;
+        // The page-stats fold reassociates the FP sum across pages.
+        EXPECT_NEAR(agg.sum, ref.sum, 1e-9 * (1.0 + std::abs(ref.sum)))
+            << where;
+        EXPECT_EQ(agg.first_time, ref.first_time) << where;
+        EXPECT_EQ(agg.last_time, ref.last_time) << where;
+        EXPECT_TRUE(SameBits(agg.first, ref.first)) << where;
+        EXPECT_TRUE(SameBits(agg.last, ref.last)) << where;
+      }
+    }
+  }
+
+  void RunDifferential(size_t cache_bytes, bool footer_stats) {
+    EngineOptions opt = Options();
+    opt.chunk_cache_bytes = cache_bytes;
+    opt.footer_stats = footer_stats;
+    StorageEngine engine(opt);
+    ASSERT_TRUE(engine.Open().ok());
+    std::vector<SensorPoints> expected;
+    const std::string path = SeedCompacted(&engine, 2, &expected);
+    ASSERT_FALSE(path.empty());
+    {
+      std::ifstream in(path, std::ios::binary);
+      char magic[5] = {};
+      in.read(magic, 5);
+      EXPECT_EQ(std::string(magic, 5), footer_stats ? "BSTF2" : "BSTF1");
+    }
+    CheckAgainstOracles(&engine, path, expected);
+    // A second pass runs on the cached directories and must not change a
+    // single answer.
+    if (cache_bytes > 0) CheckAgainstOracles(&engine, path, expected);
+  }
+};
+
+TEST_F(PageReadTest, DifferentialDefaultCache) {
+  RunDifferential(EngineOptions::kDefaultChunkCacheBytes, true);
+}
+
+TEST_F(PageReadTest, DifferentialCacheDisabled) {
+  RunDifferential(0, true);
+}
+
+TEST_F(PageReadTest, DifferentialLegacyBstf1) {
+  RunDifferential(EngineOptions::kDefaultChunkCacheBytes, false);
+}
+
+TEST_F(PageReadTest, NarrowRangesDecodeOnlyBoundaryPages) {
+  EngineOptions opt = Options();
+  opt.chunk_cache_bytes = EngineOptions::kDefaultChunkCacheBytes;
+  StorageEngine engine(opt);
+  ASSERT_TRUE(engine.Open().ok());
+  constexpr int kSensors = 4;
+  std::vector<SensorPoints> expected;
+  const std::string path = SeedCompacted(&engine, kSensors, &expected);
+  ASSERT_FALSE(path.empty());
+  const uint64_t file_bytes = std::filesystem::file_size(path);
+
+  // First touch of every sensor derives (and caches) its page directory.
+  std::vector<TvPairDouble> out;
+  for (int s = 0; s < kSensors; ++s) {
+    ASSERT_TRUE(engine.Query(SensorName(s), 0, 0, &out).ok());
+  }
+  const ChunkCacheStats warm = engine.GetChunkCacheStats();
+  EXPECT_EQ(warm.misses, static_cast<uint64_t>(kSensors));
+
+  // A 0.1% range (104 points) decodes at most its two boundary pages and
+  // reads a few KB, not the chunk.
+  const SensorPoints& pts = expected[1];
+  const size_t at = pts.ts.size() / 3;
+  const Timestamp lo = pts.ts[at];
+  const Timestamp hi = pts.ts[at + pts.ts.size() / 1000];
+  EngineMetricsSnapshot before = engine.GetMetricsSnapshot();
+  ASSERT_TRUE(engine.Query(SensorName(1), lo, hi, &out).ok());
+  EXPECT_EQ(out.size(), pts.ts.size() / 1000 + 1);
+  EngineMetricsSnapshot after = engine.GetMetricsSnapshot();
+  EXPECT_GE(after.sealed_pages_decoded - before.sealed_pages_decoded, 1u);
+  EXPECT_LE(after.sealed_pages_decoded - before.sealed_pages_decoded, 2u);
+  // Each chunk has >= 100 pages, so two pages are < 3% of one chunk.
+  EXPECT_LT(after.sealed_bytes_read - before.sealed_bytes_read,
+            3 * file_bytes / kSensors / 100);
+
+  // A 10% aggregate: interior pages fold from the directory, only the two
+  // boundary pages are decoded.
+  before = after;
+  TsFileReader::RangeStats agg;
+  ASSERT_TRUE(engine
+                  .AggregateFast(SensorName(1), lo + 1,
+                                 pts.ts[at + pts.ts.size() / 10], &agg)
+                  .ok());
+  after = engine.GetMetricsSnapshot();
+  EXPECT_EQ(after.sealed_pages_decoded - before.sealed_pages_decoded, 2u);
+
+  // After every sensor was queried, the cache holds only the directories
+  // and the file's footer: far under one byte per point, where a decoded
+  // chunk would cost 16.
+  const ChunkCacheStats stats = engine.GetChunkCacheStats();
+  EXPECT_EQ(stats.entries, static_cast<uint64_t>(kSensors) + 1);
+  EXPECT_LT(stats.bytes, kSensors * kPoints / 8);
+  EXPECT_EQ(stats.misses, warm.misses) << "directories were re-derived";
+  EXPECT_GT(stats.hits, warm.hits);
+  EXPECT_EQ(stats.evictions, 0u);
+}
+
+TEST_F(PageReadTest, MutatedChunkBytesFailCleanly) {
+  StorageEngine engine(Options());
+  ASSERT_TRUE(engine.Open().ok());
+  std::vector<SensorPoints> expected;
+  const std::string path = SeedCompacted(&engine, 1, &expected);
+  ASSERT_FALSE(path.empty());
+  TsFileReader reader(path);
+  ASSERT_TRUE(reader.Open().ok());
+  const std::string sensor = SensorName(0);
+  const ChunkLocator locator = reader.Locators().at(sensor);
+  std::vector<uint8_t> chunk(static_cast<size_t>(locator.length));
+  {
+    std::ifstream in(path, std::ios::binary);
+    in.seekg(static_cast<std::streamoff>(locator.offset));
+    in.read(reinterpret_cast<char*>(chunk.data()),
+            static_cast<std::streamsize>(chunk.size()));
+    ASSERT_TRUE(in.good());
+  }
+  PageDirectory clean;
+  ASSERT_TRUE(
+      ParsePageDirectory(chunk.data(), chunk.size(), sensor, locator, &clean)
+          .ok());
+  ASSERT_GE(clean.pages.size(), 100u);
+
+  // Targeted edits, each caught by the header walk itself.
+  auto parse = [&](const std::vector<uint8_t>& bytes,
+                   const ChunkLocator& loc) {
+    PageDirectory directory;
+    return ParsePageDirectory(bytes.data(), bytes.size(), sensor, loc,
+                              &directory);
+  };
+  ChunkLocator more = locator;
+  ++more.points;
+  EXPECT_TRUE(parse(chunk, more).IsCorruption()) << "page counts sum short";
+  ChunkLocator fewer = locator;
+  --fewer.points;
+  EXPECT_TRUE(parse(chunk, fewer).IsCorruption()) << "page counts overflow";
+  ChunkLocator int_type = locator;
+  int_type.raw_type = static_cast<uint8_t>(DataType::kInt64);
+  EXPECT_TRUE(parse(chunk, int_type).IsCorruption()) << "header type";
+  {
+    // Pages are self-contained, so swapping the first two keeps every
+    // buffer in bounds but makes page times go backwards.
+    const PageEntry& p0 = clean.pages[0];
+    const PageEntry& p1 = clean.pages[1];
+    const auto at = [&](uint64_t offset) {
+      return chunk.begin() + static_cast<std::ptrdiff_t>(offset);
+    };
+    std::vector<uint8_t> swapped(chunk.begin(), at(p0.offset));
+    swapped.insert(swapped.end(), at(p1.offset), at(p1.offset + p1.length));
+    swapped.insert(swapped.end(), at(p0.offset), at(p0.offset + p0.length));
+    swapped.insert(swapped.end(), at(p1.offset + p1.length), chunk.end());
+    ASSERT_EQ(swapped.size(), chunk.size());
+    EXPECT_TRUE(parse(swapped, locator).IsCorruption()) << "times backwards";
+    // Cut inside page 0's value buffer: its size points past the chunk.
+    const std::vector<uint8_t> cut(chunk.begin(), at(p0.value_offset + 1));
+    EXPECT_TRUE(parse(cut, locator).IsCorruption()) << "buffer overrun";
+  }
+
+  // Each round flips a few random bytes — biased toward page headers, where
+  // the directory's checks live — or truncates the chunk, then parses and,
+  // if the directory still validates, reads everything through it. Under
+  // ASan an out-of-bounds read fails the run; here a malformed chunk must
+  // come back as an error status, never a crash.
+  Rng rng(20231);
+  size_t rejected = 0;
+  for (int round = 0; round < 300; ++round) {
+    std::vector<uint8_t> bad(chunk);
+    if (round % 10 == 9) {
+      bad.resize(rng.NextBelow(bad.size()));
+    } else {
+      const int flips = 1 + static_cast<int>(rng.NextBelow(4));
+      for (int f = 0; f < flips; ++f) {
+        const PageEntry& page = clean.pages[rng.NextBelow(clean.pages.size())];
+        const size_t pos =
+            rng.NextBelow(2) == 0
+                ? static_cast<size_t>(page.offset) + rng.NextBelow(48)
+                : rng.NextBelow(bad.size());
+        bad[std::min(pos, bad.size() - 1)] ^=
+            static_cast<uint8_t>(1 + rng.NextBelow(255));
+      }
+    }
+    // An exactly sized heap copy, so any overread is visible to ASan.
+    std::vector<uint8_t> image(bad.begin(), bad.end());
+    auto directory = std::make_shared<PageDirectory>();
+    Status st = ParsePageDirectory(image.data(), image.size(), sensor,
+                                   locator, directory.get());
+    if (st.ok()) {
+      PageReader pages(image.data(), directory);
+      std::vector<TvPairDouble> out;
+      st = pages.Query(std::numeric_limits<Timestamp>::min(),
+                       std::numeric_limits<Timestamp>::max(), &out);
+      TsFileReader::RangeStats agg;
+      const Status agg_st = pages.Aggregate(locator.min_t + 1,
+                                            locator.max_t - 1, &agg);
+      if (st.ok()) st = agg_st;
+      if (st.ok()) {
+        EXPECT_LE(out.size(), locator.points);
+      }
+    }
+    if (!st.ok()) {
+      ++rejected;
+      EXPECT_TRUE(st.IsCorruption())
+          << "round " << round << ": " << st.ToString();
+    }
+  }
+  // Most mutations land in a header or a buffer and must be caught.
+  EXPECT_GT(rejected, 150u);
 }
 
 }  // namespace

@@ -1,3 +1,6 @@
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -325,11 +328,19 @@ TEST_F(TsFileTest, ChunkAggregateFromLocatorMatchesReader) {
   TsFileReader reader(path);
   ASSERT_TRUE(reader.Open().ok());
   const ChunkLocator& loc = reader.Locators().at("s");
-  // The standalone chunk aggregator (used by the engine's tier-2 decode
-  // path, no open reader needed) agrees with the reader-based one.
+  // The fd-based page reader (the engine's tier-2 path: directory derived
+  // with one pread, boundary pages read on demand, no open TsFileReader)
+  // agrees with the reader-based one.
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  ASSERT_GE(fd, 0);
+  auto directory = std::make_shared<PageDirectory>();
+  ASSERT_TRUE(ReadPageDirectory(fd, "s", loc, directory.get()).ok());
+  EXPECT_EQ(directory->pages.size(), (20'000u + 511) / 512);
+  PageReader pages(fd, loc.offset, directory, /*bytes_read=*/0);  // owns fd
   TsFileReader::RangeStats via_loc, via_reader;
-  ASSERT_TRUE(
-      AggregateTsFileChunkF64(path, "s", loc, 1'001, 30'000, &via_loc).ok());
+  ASSERT_TRUE(pages.Aggregate(1'001, 30'000, &via_loc).ok());
+  // Only the two boundary pages were read and decoded.
+  EXPECT_EQ(pages.pages_decoded(), 2u);
   ASSERT_TRUE(reader.AggregateRangeF64("s", 1'001, 30'000, &via_reader).ok());
   EXPECT_EQ(via_loc.count, via_reader.count);
   EXPECT_DOUBLE_EQ(via_loc.min, via_reader.min);

@@ -58,7 +58,9 @@
 #      seal — exactly the lifetimes ASan is for), plus the WAL and
 #      WAL-tailer suites (their replay decoders parse untrusted bytes from
 #      disk and from replication, so every out-of-bounds read must trip
-#      ASan rather than pass silently), then a scaled 100k-
+#      ASan rather than pass silently), the read-path and chunk-cache
+#      suites (page-directory derivation and page decode run a seeded
+#      mutation loop over real chunk bytes), then a scaled 100k-
 #      sensor bench/system_cardinality run gated on idle heap staying
 #      <= 600 bytes/sensor (full scale measures ~191 vs ~1676 on the
 #      pre-interning string path, bench/baselines/
@@ -297,8 +299,9 @@ echo "=== [9/11] aggregation: differential suite under TSan + stats-plan gate ==
 # The statistics plan must be an optimization, never an approximation:
 # the differential suite ingests random disorder workloads and
 # bit-compares AggregateFast against a brute-force decode, with and
-# without footer statistics — run under ThreadSanitizer because the
-# tier-2 decode fans chunks across a reader pool.
+# without footer statistics — run under ThreadSanitizer as well, so the
+# tier-2 page reads (lazily opened file descriptors, the shared cache)
+# stay race-free.
 cmake --build build-tsan -j --target aggregate_differential_test
 ./build-tsan/tests/aggregate_differential_test
 # Scaled-down system_agg: the metadata-only plan must beat the decode
@@ -460,7 +463,7 @@ scale2=$(grep '"scale_out_2v1"' "$smoke_dir/BENCH_system_cluster.json" \
   | awk -F': ' '{print $2}' | tr -d ',')
 echo "cluster bench passed (2-node/1-node write ratio ${scale2} on this host)"
 
-echo "=== [11/11] ASan: interner/arena/WAL suites + 100k-sensor smoke ==="
+echo "=== [11/11] ASan: interner/arena/WAL/read-path suites + 100k-sensor smoke ==="
 # The interner and arenas trade allocator nodes for raw pointer lifetimes
 # (string_views into a bump arena, TVList blocks freed wholesale at seal);
 # run their suites under AddressSanitizer to keep those lifetimes honest.
@@ -469,11 +472,15 @@ echo "=== [11/11] ASan: interner/arena/WAL suites + 100k-sensor smoke ==="
 # bit-flipped and unknown-type cases must stay in bounds under ASan too.
 cmake -B build-asan -S . -DBACKSORT_SANITIZE=address
 cmake --build build-asan -j --target interner_test tvlist_test wal_test \
-  wal_tailer_test
+  wal_tailer_test read_path_test chunk_cache_test
 ./build-asan/tests/interner_test
 ./build-asan/tests/tvlist_test
 ./build-asan/tests/wal_test
 ./build-asan/tests/wal_tailer_test
+# Page directories are derived from sealed chunk bytes, which may be
+# damaged: the mutation loop in read_path_test must fail cleanly in bounds.
+./build-asan/tests/read_path_test
+./build-asan/tests/chunk_cache_test
 # Scaled cardinality smoke: 100k sensors, one rep, disorder panels off.
 # Two gates against the flat JSON: idle heap per sensor (absolute budget —
 # full scale measures ~191 B/sensor; 600 leaves 3x noise headroom while
