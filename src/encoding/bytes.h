@@ -90,6 +90,8 @@ class ByteReader {
       : ByteReader(buf.data(), buf.size()) {}
 
   size_t position() const { return pos_; }
+  /// The next unread byte (valid for remaining() bytes).
+  const uint8_t* cursor() const { return data_ + pos_; }
   size_t remaining() const { return size_ - pos_; }
   bool AtEnd() const { return pos_ >= size_; }
 

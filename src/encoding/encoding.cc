@@ -46,6 +46,14 @@ Status DecodePlainI64(ByteReader* in, size_t count,
 
 namespace {
 constexpr size_t kTs2DiffBlockSize = 128;
+
+// Deltas and prefix sums wrap modulo 2^64 (two's complement): extreme
+// timestamps must encode and decode without signed-overflow UB, and the
+// wrapped values are exactly what the format has always stored.
+int64_t WrappingSub(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) -
+                              static_cast<uint64_t>(b));
+}
 }  // namespace
 
 void EncodeTs2DiffI64(const std::vector<int64_t>& in, ByteBuffer* out) {
@@ -58,16 +66,16 @@ void EncodeTs2DiffI64(const std::vector<int64_t>& in, ByteBuffer* out) {
   while (next < n) {
     const size_t block_n = std::min(kTs2DiffBlockSize, n - next);
     // Deltas for this block.
-    int64_t min_delta = in[next] - in[next - 1];
+    int64_t min_delta = WrappingSub(in[next], in[next - 1]);
     for (size_t i = 1; i < block_n; ++i) {
-      min_delta = std::min(min_delta, in[next + i] - in[next + i - 1]);
+      min_delta =
+          std::min(min_delta, WrappingSub(in[next + i], in[next + i - 1]));
     }
     adjusted.clear();
     uint64_t max_adj = 0;
     for (size_t i = 0; i < block_n; ++i) {
-      const int64_t prev = in[next + i - 1];
-      const uint64_t adj =
-          static_cast<uint64_t>((in[next + i] - prev) - min_delta);
+      const uint64_t adj = static_cast<uint64_t>(
+          WrappingSub(WrappingSub(in[next + i], in[next + i - 1]), min_delta));
       adjusted.push_back(adj);
       max_adj = std::max(max_adj, adj);
     }
@@ -76,7 +84,7 @@ void EncodeTs2DiffI64(const std::vector<int64_t>& in, ByteBuffer* out) {
     out->PutU8(static_cast<uint8_t>(width));
     BitWriter bw(out);
     for (uint64_t adj : adjusted) {
-      bw.WriteBits(adj, width);
+      bw.Write(adj, width);
     }
     bw.Flush();
     next += block_n;
@@ -92,7 +100,7 @@ Status DecodeTs2DiffI64(ByteReader* in, size_t count,
   RETURN_NOT_OK(in->GetVarintSigned64(&first));
   int64_t* dst = out->data();
   *dst++ = first;
-  int64_t prev = first;
+  uint64_t prev = static_cast<uint64_t>(first);
   size_t decoded = 1;
   // Block-at-a-time unpack into pre-sized storage: the running value stays
   // in a register and the inner loop carries no push_back capacity checks,
@@ -104,23 +112,25 @@ Status DecodeTs2DiffI64(ByteReader* in, size_t count,
     uint8_t width = 0;
     RETURN_NOT_OK(in->GetU8(&width));
     if (width > 64) return Status::Corruption("ts2diff bit width > 64");
+    const uint64_t step = static_cast<uint64_t>(min_delta);
     if (width == 0) {
       // Constant-stride block (regular sampling, the common case): no bit
       // reads at all, just an arithmetic ramp.
       for (size_t i = 0; i < block_n; ++i) {
-        prev += min_delta;
-        *dst++ = prev;
+        prev += step;
+        *dst++ = static_cast<int64_t>(prev);
       }
       decoded += block_n;
       continue;
     }
+    // Bounds are checked once per block: reads past the end yield zero
+    // bits, and Finish() turns any overrun into Corruption.
     BitReader br(in);
     for (size_t i = 0; i < block_n; ++i) {
-      uint64_t adj = 0;
-      RETURN_NOT_OK(br.ReadBits(width, &adj));
-      prev += static_cast<int64_t>(adj) + min_delta;
-      *dst++ = prev;
+      prev += br.Read(width) + step;
+      *dst++ = static_cast<int64_t>(prev);
     }
+    RETURN_NOT_OK(br.Finish());
     decoded += block_n;
   }
   return Status::OK();
@@ -299,26 +309,25 @@ void EncodeGorillaF64(const std::vector<double>& in, ByteBuffer* out) {
     const uint64_t x = cur ^ prev;
     prev = cur;
     if (x == 0) {
-      bw.WriteBit(false);
+      bw.Write(0, 1);
       continue;
     }
-    bw.WriteBit(true);
     int leading = std::countl_zero(x);
     const int trailing = std::countr_zero(x);
     if (leading > 31) leading = 31;  // 5-bit field
     const int meaningful = 64 - leading - trailing;
     if (prev_leading >= 0 && leading >= prev_leading &&
         (64 - prev_leading - prev_meaningful) <= trailing) {
-      // Fits inside the previous window: control bit 0.
-      bw.WriteBit(false);
-      bw.WriteBits(x >> (64 - prev_leading - prev_meaningful),
-                   prev_meaningful);
+      // Fits inside the previous window: changed bit 1, control bit 0.
+      bw.Write(0b10, 2);
+      bw.Write(x >> (64 - prev_leading - prev_meaningful), prev_meaningful);
     } else {
-      // New window: control bit 1, 5 bits leading, 6 bits length.
-      bw.WriteBit(true);
-      bw.WriteBits(static_cast<uint64_t>(leading), 5);
-      bw.WriteBits(static_cast<uint64_t>(meaningful), 6);
-      bw.WriteBits(x >> trailing, meaningful);
+      // New window: changed bit 1, control bit 1, 5 bits leading, 6 bits
+      // length (64 wraps to 0).
+      bw.Write((uint64_t{0b11} << 11) | (static_cast<uint64_t>(leading) << 6) |
+                   (static_cast<uint64_t>(meaningful) & 63),
+               13);
+      bw.Write(x >> trailing, meaningful);
       prev_leading = leading;
       prev_meaningful = meaningful;
     }
@@ -341,33 +350,27 @@ Status DecodeGorillaF64(ByteReader* in, size_t count,
   int meaningful = 0;
   // Page-at-a-time unpack into pre-sized storage: repeated values (the
   // Gorilla fast case) cost one bit read and one store, and the XOR
-  // window shift is recomputed only when the window changes.
+  // window shift is recomputed only when the window changes. Bounds are
+  // checked once per point; reads past the end yield zero bits.
   for (size_t i = 1; i < count; ++i) {
-    bool changed = false;
-    RETURN_NOT_OK(br.ReadBit(&changed));
-    if (changed) {
-      bool new_window = false;
-      RETURN_NOT_OK(br.ReadBit(&new_window));
-      if (new_window) {
-        uint64_t lead = 0, len = 0;
-        RETURN_NOT_OK(br.ReadBits(5, &lead));
-        RETURN_NOT_OK(br.ReadBits(6, &len));
-        const int leading = static_cast<int>(lead);
-        meaningful = static_cast<int>(len);
+    if (br.Read(1) != 0) {
+      if (br.Read(1) != 0) {
+        const uint64_t header = br.Read(11);  // 5 bits leading, 6 length
+        const int leading = static_cast<int>(header >> 6);
+        meaningful = static_cast<int>(header & 63);
         if (meaningful == 0) meaningful = 64;  // 6-bit field wraps at 64
         if (leading + meaningful > 64) {
           return Status::Corruption("gorilla window exceeds 64 bits");
         }
         shift = 64 - leading - meaningful;
       }
-      uint64_t bits = 0;
-      RETURN_NOT_OK(br.ReadBits(meaningful, &bits));
-      prev ^= bits << shift;
+      prev ^= br.Read(meaningful) << shift;
     }
+    if (br.overrun()) return br.Finish();
     std::memcpy(dst, &prev, sizeof(double));
     ++dst;
   }
-  return Status::OK();
+  return br.Finish();
 }
 
 // --- dispatch ------------------------------------------------------------------

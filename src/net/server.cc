@@ -778,16 +778,21 @@ void BacksortServer::WorkerLoop() {
 
 void BacksortServer::ExecuteRequest(Request& request) {
   WallTimer timer;
-  ByteBuffer body;
-  const Status rpc = Dispatch(request.type, request.payload, &body);
+  // The body is encoded in place behind an OK status, so a reply is never
+  // copied; on error whatever the handler appended is discarded and the
+  // slot re-encoded as that error status.
+  ResponseSlot* slot = request.slot;
+  EncodeResponseStatus(Status::OK(), &slot->payload);
+  const Status rpc = Dispatch(request.type, request.payload, &slot->payload);
+  if (!rpc.ok()) {
+    slot->payload.Clear();
+    EncodeResponseStatus(rpc, &slot->payload);
+  }
   // Count before the completion is posted: a client that has received
   // its reply must be able to observe the incremented counter in a
   // snapshot.
   const size_t idx = MsgTypeIndex(request.type);
   metrics_.requests_total[idx].fetch_add(1, std::memory_order_relaxed);
-  ResponseSlot* slot = request.slot;
-  EncodeResponseStatus(rpc, &slot->payload);
-  if (rpc.ok()) slot->payload.Append(body);
   EventLoop::FillFrameHeader(slot);
   admission_.Release(request.admitted_bytes);
   metrics_.request_ns[idx].Record(timer.ElapsedNanos());

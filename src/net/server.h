@@ -161,7 +161,8 @@ class BacksortServer {
   /// ready and wake the owning loop.
   void ExecuteRequest(Request& request);
 
-  /// Runs the engine call for one request, appending the OK response body.
+  /// Runs the engine call for one request, appending the OK response body
+  /// to `body` (the reply payload, already holding the OK status).
   Status Dispatch(MsgType type, const std::vector<uint8_t>& payload,
                   ByteBuffer* body);
 

@@ -1,5 +1,9 @@
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -104,24 +108,21 @@ TEST(Bytes, StringRoundTrip) {
 TEST(BitIo, RoundTripAcrossByteBoundaries) {
   ByteBuffer buf;
   BitWriter bw(&buf);
-  bw.WriteBits(0b101, 3);
-  bw.WriteBits(0xabcd, 16);
-  bw.WriteBit(true);
-  bw.WriteBits(0, 0);  // zero-width write is a no-op
-  bw.WriteBits(0x3ffffffffffffffULL, 58);
+  bw.Write(0b101, 3);
+  bw.Write(0xabcd, 16);
+  bw.Write(1, 1);
+  bw.Write(0, 0);  // zero-width write is a no-op
+  bw.Write(0x3ffffffffffffffULL, 58);
   bw.Flush();
   ByteReader r(buf.data());
   BitReader br(&r);
-  uint64_t v = 0;
-  ASSERT_TRUE(br.ReadBits(3, &v).ok());
-  EXPECT_EQ(v, 0b101u);
-  ASSERT_TRUE(br.ReadBits(16, &v).ok());
-  EXPECT_EQ(v, 0xabcdu);
-  bool bit = false;
-  ASSERT_TRUE(br.ReadBit(&bit).ok());
-  EXPECT_TRUE(bit);
-  ASSERT_TRUE(br.ReadBits(58, &v).ok());
-  EXPECT_EQ(v, 0x3ffffffffffffffULL);
+  EXPECT_EQ(br.Read(3), 0b101u);
+  EXPECT_EQ(br.Read(16), 0xabcdu);
+  EXPECT_EQ(br.Read(1), 1u);
+  EXPECT_EQ(br.Read(58), 0x3ffffffffffffffULL);
+  EXPECT_FALSE(br.overrun());
+  ASSERT_TRUE(br.Finish().ok());
+  EXPECT_TRUE(r.AtEnd());  // 78 bits -> 10 bytes, all consumed
 }
 
 TEST(BitIo, BitWidthOf) {
@@ -350,6 +351,324 @@ TEST(Gorilla, SlowlyChangingSensorCompresses) {
   ASSERT_TRUE(EncodeF64(Encoding::kPlain, sensor, &plain).ok());
   ASSERT_TRUE(EncodeF64(Encoding::kGorilla, sensor, &packed).ok());
   EXPECT_LT(packed.size() * 30, plain.size());
+}
+
+// --- differential: word-at-a-time bit I/O vs a byte-at-a-time reference -----
+
+// The byte-at-a-time bit reader and writer, and the TS_2DIFF / Gorilla
+// decoders built on them, as they stood before the word-at-a-time
+// rewrite. They define the contract: same status class, and on success
+// the same values and the same ByteReader position.
+namespace reference {
+
+class BitWriter {
+ public:
+  explicit BitWriter(ByteBuffer* out) : out_(out) {}
+  void WriteBits(uint64_t value, int bits) {
+    for (int i = bits - 1; i >= 0; --i) {
+      current_ = static_cast<uint8_t>((current_ << 1) | ((value >> i) & 1));
+      if (++filled_ == 8) {
+        out_->PutU8(current_);
+        current_ = 0;
+        filled_ = 0;
+      }
+    }
+  }
+  void Flush() {
+    if (filled_ > 0) {
+      out_->PutU8(static_cast<uint8_t>(current_ << (8 - filled_)));
+      current_ = 0;
+      filled_ = 0;
+    }
+  }
+
+ private:
+  ByteBuffer* out_;
+  uint8_t current_ = 0;
+  int filled_ = 0;
+};
+
+class BitReader {
+ public:
+  explicit BitReader(ByteReader* in) : in_(in) {}
+  Status ReadBits(int bits, uint64_t* out) {
+    uint64_t v = 0;
+    for (int i = 0; i < bits; ++i) {
+      if (filled_ == 0) {
+        RETURN_NOT_OK(in_->GetU8(&current_));
+        filled_ = 8;
+      }
+      --filled_;
+      v = (v << 1) | ((current_ >> filled_) & 1);
+    }
+    *out = v;
+    return Status::OK();
+  }
+
+ private:
+  ByteReader* in_;
+  uint8_t current_ = 0;
+  int filled_ = 0;
+};
+
+Status DecodeTs2Diff(ByteReader* in, size_t count, std::vector<int64_t>* out) {
+  out->clear();
+  if (count == 0) return Status::OK();
+  int64_t first = 0;
+  RETURN_NOT_OK(in->GetVarintSigned64(&first));
+  out->push_back(first);
+  uint64_t prev = static_cast<uint64_t>(first);
+  while (out->size() < count) {
+    const size_t block_n = std::min<size_t>(128, count - out->size());
+    int64_t min_delta = 0;
+    RETURN_NOT_OK(in->GetVarintSigned64(&min_delta));
+    uint8_t width = 0;
+    RETURN_NOT_OK(in->GetU8(&width));
+    if (width > 64) return Status::Corruption("ts2diff bit width > 64");
+    BitReader br(in);
+    for (size_t i = 0; i < block_n; ++i) {
+      uint64_t adj = 0;
+      RETURN_NOT_OK(br.ReadBits(width, &adj));
+      prev += adj + static_cast<uint64_t>(min_delta);
+      out->push_back(static_cast<int64_t>(prev));
+    }
+  }
+  return Status::OK();
+}
+
+Status DecodeGorilla(ByteReader* in, size_t count, std::vector<double>* out) {
+  out->clear();
+  if (count == 0) return Status::OK();
+  uint64_t prev = 0;
+  RETURN_NOT_OK(in->GetFixed64(&prev));
+  out->push_back(std::bit_cast<double>(prev));
+  BitReader br(in);
+  int shift = 0;  // a value changed before any window XORs in 0 bits
+  int meaningful = 0;
+  for (size_t i = 1; i < count; ++i) {
+    uint64_t changed = 0;
+    RETURN_NOT_OK(br.ReadBits(1, &changed));
+    if (changed != 0) {
+      uint64_t new_window = 0;
+      RETURN_NOT_OK(br.ReadBits(1, &new_window));
+      if (new_window != 0) {
+        uint64_t lead = 0, len = 0;
+        RETURN_NOT_OK(br.ReadBits(5, &lead));
+        RETURN_NOT_OK(br.ReadBits(6, &len));
+        const int leading = static_cast<int>(lead);
+        meaningful = len == 0 ? 64 : static_cast<int>(len);
+        if (leading + meaningful > 64) {
+          return Status::Corruption("gorilla window exceeds 64 bits");
+        }
+        shift = 64 - leading - meaningful;
+      }
+      uint64_t bits = 0;
+      RETURN_NOT_OK(br.ReadBits(meaningful, &bits));
+      prev ^= bits << shift;
+    }
+    out->push_back(std::bit_cast<double>(prev));
+  }
+  return Status::OK();
+}
+
+}  // namespace reference
+
+/// TS_2DIFF pages: regular and jittered sampling, block-sized tails, and
+/// one page per bit width 0..64 (width 64 needs wrapping deltas).
+std::vector<std::vector<int64_t>> Ts2DiffPages() {
+  Rng rng(101);
+  std::vector<std::vector<int64_t>> pages;
+  std::vector<int64_t> regular, jitter;
+  for (int i = 0; i < 1024; ++i) regular.push_back(1'600'000'000'000 + i * 10);
+  int64_t t = 1'600'000'000'000;
+  for (int i = 0; i < 1000; ++i) {
+    t += 5 + static_cast<int64_t>(rng.NextBelow(40)) - 20;
+    jitter.push_back(t);
+  }
+  pages.push_back(std::move(regular));
+  pages.push_back(std::move(jitter));
+  for (int width = 0; width <= 64; ++width) {
+    std::vector<int64_t> page;
+    uint64_t v = rng.NextU64();
+    page.push_back(static_cast<int64_t>(v));
+    const uint64_t mask = width == 0 ? 0 : ~uint64_t{0} >> (64 - width);
+    const size_t n = 130 + rng.NextBelow(200);
+    for (size_t i = 0; i < n; ++i) {
+      uint64_t delta = rng.NextU64() & mask;
+      if (i == 0) delta = width == 64 ? uint64_t{1} << 63 : 0;  // min
+      if (i == 1) delta = width == 64 ? ~(uint64_t{1} << 63) : mask;  // max
+      v += delta;
+      page.push_back(static_cast<int64_t>(v));
+    }
+    pages.push_back(std::move(page));
+  }
+  return pages;
+}
+
+/// Gorilla pages: a slow sensor, repeats, NaN payloads, infinities,
+/// signed zeros and a full 64-bit XOR window.
+std::vector<std::vector<double>> GorillaPages() {
+  Rng rng(202);
+  std::vector<std::vector<double>> pages;
+  std::vector<double> sensor;
+  double v = 20.0;
+  for (int i = 0; i < 1024; ++i) {
+    if (i % 7 != 0) v += 0.01 * rng.NextGaussian();  // every 7th repeats
+    sensor.push_back(v);
+  }
+  pages.push_back(std::move(sensor));
+  std::vector<double> odd = {
+      1.0,
+      std::numeric_limits<double>::quiet_NaN(),
+      std::bit_cast<double>(uint64_t{0x7ff0000000000001}),  // signalling
+      std::bit_cast<double>(uint64_t{0xfff8000000000abc}),  // -NaN payload
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      0.0,
+      -0.0,
+      std::bit_cast<double>(uint64_t{0x8000000000000001}),  // 64-bit window
+      0.0,
+      std::bit_cast<double>(uint64_t{0xffffffffffffffff}),
+      1e-300,
+      1e300};
+  pages.push_back(odd);
+  std::vector<double> random;
+  for (int i = 0; i < 700; ++i) {
+    random.push_back(std::bit_cast<double>(rng.NextU64() >> rng.NextBelow(64)));
+  }
+  pages.push_back(std::move(random));
+  return pages;
+}
+
+template <typename T>
+std::vector<uint64_t> Bits(const std::vector<T>& v) {
+  std::vector<uint64_t> out;
+  for (T x : v) out.push_back(std::bit_cast<uint64_t>(x));
+  return out;
+}
+
+/// Decodes `bytes` with the reference and the production decoder and
+/// requires the same status class, and on OK the same values (bitwise)
+/// and the same reader position.
+template <typename T, typename Ref, typename Prod>
+void ExpectSameDecode(const std::vector<uint8_t>& bytes, size_t len,
+                      size_t count, Ref ref, Prod prod,
+                      const std::string& what) {
+  ByteReader r1(bytes.data(), len);
+  ByteReader r2(bytes.data(), len);
+  std::vector<T> want, got;
+  const Status s1 = ref(&r1, count, &want);
+  const Status s2 = prod(&r2, count, &got);
+  ASSERT_EQ(s1.code(), s2.code())
+      << what << ": reference " << s1.ToString() << ", got " << s2.ToString();
+  if (!s1.ok()) return;
+  ASSERT_EQ(Bits(want), Bits(got)) << what;
+  ASSERT_EQ(r1.position(), r2.position()) << what;
+}
+
+/// Runs every mutation class over one encoded page: intact, count +- 1,
+/// truncation at every byte, and seeded bit flips.
+template <typename T, typename Ref, typename Prod>
+void DiffPage(const std::vector<uint8_t>& page, size_t count, Ref ref,
+              Prod prod, uint64_t seed) {
+  // A trailing byte that is not part of the page: positions must agree.
+  std::vector<uint8_t> bytes = page;
+  bytes.push_back(0xa5);
+  for (size_t c : {count, count + 1, count == 0 ? 0 : count - 1}) {
+    ExpectSameDecode<T>(bytes, bytes.size(), c, ref, prod, "count");
+  }
+  for (size_t len = 0; len <= page.size(); ++len) {
+    ExpectSameDecode<T>(bytes, len, count, ref, prod,
+                        "truncated at " + std::to_string(len));
+  }
+  Rng rng(seed);
+  for (int trial = 0; trial < 300 && !page.empty(); ++trial) {
+    std::vector<uint8_t> flipped = bytes;
+    const int flips = 1 + static_cast<int>(rng.NextBelow(3));
+    for (int f = 0; f < flips; ++f) {
+      const size_t bit = rng.NextBelow(page.size() * 8);
+      flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    }
+    ExpectSameDecode<T>(flipped, flipped.size(), count, ref, prod,
+                        "flip trial " + std::to_string(trial));
+  }
+}
+
+TEST(BitIoDifferential, Ts2DiffMatchesByteAtATimeReference) {
+  uint64_t seed = 1;
+  for (const auto& page : Ts2DiffPages()) {
+    ByteBuffer buf;
+    EncodeTs2DiffI64(page, &buf);
+    DiffPage<int64_t>(buf.data(), page.size(), reference::DecodeTs2Diff,
+                      DecodeTs2DiffI64, seed++);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(BitIoDifferential, GorillaMatchesByteAtATimeReference) {
+  uint64_t seed = 1000;
+  for (const auto& page : GorillaPages()) {
+    ByteBuffer buf;
+    EncodeGorillaF64(page, &buf);
+    DiffPage<double>(buf.data(), page.size(), reference::DecodeGorilla,
+                     DecodeGorillaF64, seed++);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(BitIoDifferential, WriterIsByteIdenticalToReference) {
+  Rng rng(303);
+  for (int trial = 0; trial < 200; ++trial) {
+    ByteBuffer want_buf, got_buf;
+    reference::BitWriter want(&want_buf);
+    BitWriter got(&got_buf);
+    std::vector<std::pair<uint64_t, int>> writes;
+    const int n = 1 + static_cast<int>(rng.NextBelow(100));
+    for (int i = 0; i < n; ++i) {
+      // Values carry junk above `width`: only the low bits may be written.
+      const int width = static_cast<int>(rng.NextBelow(65));
+      const uint64_t value = rng.NextU64();
+      want.WriteBits(value, width);
+      got.Write(value, width);
+      writes.emplace_back(value, width);
+    }
+    want.Flush();
+    got.Flush();
+    ASSERT_EQ(want_buf.data(), got_buf.data()) << "trial " << trial;
+    // And the word reader reads back what was written.
+    ByteReader r(got_buf.data());
+    BitReader br(&r);
+    for (const auto& [value, width] : writes) {
+      const uint64_t mask = width == 0 ? 0 : ~uint64_t{0} >> (64 - width);
+      ASSERT_EQ(br.Read(width), value & mask) << "trial " << trial;
+    }
+    ASSERT_TRUE(br.Finish().ok());
+    EXPECT_TRUE(r.AtEnd());
+  }
+}
+
+TEST(BitIoDifferential, ReaderMatchesReferenceOnRandomBytes) {
+  // Random widths over random bytes, running off the end: values agree
+  // until the reference fails, and the overrun is flagged exactly then.
+  Rng rng(404);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<uint8_t> bytes(rng.NextBelow(40));
+    for (auto& b : bytes) b = static_cast<uint8_t>(rng.NextU64());
+    ByteReader r1(bytes);
+    ByteReader r2(bytes);
+    reference::BitReader want(&r1);
+    BitReader got(&r2);
+    while (true) {
+      const int width = static_cast<int>(rng.NextBelow(65));
+      uint64_t v = 0;
+      const Status st = want.ReadBits(width, &v);
+      const uint64_t g = got.Read(width);
+      ASSERT_EQ(st.ok(), !got.overrun()) << "trial " << trial;
+      if (!st.ok()) break;
+      ASSERT_EQ(v, g) << "trial " << trial << " width " << width;
+    }
+    EXPECT_TRUE(got.Finish().IsCorruption());
+  }
 }
 
 TEST(EncodingDispatch, TypeMismatchesRejected) {

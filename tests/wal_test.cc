@@ -50,6 +50,82 @@ TEST(Crc32, KnownVectors) {
   EXPECT_EQ(whole, part);
 }
 
+/// Bit-at-a-time CRC-32 (reflected 0xedb88320): the definition itself,
+/// independent of both the table and the carry-less-multiply paths.
+uint32_t BitwiseCrc32(const uint8_t* p, size_t n, uint32_t seed) {
+  uint32_t c = seed ^ 0xffffffffu;
+  for (size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xedb88320u & (0u - (c & 1)));
+  }
+  return c ^ 0xffffffffu;
+}
+
+/// Checks Crc32 and the table-only path against the bitwise definition
+/// for one (offset, length, seed) slice of `buf`.
+void ExpectCrcMatches(const std::vector<uint8_t>& buf, size_t off, size_t n,
+                      uint32_t seed) {
+  const uint8_t* p = buf.data() + off;
+  const uint32_t want = BitwiseCrc32(p, n, seed);
+  ASSERT_EQ(Crc32(p, n, seed), want) << "off " << off << " n " << n;
+  ASSERT_EQ(crc32_internal::Crc32Table(p, n, seed), want)
+      << "off " << off << " n " << n;
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAcrossLengthsOffsetsAndSeeds) {
+  // Records whether this run exercised the folded path at all.
+  RecordProperty("fold_available", crc32_internal::Crc32FoldAvailable());
+  Rng rng(0xc3c3);
+  std::vector<uint8_t> buf((1u << 20) + 64);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.NextU64());
+  // Every length 0..1024 at every 16-byte alignment: the fold's 64-byte
+  // threshold, the 16-byte bulk/tail split and the 4-lane loop boundary.
+  for (size_t off = 0; off < 16; ++off) {
+    for (size_t n = 0; n <= 1024; ++n) {
+      ExpectCrcMatches(buf, off, n, off == 0 ? 0 : static_cast<uint32_t>(n));
+      if (HasFatalFailure()) return;
+    }
+  }
+  // Random lengths up to 1 MiB, random offsets and seeds.
+  for (int i = 0; i < 200; ++i) {
+    const size_t off = rng.NextBelow(16);
+    const size_t n = rng.NextBelow((1u << 20) + 1);
+    ExpectCrcMatches(buf, off, n, static_cast<uint32_t>(rng.NextU64()));
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(Crc32, ChainedCallsMatchOneShot) {
+  // Crc32(b, Crc32(a)) == Crc32(a ++ b) with split points inside the
+  // folded bulk, at its edges and in the table-only tail.
+  Rng rng(0x5eed);
+  std::vector<uint8_t> buf(70000);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.NextU64());
+  for (int i = 0; i < 500; ++i) {
+    const size_t n = rng.NextBelow(buf.size() + 1);
+    const size_t split = rng.NextBelow(n + 1);
+    const uint32_t seed = static_cast<uint32_t>(rng.NextU64());
+    const uint32_t whole = BitwiseCrc32(buf.data(), n, seed);
+    ASSERT_EQ(Crc32(buf.data() + split, n - split,
+                    Crc32(buf.data(), split, seed)),
+              whole)
+        << "n " << n << " split " << split;
+    ASSERT_EQ(crc32_internal::Crc32Table(
+                  buf.data() + split, n - split,
+                  crc32_internal::Crc32Table(buf.data(), split, seed)),
+              whole)
+        << "n " << n << " split " << split;
+  }
+  for (size_t split : {size_t{0}, size_t{1}, size_t{15}, size_t{16},
+                       size_t{63}, size_t{64}, size_t{65}, size_t{127},
+                       size_t{128}, size_t{200}}) {
+    ASSERT_EQ(Crc32(buf.data() + split, 256 - split,
+                    Crc32(buf.data(), split)),
+              BitwiseCrc32(buf.data(), 256, 0))
+        << "split " << split;
+  }
+}
+
 TEST_F(WalTest, AppendAndReplay) {
   const std::string path = Path("wal-0.log");
   {

@@ -65,22 +65,30 @@
 #      <= 600 bytes/sensor (full scale measures ~191 vs ~1676 on the
 #      pre-interning string path, bench/baselines/
 #      BENCH_system_cardinality_stringpath.json) and on wide-batch
-#      ingest holding >= 0.5x the committed baseline's 100k-sensor rate
+#      ingest holding >= 0.5x the committed baseline's 100k-sensor rate;
+#      the encoding suite runs under ASan here too (its differential
+#      tests decode truncated and bit-flipped pages)
+#  12. UBSan: the encoding, WAL, wire-protocol and read-path suites under
+#      UndefinedBehaviorSanitizer with halt_on_error, so any report fails
+#      the step — shift-by-64 in the word-at-a-time bit reader/writer and
+#      signed overflow in TS_2DIFF delta arithmetic are the classic cases,
+#      and the CRC's carry-less-multiply path runs under it as well
 #
-# Usage: tools/ci.sh   (from the repo root; build dirs: build/, build-tsan/, build-asan/)
+# Usage: tools/ci.sh   (from the repo root; build dirs: build/, build-tsan/,
+#                      build-asan/, build-ubsan/)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "=== [1/11] tier-1: configure + build + full test suite ==="
+echo "=== [1/12] tier-1: configure + build + full test suite ==="
 cmake -B build -S .
 cmake --build build -j
 (cd build && ctest --output-on-failure -j)
 
-echo "=== [2/11] engine suites at 4 shards / 2 flush workers ==="
+echo "=== [2/12] engine suites at 4 shards / 2 flush workers ==="
 (cd build && BACKSORT_SHARDS=4 BACKSORT_FLUSH_WORKERS=2 \
   ctest --output-on-failure -R 'Engine|Wal|Workload|Aggregate|ReadPath' -j)
 
-echo "=== [3/11] concurrency + read-path tests under ThreadSanitizer ==="
+echo "=== [3/12] concurrency + read-path tests under ThreadSanitizer ==="
 cmake -B build-tsan -S . -DBACKSORT_SANITIZE=thread
 cmake --build build-tsan -j --target engine_concurrency_test histogram_test \
   chunk_cache_test read_path_test
@@ -89,7 +97,7 @@ cmake --build build-tsan -j --target engine_concurrency_test histogram_test \
 ./build-tsan/tests/chunk_cache_test
 ./build-tsan/tests/read_path_test
 
-echo "=== [4/11] chunk-cache effectiveness smoke ==="
+echo "=== [4/12] chunk-cache effectiveness smoke ==="
 # The read_path suite covers cache correctness; this step checks the
 # operator-visible surface end to end: bstool flag -> engine -> exporter.
 smoke_dir=$(mktemp -d)
@@ -120,7 +128,7 @@ if [ -z "$hits" ] || [ "${hits%%.*}" -le 0 ]; then
 fi
 echo "cache smoke passed (query-mix cache hits: $hits)"
 
-echo "=== [5/11] network loopback smoke ==="
+echo "=== [5/12] network loopback smoke ==="
 # Wire protocol + server correctness under ThreadSanitizer: concurrent
 # clients must stay bit-identical and the shutdown drain must be clean.
 cmake --build build-tsan -j --target net_protocol_test net_server_test
@@ -174,7 +182,7 @@ wait "$serve_pid" || {
 }
 echo "net smoke passed ($rows rows round-tripped via $addr)"
 
-echo "=== [6/11] docs: wire-protocol golden suite + link check ==="
+echo "=== [6/12] docs: wire-protocol golden suite + link check ==="
 # The spec in docs/WIRE_PROTOCOL.md is executable documentation: this
 # suite re-derives magic/offsets/type tables from the compiled protocol
 # constants and fails if the prose drifted from the code.
@@ -203,7 +211,7 @@ if [ "$docs_fail" -ne 0 ]; then
 fi
 echo "docs link check passed"
 
-echo "=== [7/11] perf smoke: ingest batching + net pipelining ==="
+echo "=== [7/12] perf smoke: ingest batching + net pipelining ==="
 # Scaled-down system_ingest run; the JSON is flat one-key-per-line so the
 # gate needs only grep + awk. Noise margin: full scale measures ~5x.
 BACKSORT_SYSTEM_POINTS=60000 BACKSORT_METRICS_DIR="$smoke_dir" \
@@ -245,7 +253,7 @@ done
 }
 echo "net perf smoke passed (pipelined/in-process write ratio: ${net_ratio})"
 
-echo "=== [8/11] compaction: TSan suite + soak gates + bstool smoke ==="
+echo "=== [8/12] compaction: TSan suite + soak gates + bstool smoke ==="
 # The whole compaction stack under ThreadSanitizer: planner/job/engine
 # suite plus the background scheduler racing ingest and queries.
 cmake --build build-tsan -j --target compaction_test
@@ -295,7 +303,7 @@ grep -q '^compacted ' "$smoke_dir/compact.log" || {
 }
 echo "compaction smoke passed (soak ratio ${soak_throughput_ratio_on_over_off}, 1 file after offline compact)"
 
-echo "=== [9/11] aggregation: differential suite under TSan + stats-plan gate ==="
+echo "=== [9/12] aggregation: differential suite under TSan + stats-plan gate ==="
 # The statistics plan must be an optimization, never an approximation:
 # the differential suite ingests random disorder workloads and
 # bit-compares AggregateFast against a brute-force decode, with and
@@ -329,7 +337,7 @@ done
 }
 echo "aggregation smoke passed (stats/decode speedup: ${agg_speedup}x)"
 
-echo "=== [10/11] cluster: TSan suites + 2-node kill-primary failover smoke ==="
+echo "=== [10/12] cluster: TSan suites + 2-node kill-primary failover smoke ==="
 # Replication correctness under ThreadSanitizer first: the WAL tailer
 # (torn tails, rotation, cursor resume) and the cluster suite including
 # the in-process kill-primary acceptance test.
@@ -463,7 +471,7 @@ scale2=$(grep '"scale_out_2v1"' "$smoke_dir/BENCH_system_cluster.json" \
   | awk -F': ' '{print $2}' | tr -d ',')
 echo "cluster bench passed (2-node/1-node write ratio ${scale2} on this host)"
 
-echo "=== [11/11] ASan: interner/arena/WAL/read-path suites + 100k-sensor smoke ==="
+echo "=== [11/12] ASan: interner/arena/WAL/read-path suites + 100k-sensor smoke ==="
 # The interner and arenas trade allocator nodes for raw pointer lifetimes
 # (string_views into a bump arena, TVList blocks freed wholesale at seal);
 # run their suites under AddressSanitizer to keep those lifetimes honest.
@@ -472,7 +480,7 @@ echo "=== [11/11] ASan: interner/arena/WAL/read-path suites + 100k-sensor smoke 
 # bit-flipped and unknown-type cases must stay in bounds under ASan too.
 cmake -B build-asan -S . -DBACKSORT_SANITIZE=address
 cmake --build build-asan -j --target interner_test tvlist_test wal_test \
-  wal_tailer_test read_path_test chunk_cache_test
+  wal_tailer_test read_path_test chunk_cache_test encoding_test
 ./build-asan/tests/interner_test
 ./build-asan/tests/tvlist_test
 ./build-asan/tests/wal_test
@@ -481,6 +489,10 @@ cmake --build build-asan -j --target interner_test tvlist_test wal_test \
 # damaged: the mutation loop in read_path_test must fail cleanly in bounds.
 ./build-asan/tests/read_path_test
 ./build-asan/tests/chunk_cache_test
+# The bit readers load 8 bytes at a time near the end of a page: the
+# encoding suite's truncation and bit-flip differentials must stay in
+# bounds.
+./build-asan/tests/encoding_test
 # Scaled cardinality smoke: 100k sensors, one rep, disorder panels off.
 # Two gates against the flat JSON: idle heap per sensor (absolute budget —
 # full scale measures ~191 B/sensor; 600 leaves 3x noise headroom while
@@ -508,5 +520,14 @@ awk -v p="$card_pps" -v b="$base_pps" 'BEGIN { exit (p >= 0.5 * b) ? 0 : 1 }' ||
   exit 1
 }
 echo "cardinality smoke passed (idle ${card_idle} B/sensor, 100k ingest ${card_pps} pts/s vs baseline ${base_pps})"
+
+echo "=== [12/12] UBSan: encoding/WAL/wire/read-path suites ==="
+# halt_on_error turns every UBSan report into a failing exit status.
+cmake -B build-ubsan -S . -DBACKSORT_SANITIZE=undefined
+cmake --build build-ubsan -j --target encoding_test wal_test \
+  net_protocol_test read_path_test
+for t in encoding_test wal_test net_protocol_test read_path_test; do
+  UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 ./build-ubsan/tests/$t
+done
 
 echo "=== CI passed ==="
