@@ -55,6 +55,7 @@ void BlockSorterSweep(const IntTVList& list, size_t repeats) {
       {"Quicksort", BackwardSortOptions::BlockSorter::kQuick},
       {"Insertion", BackwardSortOptions::BlockSorter::kInsertion},
       {"Timsort", BackwardSortOptions::BlockSorter::kTim},
+      {"Stable", BackwardSortOptions::BlockSorter::kStable},
   };
   for (const auto& [name, which] : variants) {
     BackwardSortOptions options;

@@ -50,9 +50,10 @@ struct FlushTrace {
   int64_t dequeue_ns = 0;
   /// When the TsFile was published and the memtable retired.
   int64_t publish_ns = 0;
-  /// Total TVList sort time within this flush.
+  /// Total sort time of the per-sensor flat copies within this flush.
   int64_t sort_ns = 0;
-  /// Total encode+write time (column building, encodings, page writes).
+  /// Total encode+write time (TVList copy-out, column building, encodings,
+  /// page writes).
   int64_t encode_ns = 0;
   /// File seal time: footer write + flush to the OS (TsFileWriter::Finish).
   int64_t fsync_ns = 0;

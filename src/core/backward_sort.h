@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "sort/insertion_sort.h"
+#include "sort/merge_sort.h"
 #include "sort/quicksort.h"
 #include "sort/sortable.h"
 #include "sort/timsort.h"
@@ -29,8 +30,12 @@ struct BackwardSortOptions {
   size_t fixed_block_size = 0;
 
   /// Which algorithm sorts each block (Algorithm 1 line 11 "Quicksort is
-  /// used in default and can be substituted").
-  enum class BlockSorter { kQuick, kInsertion, kTim };
+  /// used in default and can be substituted"). kStable insertion-sorts
+  /// 32-point runs and merges them bottom-up; with it (or kInsertion /
+  /// kTim) Backward-Sort keeps equal timestamps in arrival order, since
+  /// the backward merge and the overlap search already do. kQuick is the
+  /// paper's choice and does not.
+  enum class BlockSorter { kQuick, kInsertion, kTim, kStable };
   BlockSorter block_sorter = BlockSorter::kQuick;
 
   /// How the block size is selected when `fixed_block_size` is 0.
@@ -68,9 +73,15 @@ struct BackwardSortStats {
 
 namespace core_internal {
 
+/// Run length of the kStable block sorter's insertion pass.
+inline constexpr size_t kStableRun = 32;
+
+/// Sorts seq[lo, hi) with `which`. `scratch` is the merge buffer kStable
+/// reuses across blocks.
 template <typename Seq>
 void SortBlock(Seq& seq, size_t lo, size_t hi,
-               BackwardSortOptions::BlockSorter which) {
+               BackwardSortOptions::BlockSorter which,
+               std::vector<typename Seq::Element>& scratch) {
   switch (which) {
     case BackwardSortOptions::BlockSorter::kQuick:
       QuickSortRange(seq, lo, hi);
@@ -99,6 +110,33 @@ void SortBlock(Seq& seq, size_t lo, size_t hi,
       TimSort(view);
       break;
     }
+    case BackwardSortOptions::BlockSorter::kStable:
+      for (size_t r = lo; r < hi; r += kStableRun) {
+        InsertionSortRange(seq, r, std::min(r + kStableRun, hi));
+      }
+      for (size_t width = kStableRun; width < hi - lo; width *= 2) {
+        for (size_t left = lo; left + width < hi; left += 2 * width) {
+          // Left-run points up to the right run's head are already in
+          // place (ties stay left, so the order is stable); merge only the
+          // rest, which on near-sorted input is the short overlap.
+          const size_t mid = left + width;
+          const Timestamp head = seq.TimeAt(mid);
+          size_t cut_lo = left;
+          size_t cut_hi = mid;
+          while (cut_lo < cut_hi) {
+            const size_t probe = cut_lo + (cut_hi - cut_lo) / 2;
+            ++seq.counters().comparisons;
+            if (seq.TimeAt(probe) <= head) {
+              cut_lo = probe + 1;
+            } else {
+              cut_hi = probe;
+            }
+          }
+          sort_internal::StraightMergeRanges(
+              seq, cut_lo, mid, std::min(left + 2 * width, hi), scratch);
+        }
+      }
+      break;
   }
 }
 
@@ -223,15 +261,15 @@ void BackwardSort(Seq& seq, const BackwardSortOptions& options = {},
     stats->chosen_block_size = L;
     stats->block_count = B;
   }
+  std::vector<Element> scratch;
   for (size_t b = 0; b < B; ++b) {
     const size_t lo = b * L;
     const size_t hi = (b + 1 == B) ? n : (b + 1) * L;
-    core_internal::SortBlock(seq, lo, hi, options.block_sorter);
+    core_internal::SortBlock(seq, lo, hi, options.block_sorter, scratch);
   }
   if (B == 1) return;
 
   // --- Part 3: backward merge -------------------------------------------
-  std::vector<Element> scratch;
   for (size_t b = B - 1; b-- > 0;) {
     const size_t lo = b * L;
     const size_t block_end = (b + 1) * L;

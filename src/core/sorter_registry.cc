@@ -42,6 +42,27 @@ bool SorterFromName(const std::string& name, SorterId* out) {
   return false;
 }
 
+bool KeepsTieOrder(SorterId id, const BackwardSortOptions& options) {
+  switch (id) {
+    case SorterId::kBackward:
+      return options.block_sorter != BackwardSortOptions::BlockSorter::kQuick;
+    case SorterId::kTim:
+    case SorterId::kInsertion:
+    case SorterId::kMerge:
+    case SorterId::kRadix:
+      return true;
+    case SorterId::kQuick:
+    case SorterId::kPatience:
+    case SorterId::kCk:
+    case SorterId::kY:
+    case SorterId::kSmooth:
+    case SorterId::kStd:
+    case SorterId::kDualPivot:
+      return false;
+  }
+  return false;
+}
+
 std::vector<SorterId> PaperSorters() {
   return {SorterId::kBackward, SorterId::kQuick,    SorterId::kTim,
           SorterId::kPatience, SorterId::kCk,       SorterId::kY};

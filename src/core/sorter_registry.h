@@ -51,6 +51,12 @@ std::vector<SorterId> PaperSorters();
 /// All registered sorters.
 std::vector<SorterId> AllSorters();
 
+/// True iff `id` (with `options`, for kBackward) always keeps equal
+/// timestamps in arrival order: Timsort, Insertion, Merge, Radix, and
+/// Backward with any block sorter but kQuick. The engine's last-write-wins
+/// dedup relies on this order; sort_algorithms_test checks every claim.
+bool KeepsTieOrder(SorterId id, const BackwardSortOptions& options = {});
+
 /// Dispatches to the chosen algorithm. `options` only affects kBackward.
 template <typename Seq>
 void SortWith(SorterId id, Seq& seq,

@@ -17,13 +17,19 @@ struct EngineOptions {
   /// Open() if absent; a non-empty directory is recovered, not truncated.
   std::string data_dir;
 
-  /// Which algorithm sorts TVLists at flush and query time — the variable
-  /// under test in the paper's system experiments.
+  /// Which algorithm sorts memtable points at flush and query time — the
+  /// variable under test in the paper's system experiments. Any sorter
+  /// keeps last-write-wins exact: one that may reorder equal timestamps is
+  /// followed by a tie check, and a tied buffer is re-sorted from arrival
+  /// order with stable Backward-Sort (see SortArrivals in engine_shard.cc).
   SorterId sorter = SorterId::kTim;
 
-  /// Tuning of Backward-Sort itself (block-size rule Θ/L0, strategy);
-  /// consulted only when `sorter` selects it.
-  BackwardSortOptions backward_options;
+  /// Tuning of Backward-Sort itself (block-size rule Θ/L0, strategy, block
+  /// sorter); consulted when `sorter` selects it and for the tie re-sort.
+  /// The engine defaults to the stable block sorter, so Backward needs no
+  /// tie check; `BackwardSortOptions{}` keeps the paper's Quicksort blocks.
+  BackwardSortOptions backward_options{
+      .block_sorter = BackwardSortOptions::BlockSorter::kStable};
 
   /// Seal-and-flush once a shard's working memtable holds
   /// `memtable_flush_threshold / shard_count` points, so the engine-wide

@@ -48,6 +48,33 @@ void CountPageReads(EngineSharedState* shared, const PageReader& reader) {
                                          std::memory_order_relaxed);
 }
 
+/// Sorts `points`, one source's points in arrival order, by time with the
+/// configured sorter, leaving equal timestamps in arrival order so the
+/// last-write-wins dedup keeps the newest write. A sorter that keeps tie
+/// order needs nothing more. After one that may not, an O(n) scan looks
+/// for equal neighbours; only if it finds some does `refill(points)`
+/// restore the arrival order (into the cleared buffer) for a re-sort with
+/// stable Backward-Sort.
+template <typename Refill>
+void SortArrivals(const EngineOptions& options,
+                  std::vector<TvPairDouble>* points, Refill&& refill) {
+  VectorSortable<double> seq(*points);
+  SortWith(options.sorter, seq, options.backward_options);
+  if (KeepsTieOrder(options.sorter, options.backward_options) ||
+      std::adjacent_find(points->begin(), points->end(),
+                         [](const TvPairDouble& a, const TvPairDouble& b) {
+                           return a.t == b.t;
+                         }) == points->end()) {
+    return;
+  }
+  points->clear();
+  refill(points);
+  BackwardSortOptions stable = options.backward_options;
+  stable.block_sorter = BackwardSortOptions::BlockSorter::kStable;
+  VectorSortable<double> again(*points);
+  BackwardSort(again, stable);
+}
+
 }  // namespace
 
 Status EngineSharedState::PublishFlushedFile(
@@ -390,14 +417,6 @@ Status EngineShard::FlushTable(const FlushJob& job) {
   writer.set_footer_stats(options.footer_stats);
   Status write_status = Status::OK();
   {
-    // The sealed table's TVLists are sorted in place; serialize with any
-    // concurrent query reading this table via the per-table mutex. Workers
-    // spawned below run entirely inside this critical section (created and
-    // joined while the coordinator holds the lock), so their accesses are
-    // ordered against every other mu()-synchronized reader through the
-    // coordinator's acquire/release plus the thread create/join edges.
-    std::unique_lock<std::mutex> table_lock(table->mu());
-
     // One sort+encode job per sensor, in map (sensor-name) order. Encoded
     // chunk bodies are position-independent, so jobs run on any worker in
     // any order; the coordinator appends results in job order below,
@@ -423,40 +442,44 @@ Status EngineShard::FlushTable(const FlushJob& job) {
               });
     std::vector<JobResult> results(jobs.size());
 
-    // Per-worker reusable column scratch: grown once to the largest chunk
-    // a worker sees, not reallocated per sensor.
+    // Per-worker reusable scratch: the flat copy the sort runs on and the
+    // encoder's columns, grown once to the largest chunk a worker sees,
+    // not reallocated per sensor.
     struct Scratch {
+      std::vector<TvPairDouble> points;
       std::vector<Timestamp> ts;
       std::vector<double> values;
     };
     auto run_job = [&](size_t i, Scratch& scratch) {
-      DoubleTVList* list = &jobs[i]->list;
+      const DoubleTVList& list = jobs[i]->list;
       JobResult& res = results[i];
       WallTimer job_timer;
-      // Sort the TVList with the configured algorithm (skipped when appends
-      // arrived in order — IoTDB checks the same flag).
-      if (!list->sorted()) {
+      // Copy the sealed TVList out in arrival order and sort the flat copy
+      // with the configured algorithm (skipped when appends arrived in
+      // order — IoTDB checks the same flag). The TVList itself is never
+      // written, so queries read the sealed table concurrently.
+      auto copy_out = [&](std::vector<TvPairDouble>* out) {
+        list.AppendRangeTo(list.min_time(), list.max_time(), out);
+      };
+      scratch.points.clear();
+      copy_out(&scratch.points);
+      if (!list.sorted()) {
         WallTimer sort_timer;
-        TVListSortable<double> seq_adapter(*list);
-        SortWith(options.sorter, seq_adapter, options.backward_options);
-        list->MarkSorted();
+        SortArrivals(options, &scratch.points, copy_out);
         res.sort_ns = sort_timer.ElapsedNanos();
       }
-      WallTimer encode_timer;
-      scratch.ts.clear();
-      scratch.values.clear();
-      scratch.ts.reserve(list->size());
-      scratch.values.reserve(list->size());
-      for (size_t k = 0; k < list->size(); ++k) {
-        scratch.ts.push_back(list->TimeAt(k));
-        scratch.values.push_back(list->ValueAt(k));
+      scratch.ts.resize(scratch.points.size());
+      scratch.values.resize(scratch.points.size());
+      for (size_t k = 0; k < scratch.points.size(); ++k) {
+        scratch.ts[k] = scratch.points[k].t;
+        scratch.values[k] = scratch.points[k].v;
       }
       res.status = TsFileWriter::EncodeChunkF64(
           jobs[i]->sensor, scratch.ts, scratch.values, Encoding::kTs2Diff,
           Encoding::kGorilla, options.points_per_page, &res.chunk);
-      res.encode_ns = encode_timer.ElapsedNanos();
-      shared_->histograms.sort_job.Record(
-          static_cast<uint64_t>(job_timer.ElapsedNanos()));
+      const int64_t job_ns = job_timer.ElapsedNanos();
+      res.encode_ns = job_ns - res.sort_ns;
+      shared_->histograms.sort_job.Record(static_cast<uint64_t>(job_ns));
     };
 
     const size_t parallelism = std::min(
@@ -599,32 +622,20 @@ Status EngineShard::FlushTable(const FlushJob& job) {
 
 std::vector<TvPairDouble> EngineShard::CollectFromMemTable(
     const MemTable& table, SensorId sid, Timestamp t_min, Timestamp t_max) {
-  const EngineOptions& options = shared_->options;
-  // Serialize with the flush worker's in-place sort of this sealed table.
-  std::unique_lock<std::mutex> table_lock(table.mu());
-  const DoubleTVList* list = table.GetChunk(sid);
-  if (list == nullptr || list->size() == 0) return {};
-  if (list->max_time() < t_min || list->min_time() > t_max) return {};
-  // Snapshot matching points, then sort the snapshot with the configured
-  // algorithm — the query-time sorting cost the paper measures. The
-  // snapshot preserves arrival order, so the sorter sees the same disorder
-  // profile the TVList holds.
+  // A flushing table is immutable once SealLocked publishes it (the flush
+  // worker sorts a copy), so it is read here without any lock.
   std::vector<TvPairDouble> snapshot;
-  snapshot.reserve(list->size());
-  for (size_t i = 0; i < list->size(); ++i) {
-    const Timestamp t = list->TimeAt(i);
-    if (t >= t_min && t <= t_max) {
-      snapshot.push_back({t, list->ValueAt(i)});
-    }
-  }
+  const DoubleTVList* list = table.GetChunk(sid);
+  if (list == nullptr) return snapshot;
+  // Snapshot matching points in arrival order, then sort the snapshot with
+  // the configured algorithm — the query-time sorting cost the paper
+  // measures, on the same disorder profile the TVList holds.
+  auto copy_out = [&](std::vector<TvPairDouble>* out) {
+    list->AppendRangeTo(t_min, t_max, out);
+  };
+  copy_out(&snapshot);
   if (!snapshot.empty() && !list->sorted()) {
-    // Stable sort so duplicate timestamps keep arrival order and
-    // last-write-wins dedup is well defined. Timsort and the merge-based
-    // sorters are stable; Backward-Sort's quicksorted blocks are not, so
-    // equal-timestamp dedup inside one memtable run is best-effort there —
-    // exactly IoTDB's situation.
-    VectorSortable<double> seq_adapter(snapshot);
-    SortWith(options.sorter, seq_adapter, options.backward_options);
+    SortArrivals(shared_->options, &snapshot, copy_out);
   }
   return snapshot;
 }
@@ -657,13 +668,8 @@ void EngineShard::TakeSnapshot(const std::string& sensor, Timestamp t_min,
     auto copy_points = [&](const MemTable& table,
                            std::vector<TvPairDouble>* dst, bool* sorted) {
       const DoubleTVList* list = table.GetChunk(sid);
-      if (list == nullptr || list->size() == 0) return;
-      if (list->max_time() < t_min || list->min_time() > t_max) return;
-      dst->reserve(list->size());
-      for (size_t i = 0; i < list->size(); ++i) {
-        const Timestamp t = list->TimeAt(i);
-        if (t >= t_min && t <= t_max) dst->push_back({t, list->ValueAt(i)});
-      }
+      if (list == nullptr) return;
+      list->AppendRangeTo(t_min, t_max, dst);
       *sorted = list->sorted();
     };
     copy_points(*working_unseq_, &snap->working_unseq,
@@ -772,8 +778,17 @@ Status EngineShard::Query(const std::string& sensor, Timestamp t_min,
   }
   auto finish_working = [&](std::vector<TvPairDouble>&& points, bool sorted) {
     if (!sorted && !points.empty()) {
-      VectorSortable<double> adapter(points);
-      SortWith(shared.options.sorter, adapter, shared.options.backward_options);
+      // The working table may have changed since the snapshot, so a sorter
+      // that may reorder ties keeps its own arrival-order copy to re-sort.
+      std::vector<TvPairDouble> arrival;
+      if (!KeepsTieOrder(shared.options.sorter,
+                         shared.options.backward_options)) {
+        arrival = points;
+      }
+      SortArrivals(shared.options, &points,
+                   [&](std::vector<TvPairDouble>* out) {
+                     *out = std::move(arrival);
+                   });
     }
     runs.push_back({std::move(points), ++priority});
   };
@@ -853,7 +868,6 @@ Status EngineShard::AggregateFast(const std::string& sensor, Timestamp t_min,
     }
   }
   auto memtable_touches_range = [&](const MemTable& table) {
-    std::unique_lock<std::mutex> table_lock(table.mu());
     const DoubleTVList* list = table.GetChunk(snap.sid);
     return list != nullptr && list->size() > 0 &&
            list->max_time() >= t_min && list->min_time() <= t_max;
@@ -1073,10 +1087,7 @@ Status EngineShard::RecoverRelog() {
     for (const MemTable::Chunk* chunk : table->chunks()) {
       const DoubleTVList& list = chunk->list;
       points.clear();
-      points.reserve(list.size());
-      for (size_t i = 0; i < list.size(); ++i) {
-        points.push_back({list.TimeAt(i), list.ValueAt(i)});
-      }
+      list.AppendRangeTo(list.min_time(), list.max_time(), &points);
       const std::string name(chunk->sensor);
       const SensorSpanDouble span{&name, points.data(), points.size()};
       RETURN_NOT_OK(wal->AppendBatch(&span, 1));

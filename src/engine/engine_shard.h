@@ -407,9 +407,8 @@ class EngineShard {
 
   /// Collects [t_min, t_max] points of the sensor with dense id `sid` from
   /// a sealed (flushing) memtable into one sorted run (sorting with the
-  /// configured algorithm, like IoTDB's query-time sort). Takes the
-  /// per-table mutex to serialize with the flush worker's in-place sort;
-  /// called without mu_.
+  /// configured algorithm, like IoTDB's query-time sort). A sealed table
+  /// is immutable, so this takes no lock; called without mu_.
   std::vector<TvPairDouble> CollectFromMemTable(const MemTable& table,
                                                 SensorId sid,
                                                 Timestamp t_min,

@@ -2,7 +2,6 @@
 #define BACKSORT_MEMTABLE_MEMTABLE_H_
 
 #include <atomic>
-#include <mutex>
 #include <new>
 #include <string_view>
 #include <vector>
@@ -47,7 +46,8 @@ class MemTable {
 
   MemTable() = default;
   // Neither copyable nor movable: the engine shares sealed tables between
-  // the flush worker and queries, synchronized via mu().
+  // the flush worker and queries. A sealed table is never written again,
+  // so both read it without a lock.
   MemTable(const MemTable&) = delete;
   MemTable& operator=(const MemTable&) = delete;
 
@@ -103,10 +103,6 @@ class MemTable {
   /// exactly as long as the table.
   const std::vector<Chunk*>& chunks() const { return chunks_; }
 
-  DoubleTVList* GetChunk(SensorId id) {
-    return id < index_.size() && index_[id] != nullptr ? &index_[id]->list
-                                                       : nullptr;
-  }
   const DoubleTVList* GetChunk(SensorId id) const {
     return id < index_.size() && index_[id] != nullptr ? &index_[id]->list
                                                        : nullptr;
@@ -129,11 +125,6 @@ class MemTable {
   size_t ApproxMemoryBytes() const {
     return approx_bytes_.load(std::memory_order_relaxed);
   }
-
-  /// Guards post-seal access: the flush worker sorts chunk TVLists in place
-  /// outside the engine lock, so concurrent query reads must serialize on
-  /// this mutex.
-  std::mutex& mu() const { return mu_; }
 
  private:
   Chunk* GetOrCreate(SensorId id, std::string_view sensor) {
@@ -166,7 +157,6 @@ class MemTable {
   std::atomic<size_t> total_points_{0};
   std::atomic<size_t> approx_bytes_{0};
   State state_ = State::kWorking;
-  mutable std::mutex mu_;
 };
 
 }  // namespace backsort

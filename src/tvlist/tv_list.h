@@ -18,7 +18,9 @@ namespace backsort {
 /// default array size 32), a deque-like compromise between per-point
 /// allocation and one huge buffer. Points are appended in arrival order;
 /// sorting by timestamp happens lazily at flush or query time through a
-/// pluggable sorting algorithm (see TVListSortable).
+/// pluggable sorting algorithm. The engine sorts a flat copy taken with
+/// AppendRangeTo; TVListSortable sorts the list in place, as IoTDB does,
+/// for the algorithm benches.
 ///
 /// Arrays come from the optional Arena when one is supplied (the memtable
 /// path: every list of one memtable shares the memtable's arena and the
@@ -116,11 +118,39 @@ class TVList {
     value_arrays_[i / array_size_][i % array_size_] = v;
   }
 
+  /// Appends the points with t_min <= t <= t_max to `out`, in arrival
+  /// order — the engine's copy-out for flush and query. Walks the arrays
+  /// directly instead of paying TimeAt's divide per point; a range that
+  /// covers the whole list skips the per-point filter.
+  void AppendRangeTo(Timestamp t_min, Timestamp t_max,
+                     std::vector<TvPair<V>>* out) const {
+    if (size_ == 0 || max_time_ < t_min || min_time_ > t_max) return;
+    const bool whole = t_min <= min_time_ && max_time_ <= t_max;
+    size_t w = out->size();
+    if (whole) {
+      out->resize(w + size_);
+    } else {
+      out->reserve(w + size_);
+    }
+    for (size_t arr = 0, base = 0; base < size_; ++arr, base += array_size_) {
+      const Timestamp* ts = time_arrays_[arr];
+      const V* vs = value_arrays_[arr];
+      const size_t take = std::min(array_size_, size_ - base);
+      if (whole) {
+        TvPair<V>* dst = out->data() + w;
+        for (size_t k = 0; k < take; ++k) dst[k] = {ts[k], vs[k]};
+        w += take;
+      } else {
+        for (size_t k = 0; k < take; ++k) {
+          if (ts[k] >= t_min && ts[k] <= t_max) out->push_back({ts[k], vs[k]});
+        }
+      }
+    }
+  }
+
   /// True while every append so far has been in non-decreasing time order;
   /// a sorted list skips the sort step entirely at flush/query.
   bool sorted() const { return sorted_; }
-  /// Called by sorting adapters once the list has been put in time order.
-  void MarkSorted() { sorted_ = true; }
 
   /// Smallest / largest timestamp ingested so far (valid when non-empty).
   Timestamp min_time() const { return min_time_; }

@@ -150,7 +150,8 @@ TEST(BackwardSort, BlockSorterVariantsAllSort) {
   const auto ts = GenerateArrivalOrderedTimestamps(20000, delay, rng);
   for (auto which : {BackwardSortOptions::BlockSorter::kQuick,
                      BackwardSortOptions::BlockSorter::kInsertion,
-                     BackwardSortOptions::BlockSorter::kTim}) {
+                     BackwardSortOptions::BlockSorter::kTim,
+                     BackwardSortOptions::BlockSorter::kStable}) {
     std::vector<Pair> data = FromTimes(ts);
     VectorSortable<int32_t> seq(data);
     BackwardSortOptions options;

@@ -4,10 +4,12 @@
 // This exercises the full stack — separation policy, WAL + recovery,
 // flush sort/encode, TsFile scans, k-way dedup merge — under one oracle.
 
+#include <algorithm>
 #include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,12 +20,14 @@
 namespace backsort {
 namespace {
 
-class EngineModelTest : public ::testing::TestWithParam<uint64_t> {
+template <typename Param>
+class ModelTestBase : public ::testing::TestWithParam<Param> {
  protected:
   void SetUp() override {
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
     dir_ = std::filesystem::temp_directory_path() /
            ("engine_model_" + std::to_string(::getpid()) + "_" +
-            std::to_string(GetParam()));
+            std::string(info->test_suite_name()) + "_" + info->name());
     std::filesystem::remove_all(dir_);
   }
   void TearDown() override {
@@ -33,20 +37,20 @@ class EngineModelTest : public ::testing::TestWithParam<uint64_t> {
   std::filesystem::path dir_;
 };
 
-EngineOptions ModelOptions(const std::string& dir) {
+EngineOptions ModelOptions(const std::string& dir, SorterId sorter) {
   EngineOptions opt;
   opt.data_dir = dir;
-  // Timsort is stable, making last-write-wins exact even for duplicate
+  // Last-write-wins must be exact under every sorter, even for duplicate
   // timestamps that land in the same memtable.
-  opt.sorter = SorterId::kTim;
+  opt.sorter = sorter;
   opt.memtable_flush_threshold = 700;  // frequent flushes
   opt.async_flush = false;             // deterministic interleaving
   return opt;
 }
 
-TEST_P(EngineModelTest, RandomOpsMatchReferenceModel) {
-  Rng rng(GetParam() * 7919 + 13);
-  auto engine = std::make_unique<StorageEngine>(ModelOptions(dir_.string()));
+void RunModel(SorterId sorter, uint64_t seed, const std::string& dir) {
+  Rng rng(seed * 7919 + 13);
+  auto engine = std::make_unique<StorageEngine>(ModelOptions(dir, sorter));
   ASSERT_TRUE(engine->Open().ok());
 
   const std::vector<std::string> sensors = {"a", "b"};
@@ -60,11 +64,16 @@ TEST_P(EngineModelTest, RandomOpsMatchReferenceModel) {
     const uint64_t dice = rng.NextBelow(100);
     if (dice < 80) {
       // Write: mostly advancing timestamps with occasional rewrites of old
-      // ones (exercising separation + dedup).
+      // ones (exercising separation + dedup) and of recent ones, which
+      // land in the memtable still holding the first write.
       const std::string& sensor = sensors[rng.NextBelow(sensors.size())];
       Timestamp t;
-      if (rng.NextBelow(4) == 0) {
+      const uint64_t kind = rng.NextBelow(8);
+      if (kind < 2) {
         t = static_cast<Timestamp>(rng.NextBelow(kTimeSpace));  // straggler
+      } else if (kind == 2) {
+        const Timestamp back = static_cast<Timestamp>(rng.NextBelow(16));
+        t = std::max<Timestamp>(clock - back, 0);  // recent rewrite
       } else {
         clock = std::min<Timestamp>(clock + 1 +
                                         static_cast<Timestamp>(rng.NextBelow(3)),
@@ -102,7 +111,7 @@ TEST_P(EngineModelTest, RandomOpsMatchReferenceModel) {
       // Restart: tear the engine down (unflushed data only in WAL) and
       // recover.
       engine.reset();
-      engine = std::make_unique<StorageEngine>(ModelOptions(dir_.string()));
+      engine = std::make_unique<StorageEngine>(ModelOptions(dir, sorter));
       ASSERT_TRUE(engine->Open().ok()) << "op " << op;
     }
   }
@@ -121,8 +130,33 @@ TEST_P(EngineModelTest, RandomOpsMatchReferenceModel) {
   }
 }
 
+class EngineModelTest : public ModelTestBase<uint64_t> {};
+
+TEST_P(EngineModelTest, RandomOpsMatchReferenceModel) {
+  RunModel(SorterId::kTim, GetParam(), dir_.string());
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineModelTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6));
+
+// The same model under Backward-Sort (stable blocks, no tie check) and
+// Quicksort (unstable, so the tie check and its stable re-sort run).
+class EngineModelSorterTest
+    : public ModelTestBase<std::tuple<SorterId, uint64_t>> {};
+
+TEST_P(EngineModelSorterTest, RandomOpsMatchReferenceModel) {
+  RunModel(std::get<0>(GetParam()), std::get<1>(GetParam()), dir_.string());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sorters, EngineModelSorterTest,
+    ::testing::Combine(::testing::Values(SorterId::kBackward,
+                                         SorterId::kQuick),
+                       ::testing::Values(1, 2, 3, 4, 5, 6)),
+    [](const ::testing::TestParamInfo<std::tuple<SorterId, uint64_t>>& info) {
+      return SorterName(std::get<0>(info.param)) + "_" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace backsort

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "benchkit/digest.h"
+#include "common/rng.h"
 #include "engine/storage_engine.h"
 #include "gtest/gtest.h"
 
@@ -212,6 +213,60 @@ TEST(SealedIdentity, PerPointWriteMatchesGolden) {
       << "sealed byte stream diverged; actual 0x" << std::hex << d.file_bytes;
   EXPECT_EQ(d.queries, kGoldenQueries)
       << "query results diverged; actual 0x" << std::hex << d.queries;
+}
+
+// Differential: a flush of a memtable holding every timestamp twice seals
+// the same bytes whichever sorter runs. Timsort keeps equal timestamps in
+// arrival order; Backward-Sort's stable blocks must too, and an unstable
+// sorter (Quicksort, or Backward with the paper's Quicksort blocks) must
+// have its ties re-sorted into that order before encoding.
+TEST(SealedIdentity, TiedFlushBytesAreSorterIndependent) {
+  auto seal = [](const char* tag, SorterId sorter,
+                 BackwardSortOptions::BlockSorter block) {
+    const fs::path dir = TestDir(tag);
+    fs::remove_all(dir);
+    EngineOptions opt;
+    opt.data_dir = dir.string();
+    opt.shard_count = 1;
+    opt.flush_parallelism = 1;
+    opt.async_flush = false;
+    opt.memtable_flush_threshold = 1'000'000;  // one memtable, one file
+    opt.sorter = sorter;
+    opt.backward_options.block_sorter = block;
+    uint64_t digest = bench::kFnvBasis;
+    {
+      StorageEngine engine(opt);
+      EXPECT_TRUE(engine.Open().ok());
+      Rng rng(41);
+      for (size_t s = 0; s < 4; ++s) {
+        const std::string name = SensorName(s);
+        std::vector<TvPairDouble> batch;
+        for (Timestamp t = 0; t < 6'000; ++t) {
+          // Disordered arrivals, each timestamp written twice with
+          // different values so a swapped tie changes the encoded bytes.
+          const Timestamp late = std::max<Timestamp>(
+              t - static_cast<Timestamp>(rng.NextBelow(51)), 0);
+          batch.push_back({late, static_cast<double>(2 * t)});
+          batch.push_back({late, static_cast<double>(2 * t + 1)});
+        }
+        EXPECT_TRUE(engine.WriteBatch(name, batch).ok());
+      }
+      EXPECT_TRUE(engine.FlushAll().ok());
+      EXPECT_EQ(engine.sealed_file_count(), 1u);
+      for (const auto& e : fs::directory_iterator(dir)) {
+        if (e.path().extension() == ".bstf") {
+          digest = bench::FnvFile(e.path().string(), digest);
+        }
+      }
+    }
+    fs::remove_all(dir);
+    return digest;
+  };
+  using Block = BackwardSortOptions::BlockSorter;
+  const uint64_t tim = seal("tied_tim", SorterId::kTim, Block::kStable);
+  EXPECT_EQ(seal("tied_back", SorterId::kBackward, Block::kStable), tim);
+  EXPECT_EQ(seal("tied_back_quick", SorterId::kBackward, Block::kQuick), tim);
+  EXPECT_EQ(seal("tied_quick", SorterId::kQuick, Block::kStable), tim);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include "common/rng.h"
 #include "core/sorter_registry.h"
 #include "disorder/series_generator.h"
+#include "tvlist/tv_list.h"
 
 namespace backsort {
 namespace {
@@ -176,6 +177,94 @@ TEST(SorterStability, TimsortAndMergeAreStable) {
       if (data[i - 1].t == data[i].t) {
         ASSERT_LT(data[i - 1].v, data[i].v)
             << SorterName(s) << " broke stability at " << i;
+      }
+    }
+  }
+}
+
+// Arrival-ordered points where every timestamp occurs twice: AbsNormal(1,
+// sigma) arrivals with t halved, value = arrival index.
+std::vector<Pair> TiedArrivals(size_t n, double sigma, uint64_t seed) {
+  Rng rng(seed);
+  AbsNormalDelay delay(1, sigma);
+  const auto ts = GenerateArrivalOrderedTimestamps(n, delay, rng);
+  std::vector<Pair> out(n);
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = {ts[i] / 2, static_cast<int32_t>(i)};
+  }
+  return out;
+}
+
+// Pairs of equal neighbours whose arrival order was reversed.
+size_t TieInversions(const std::vector<Pair>& sorted) {
+  size_t inversions = 0;
+  for (size_t i = 1; i < sorted.size(); ++i) {
+    EXPECT_LE(sorted[i - 1].t, sorted[i].t);
+    if (sorted[i - 1].t == sorted[i].t && sorted[i - 1].v > sorted[i].v) {
+      ++inversions;
+    }
+  }
+  return inversions;
+}
+
+TEST(SorterStability, BackwardStableBlocksKeepTieOrder) {
+  // Both the flat buffer the engine sorts and the TVList the figure benches
+  // sort, across sigma values whose chosen block sizes span one insertion
+  // run to many merged ones, so both the block merge and the backward
+  // merge run.
+  BackwardSortOptions options;
+  options.block_sorter = BackwardSortOptions::BlockSorter::kStable;
+  for (double sigma : {10.0, 50.0, 1000.0}) {
+    for (uint64_t seed = 1; seed <= 5; ++seed) {
+      const std::vector<Pair> arrivals = TiedArrivals(20'000, sigma, seed);
+
+      std::vector<Pair> flat = arrivals;
+      VectorSortable<int32_t> flat_seq(flat);
+      BackwardSortStats stats;
+      BackwardSort(flat_seq, options, &stats);
+      EXPECT_EQ(TieInversions(flat), 0u) << "sigma=" << sigma;
+      EXPECT_GT(stats.merges_performed, 0u) << "sigma=" << sigma;
+      if (sigma >= 1000.0) {
+        EXPECT_GT(stats.chosen_block_size, core_internal::kStableRun);
+      }
+
+      IntTVList list;
+      for (const Pair& p : arrivals) list.Put(p.t, p.v);
+      TVListSortable<int32_t> list_seq(list);
+      BackwardSort(list_seq, options);
+      std::vector<Pair> from_list(list.size());
+      for (size_t i = 0; i < list.size(); ++i) {
+        from_list[i] = {list.TimeAt(i), list.ValueAt(i)};
+      }
+      EXPECT_EQ(from_list, flat) << "sigma=" << sigma;
+    }
+  }
+}
+
+TEST(SorterStability, KeepsTieOrderIsExact) {
+  // KeepsTieOrder decides whether the engine needs its tie check, so it
+  // must hold where claimed; where it is not claimed the sorter really
+  // does reorder ties on this input, or the check would be dead weight.
+  for (SorterId s : AllSorters()) {
+    for (auto block : {BackwardSortOptions::BlockSorter::kQuick,
+                       BackwardSortOptions::BlockSorter::kStable}) {
+      if (s != SorterId::kBackward &&
+          block != BackwardSortOptions::BlockSorter::kQuick) {
+        continue;
+      }
+      BackwardSortOptions options;
+      options.block_sorter = block;
+      size_t inversions = 0;
+      for (uint64_t seed = 1; seed <= 20; ++seed) {
+        std::vector<Pair> data = TiedArrivals(5'000, 10.0, seed);
+        VectorSortable<int32_t> seq(data);
+        SortWith(s, seq, options);
+        inversions += TieInversions(data);
+      }
+      if (KeepsTieOrder(s, options)) {
+        EXPECT_EQ(inversions, 0u) << SorterName(s);
+      } else {
+        EXPECT_GT(inversions, 0u) << SorterName(s);
       }
     }
   }

@@ -1,3 +1,5 @@
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -148,6 +150,42 @@ TEST(TVList, AppendNFlagSemanticsMatchPut) {
   EXPECT_FALSE(flips.sorted());
   EXPECT_EQ(flips.max_time(), 20);
   EXPECT_EQ(flips.min_time(), 10);
+}
+
+TEST(TVList, AppendRangeToMatchesPerPointReads) {
+  // The engine's one copy-out, pinned against TimeAt/ValueAt for array
+  // sizes below, at and across the default, over ranges that cut inside
+  // arrays, sit on their edges, cover the whole list or miss it.
+  Rng rng(29);
+  for (size_t array_size : {1u, 2u, 3u, 7u, 31u, 32u, 33u, 64u}) {
+    for (size_t n : {0u, 1u, 5u, 32u, 100u, 257u}) {
+      DoubleTVList list(array_size);
+      for (size_t i = 0; i < n; ++i) {
+        list.Put(static_cast<Timestamp>(rng.NextBelow(200)) - 50,
+                 static_cast<double>(i));
+      }
+      const Timestamp lo = n == 0 ? 0 : list.min_time();
+      const Timestamp hi = n == 0 ? 0 : list.max_time();
+      const std::pair<Timestamp, Timestamp> ranges[] = {
+          {lo, hi},          {lo - 1, hi + 1}, {lo + 1, hi},
+          {lo, hi - 1},      {0, 0},           {-10, 10},
+          {lo + 3, lo + 40}, {hi + 1, hi + 9}, {lo - 9, lo - 1},
+          {20, 10},          {std::numeric_limits<Timestamp>::min(),
+                              std::numeric_limits<Timestamp>::max()}};
+      for (const auto& [t_min, t_max] : ranges) {
+        // A non-empty prefix must survive: the copy appends.
+        std::vector<TvPairDouble> got = {{-1, -1.0}};
+        list.AppendRangeTo(t_min, t_max, &got);
+        std::vector<TvPairDouble> want = {{-1, -1.0}};
+        for (size_t i = 0; i < list.size(); ++i) {
+          const Timestamp t = list.TimeAt(i);
+          if (t >= t_min && t <= t_max) want.push_back({t, list.ValueAt(i)});
+        }
+        EXPECT_EQ(got, want) << "array_size=" << array_size << " n=" << n
+                             << " range=[" << t_min << "," << t_max << "]";
+      }
+    }
+  }
 }
 
 TEST(MemTable, WriteNBitIdenticalToWrite) {

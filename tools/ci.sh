@@ -4,10 +4,13 @@
 #   2. re-run the engine-facing suites against a sharded engine
 #      (BACKSORT_SHARDS=4 BACKSORT_FLUSH_WORKERS=2) to catch facade
 #      regressions the default single-shard config would hide
-#   3. build the concurrency, histogram, chunk-cache and read-path tests
-#      under ThreadSanitizer and run them (the histogram's relaxed-atomic
-#      recording is TSan-clean by design; keep it that way). The read-path
-#      tests pin the lock-free query snapshot contract under TSan.
+#   3. build the concurrency, histogram, chunk-cache, read-path and
+#      engine-model tests under ThreadSanitizer and run them (the
+#      histogram's relaxed-atomic recording is TSan-clean by design; keep it
+#      that way). The read-path tests pin the lock-free query snapshot
+#      contract under TSan; sealed memtables are read by queries and the
+#      flush worker with no lock, which the concurrency and model suites
+#      exercise.
 #   4. chunk-cache effectiveness smoke: a small ingest + repeated queries
 #      must show a non-zero cache hit rate in the exported metrics, and a
 #      run with --chunk-cache-bytes=0 must export a zero capacity
@@ -60,9 +63,10 @@
 #      disk and from replication, so every out-of-bounds read must trip
 #      ASan rather than pass silently), the read-path and chunk-cache
 #      suites (page-directory derivation and page decode run a seeded
-#      mutation loop over real chunk bytes), then a scaled 100k-
-#      sensor bench/system_cardinality run gated on idle heap staying
-#      <= 600 bytes/sensor (full scale measures ~191 vs ~1676 on the
+#      mutation loop over real chunk bytes), the engine-model suite (the
+#      flush copies sealed TVLists out into reused flat buffers), then a
+#      scaled 100k-sensor bench/system_cardinality run gated on idle heap
+#      staying <= 600 bytes/sensor (full scale measures ~191 vs ~1676 on the
 #      pre-interning string path, bench/baselines/
 #      BENCH_system_cardinality_stringpath.json) and on wide-batch
 #      ingest holding >= 0.5x the committed baseline's 100k-sensor rate;
@@ -88,14 +92,15 @@ echo "=== [2/12] engine suites at 4 shards / 2 flush workers ==="
 (cd build && BACKSORT_SHARDS=4 BACKSORT_FLUSH_WORKERS=2 \
   ctest --output-on-failure -R 'Engine|Wal|Workload|Aggregate|ReadPath' -j)
 
-echo "=== [3/12] concurrency + read-path tests under ThreadSanitizer ==="
+echo "=== [3/12] concurrency + read-path + engine-model tests under ThreadSanitizer ==="
 cmake -B build-tsan -S . -DBACKSORT_SANITIZE=thread
 cmake --build build-tsan -j --target engine_concurrency_test histogram_test \
-  chunk_cache_test read_path_test
+  chunk_cache_test read_path_test engine_model_test
 ./build-tsan/tests/engine_concurrency_test
 ./build-tsan/tests/histogram_test
 ./build-tsan/tests/chunk_cache_test
 ./build-tsan/tests/read_path_test
+./build-tsan/tests/engine_model_test
 
 echo "=== [4/12] chunk-cache effectiveness smoke ==="
 # The read_path suite covers cache correctness; this step checks the
@@ -480,7 +485,8 @@ echo "=== [11/12] ASan: interner/arena/WAL/read-path suites + 100k-sensor smoke 
 # bit-flipped and unknown-type cases must stay in bounds under ASan too.
 cmake -B build-asan -S . -DBACKSORT_SANITIZE=address
 cmake --build build-asan -j --target interner_test tvlist_test wal_test \
-  wal_tailer_test read_path_test chunk_cache_test encoding_test
+  wal_tailer_test read_path_test chunk_cache_test encoding_test \
+  engine_model_test
 ./build-asan/tests/interner_test
 ./build-asan/tests/tvlist_test
 ./build-asan/tests/wal_test
@@ -493,6 +499,9 @@ cmake --build build-asan -j --target interner_test tvlist_test wal_test \
 # encoding suite's truncation and bit-flip differentials must stay in
 # bounds.
 ./build-asan/tests/encoding_test
+# The flush copies sealed TVLists out into reused flat buffers and sorts
+# them there; the model suite drives that copy through every seal.
+./build-asan/tests/engine_model_test
 # Scaled cardinality smoke: 100k sensors, one rep, disorder panels off.
 # Two gates against the flat JSON: idle heap per sensor (absolute budget —
 # full scale measures ~191 B/sensor; 600 leaves 3x noise headroom while
