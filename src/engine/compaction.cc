@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <optional>
 #include <system_error>
 #include <utility>
 
@@ -229,6 +230,50 @@ namespace {
 /// same bytes regardless).
 constexpr size_t kCompactionSpillBytes = 1u << 20;  // 1 MiB
 
+/// One merge input: a sensor's chunk walked page by page through a
+/// PageReader, so the merge accepts exactly the chunks a query accepts.
+/// It holds one decoded page and skips the chunk cache (the inputs are
+/// about to be retired; cache counters stay a query-path signal).
+class MergeCursor {
+ public:
+  Status Open(const std::string& path, const std::string& sensor,
+              const ChunkLocator& locator) {
+    RETURN_NOT_OK(OpenPageReader(path, sensor, locator, nullptr, &reader_));
+    return NextPage();
+  }
+
+  bool done() const { return done_; }
+  Timestamp time() const { return reader_->page_times()[row_]; }
+  double value() const { return reader_->page_values()[row_]; }
+  /// Decoded points held: the current page, 0 once done.
+  size_t page_points() const {
+    return done_ ? 0 : reader_->page_times().size();
+  }
+
+  Status Advance() {
+    return ++row_ < reader_->page_times().size() ? Status::OK() : NextPage();
+  }
+
+ private:
+  Status NextPage() {
+    row_ = 0;
+    done_ = next_page_ == reader_->page_count();
+    if (done_) return Status::OK();
+    RETURN_NOT_OK(reader_->DecodePage(next_page_++));
+    // DecodePage checks only a page's first and last time against its
+    // header; the loser tree needs the whole run in order.
+    const std::vector<Timestamp>& times = reader_->page_times();
+    return std::is_sorted(times.begin(), times.end())
+               ? Status::OK()
+               : Status::Corruption("page times go backwards");
+  }
+
+  std::optional<PageReader> reader_;
+  size_t next_page_ = 0;
+  size_t row_ = 0;
+  bool done_ = false;
+};
+
 }  // namespace
 
 Status CompactionJob::MergeSensor(const CompactionPlan& plan,
@@ -238,12 +283,10 @@ Status CompactionJob::MergeSensor(const CompactionPlan& plan,
                                   CompactionStats* stats) {
   *survivors = 0;
   const size_t k = sources.size();
-  std::vector<std::unique_ptr<TsFileReader::RunCursor>> cursors;
-  cursors.reserve(k);
-  for (const SensorSource& src : sources) {
-    cursors.push_back(std::make_unique<TsFileReader::RunCursor>(
-        plan.inputs[src.input]->path(), sensor, src.locator));
-    RETURN_NOT_OK(cursors.back()->Open());
+  std::vector<MergeCursor> cursors(k);
+  for (size_t i = 0; i < k; ++i) {
+    RETURN_NOT_OK(cursors[i].Open(plan.inputs[sources[i].input]->path(),
+                                  sensor, sources[i].locator));
   }
 
   // Exhausted cursors order last; equal timestamps order by window
@@ -252,10 +295,10 @@ Status CompactionJob::MergeSensor(const CompactionPlan& plan,
   // time (sources are in ascending window position by construction).
   LoserTree tree;
   tree.Init(k, [&cursors](size_t a, size_t b) {
-    const bool da = cursors[a]->done(), db = cursors[b]->done();
+    const bool da = cursors[a].done(), db = cursors[b].done();
     if (da != db) return !da;
     if (da) return a < b;
-    const Timestamp ta = cursors[a]->time(), tb = cursors[b]->time();
+    const Timestamp ta = cursors[a].time(), tb = cursors[b].time();
     if (ta != tb) return ta < tb;
     return a < b;
   });
@@ -276,7 +319,7 @@ Status CompactionJob::MergeSensor(const CompactionPlan& plan,
   double pending_v = 0.0;
 
   size_t cursor_resident = 0;  // decoded points across all open cursors
-  for (const auto& c : cursors) cursor_resident += c->page_points();
+  for (const MergeCursor& c : cursors) cursor_resident += c.page_points();
 
   auto note_resident = [&]() {
     const size_t resident =
@@ -303,9 +346,9 @@ Status CompactionJob::MergeSensor(const CompactionPlan& plan,
 
   for (;;) {
     const size_t w = tree.winner();
-    if (cursors[w]->done()) break;
-    const Timestamp t = cursors[w]->time();
-    const double v = cursors[w]->value();
+    if (cursors[w].done()) break;
+    const Timestamp t = cursors[w].time();
+    const double v = cursors[w].value();
     if (have_pending && pending_t == t) {
       pending_v = v;  // newer input (or later duplicate) shadows it
     } else {
@@ -314,9 +357,9 @@ Status CompactionJob::MergeSensor(const CompactionPlan& plan,
       pending_v = v;
       have_pending = true;
     }
-    const size_t before = cursors[w]->page_points();
-    RETURN_NOT_OK(cursors[w]->Advance());
-    const size_t after = cursors[w]->page_points();
+    const size_t before = cursors[w].page_points();
+    RETURN_NOT_OK(cursors[w].Advance());
+    const size_t after = cursors[w].page_points();
     if (after != before) {
       cursor_resident += after;
       cursor_resident -= before;

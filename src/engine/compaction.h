@@ -184,10 +184,13 @@ struct CompactionStats {
 
 /// Merges one plan's input files into a single fresh sealed file with a
 /// streaming per-sensor loser-tree k-way merge: every sensor chunk is
-/// read page by page through TsFileReader::RunCursor, deduplicated
+/// read page by page through a PageReader (the query path's reader, so a
+/// chunk a query would reject fails the job), deduplicated
 /// last-write-wins across sequence/unsequence inputs (higher window
 /// position = newer wins), and written page by page, so job memory is
-/// bounded by fan-in × page size — never by dataset size. The output is
+/// bounded by fan-in × page size — never by dataset size (each input's
+/// page directory is derived on open from one transient read of its
+/// chunk, and only the directory is kept). The output is
 /// written to "<name>.tmp", fsync'd, and atomically renamed (with a
 /// directory fsync) BEFORE the swap can unlink the durable inputs; on
 /// any error the temporary is removed and nothing else has changed. The

@@ -1,8 +1,5 @@
 #include "engine/file_registry.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <filesystem>
 #include <utility>
@@ -76,23 +73,13 @@ Status SealedFileMeta::Footer(std::shared_ptr<const FooterIndex>* out) const {
 Status SealedFileMeta::OpenChunk(const std::string& sensor,
                                  const ChunkLocator& locator,
                                  std::optional<PageReader>* out) const {
-  const int fd = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return Status::IOError("cannot open for read: " + path_);
-  std::shared_ptr<const PageDirectory> directory =
+  std::shared_ptr<const PageDirectory> cached =
       cache_ != nullptr ? cache_->GetDirectory(path_, sensor) : nullptr;
-  uint64_t derived_bytes = 0;
-  if (directory == nullptr) {
-    auto fresh = std::make_shared<PageDirectory>();
-    const Status st = ReadPageDirectory(fd, sensor, locator, fresh.get());
-    if (!st.ok()) {
-      ::close(fd);
-      return st;
-    }
-    derived_bytes = locator.length;
-    if (cache_ != nullptr) cache_->PutDirectory(path_, sensor, fresh);
-    directory = std::move(fresh);
+  const bool miss = cached == nullptr;
+  RETURN_NOT_OK(OpenPageReader(path_, sensor, locator, std::move(cached), out));
+  if (miss && cache_ != nullptr) {
+    cache_->PutDirectory(path_, sensor, (*out)->directory());
   }
-  out->emplace(fd, locator.offset, std::move(directory), derived_bytes);
   return Status::OK();
 }
 

@@ -7,7 +7,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <map>
+#include <optional>
 #include <thread>
 #include <unordered_set>
 
@@ -201,27 +203,33 @@ Status StorageEngine::RecoverAll() {
   //    SealedFileMeta (the pruning metadata), register it with every shard
   //    owning a sensor in it (after a shard-count change one old file can
   //    span shards), rebuild per-sensor watermarks from the sequence
-  //    files, and rebuild the last cache in file (recency) order.
+  //    files, and rebuild the last cache in file (recency) order. Every
+  //    chunk is decoded through the query path's PageReader, so a file
+  //    that queries would reject fails startup instead.
   std::vector<SealedFileRef> metas;
   metas.reserve(tsfiles.size());
+  std::vector<TvPairDouble> points;
   for (const std::string& path : tsfiles) {
     const std::string name = std::filesystem::path(path).filename().string();
     const bool sequence = name.rfind("seq-", 0) == 0;
-    TsFileReader reader(path);
-    RETURN_NOT_OK(reader.Open());
+    FooterMap footer;
+    RETURN_NOT_OK(ReadTsFileFooter(path, &footer));
     SealedFileRef meta = std::make_shared<SealedFileMeta>(
-        path, std::make_shared<const FooterIndex>(reader.Locators()),
+        path, std::make_shared<const FooterIndex>(footer),
         shared_.chunk_cache.get());
     metas.push_back(meta);
-    for (const std::string& sensor : reader.Sensors()) {
+    for (const auto& [sensor, locator] : footer) {
       EngineShard* shard = shards_[ShardFor(sensor)].get();
       shard->RecoverAdoptFile(meta);
-      std::vector<Timestamp> ts;
-      std::vector<double> values;
-      RETURN_NOT_OK(reader.ReadChunkF64(sensor, &ts, &values));
-      if (ts.empty()) continue;
-      if (sequence) shard->RecoverWatermark(sensor, ts.back());
-      shard->RecoverLastCache(sensor, ts.back(), values.back());
+      std::optional<PageReader> pages;
+      RETURN_NOT_OK(OpenPageReader(path, sensor, locator, nullptr, &pages));
+      points.clear();
+      RETURN_NOT_OK(pages->Query(std::numeric_limits<Timestamp>::min(),
+                                 std::numeric_limits<Timestamp>::max(),
+                                 &points));
+      if (points.empty()) continue;
+      if (sequence) shard->RecoverWatermark(sensor, points.back().t);
+      shard->RecoverLastCache(sensor, points.back().t, points.back().v);
     }
   }
   {

@@ -1,6 +1,7 @@
 #include "tsfile/tsfile.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -18,6 +19,51 @@ namespace backsort {
 namespace {
 
 constexpr size_t kMagicLen = 5;
+/// The file tail: the fixed64 index offset, then the magic again.
+constexpr size_t kTailLen = 8 + kMagicLen;
+
+/// Reads exactly `len` bytes at `offset`; a short read is a truncated file.
+Status PreadExact(int fd, uint64_t offset, size_t len, uint8_t* dst) {
+  size_t done = 0;
+  while (done < len) {
+    const ssize_t n = ::pread(fd, dst + done, len - done,
+                              static_cast<off_t>(offset + done));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::IOError(std::string("pread failed: ") +
+                             std::strerror(errno));
+    }
+    if (n == 0) return Status::Corruption("chunk truncated");
+    done += static_cast<size_t>(n);
+  }
+  return Status::OK();
+}
+
+/// Checks a sealed file's frame from its first kMagicLen bytes `head` and
+/// last kTailLen bytes `tail`, for a `file_size` of at least kMagicLen +
+/// kTailLen. Both magics must name the same format version — BSTF2 index
+/// entries carry value statistics, stat-less legacy BSTF1 entries do not —
+/// and the index block must start after the head and end at the tail.
+Status ParseFileFrame(const uint8_t* head, const uint8_t* tail,
+                      uint64_t file_size, bool* has_stats,
+                      uint64_t* index_offset) {
+  const uint8_t* magic = tail + 8;
+  *has_stats = std::memcmp(magic, TsFileWriter::kMagicV2, kMagicLen) == 0;
+  if (!*has_stats && std::memcmp(magic, TsFileWriter::kMagic, kMagicLen) != 0) {
+    return Status::Corruption("bad tail magic (truncated file?)");
+  }
+  if (std::memcmp(head, magic, kMagicLen) != 0) {
+    return Status::Corruption("bad head magic");
+  }
+  ByteReader r(tail, 8);
+  RETURN_NOT_OK(r.GetFixed64(index_offset));
+  // file_size >= kMagicLen + kTailLen, so the subtraction cannot underflow
+  // (and an offset near UINT64_MAX cannot slip past via overflow).
+  if (*index_offset >= file_size - kTailLen || *index_offset < kMagicLen) {
+    return Status::Corruption("index offset out of bounds");
+  }
+  return Status::OK();
+}
 
 uint64_t DoubleBits(double v) {
   uint64_t bits = 0;
@@ -493,38 +539,17 @@ Status TsFileReader::Open() {
   in.read(reinterpret_cast<char*>(data_.data()), size);
   if (!in) return Status::IOError("read failed: " + path_);
 
-  // Validate head magic + tail magic, locate the index. Both format
-  // versions open here: BSTF2 footers carry chunk value statistics,
-  // BSTF1 (stat-less legacy files) parse with has_stats left false.
-  if (data_.size() < 2 * kMagicLen + 8) {
+  if (data_.size() < kMagicLen + kTailLen) {
     return Status::Corruption("file too small for header/footer");
   }
   bool has_stats = false;
-  if (std::memcmp(data_.data(), TsFileWriter::kMagicV2, kMagicLen) == 0) {
-    has_stats = true;
-  } else if (std::memcmp(data_.data(), TsFileWriter::kMagic, kMagicLen) !=
-             0) {
-    return Status::Corruption("bad head magic");
-  }
-  const char* magic =
-      has_stats ? TsFileWriter::kMagicV2 : TsFileWriter::kMagic;
-  if (std::memcmp(data_.data() + data_.size() - kMagicLen, magic,
-                  kMagicLen) != 0) {
-    return Status::Corruption("bad tail magic (truncated file?)");
-  }
-  ByteReader footer(data_.data() + data_.size() - kMagicLen - 8, 8);
   uint64_t index_offset = 0;
-  RETURN_NOT_OK(footer.GetFixed64(&index_offset));
-  // data_.size() >= 2 * kMagicLen + 8 was checked above, so the
-  // subtraction cannot underflow (and an offset near UINT64_MAX cannot
-  // slip past via addition overflow).
-  if (index_offset >= data_.size() - kMagicLen - 8 ||
-      index_offset < kMagicLen) {
-    return Status::Corruption("index offset out of bounds");
-  }
+  RETURN_NOT_OK(ParseFileFrame(data_.data(),
+                               data_.data() + data_.size() - kTailLen,
+                               data_.size(), &has_stats, &index_offset));
   return ParseIndexBlock(data_.data() + index_offset,
-                         data_.size() - index_offset - kMagicLen - 8,
-                         index_offset, data_.size(), has_stats, &locators_);
+                         data_.size() - index_offset - kTailLen, index_offset,
+                         data_.size(), has_stats, &locators_);
 }
 
 std::vector<std::string> TsFileReader::Sensors() const {
@@ -602,27 +627,6 @@ Status TsFileReader::AggregateRangeF64(const std::string& sensor,
 }
 
 // --- page directory + page reader -------------------------------------------
-
-namespace {
-
-/// Reads exactly `len` bytes at `offset`; a short read is a truncated file.
-Status PreadExact(int fd, uint64_t offset, size_t len, uint8_t* dst) {
-  size_t done = 0;
-  while (done < len) {
-    const ssize_t n = ::pread(fd, dst + done, len - done,
-                              static_cast<off_t>(offset + done));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(std::string("pread failed: ") +
-                             std::strerror(errno));
-    }
-    if (n == 0) return Status::Corruption("chunk truncated");
-    done += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 Status ParsePageDirectory(const uint8_t* chunk, size_t size,
                           const std::string& sensor,
@@ -779,6 +783,11 @@ Status PageReader::Decode(size_t p) {
   return Status::OK();
 }
 
+Status PageReader::DecodePage(size_t p) {
+  RETURN_NOT_OK(Load(p, p + 1));
+  return Decode(p);
+}
+
 Status PageReader::Query(Timestamp t_min, Timestamp t_max,
                          std::vector<TvPairDouble>* out) {
   const auto [first, last] = Overlap(t_min, t_max);
@@ -821,12 +830,32 @@ Status PageReader::Aggregate(Timestamp t_min, Timestamp t_max,
       if (pages_skipped != nullptr) ++(*pages_skipped);
       continue;
     }
-    RETURN_NOT_OK(Load(p, p + 1));
-    RETURN_NOT_OK(Decode(p));
+    RETURN_NOT_OK(DecodePage(p));
     for (size_t i = 0; i < ts_.size(); ++i) {
       if (ts_[i] >= t_min && ts_[i] <= t_max) stats->Fold(ts_[i], vals_[i]);
     }
   }
+  return Status::OK();
+}
+
+Status OpenPageReader(const std::string& path, const std::string& sensor,
+                      const ChunkLocator& locator,
+                      std::shared_ptr<const PageDirectory> directory,
+                      std::optional<PageReader>* out) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return Status::IOError("cannot open for read: " + path);
+  uint64_t derived_bytes = 0;
+  if (directory == nullptr) {
+    auto fresh = std::make_shared<PageDirectory>();
+    const Status st = ReadPageDirectory(fd, sensor, locator, fresh.get());
+    if (!st.ok()) {
+      ::close(fd);
+      return st;
+    }
+    derived_bytes = locator.length;
+    directory = std::move(fresh);
+  }
+  out->emplace(fd, locator.offset, std::move(directory), derived_bytes);
   return Status::OK();
 }
 
@@ -851,233 +880,41 @@ void CombineRangeStats(const TsFileReader::RangeStats& part,
   }
 }
 
-// --- streaming run cursor ---------------------------------------------------
-
-namespace {
-// Sliding-window size for RunCursor's buffered reads: big enough that
-// header fields and page stats come out of one read, small enough that an
-// open cursor's raw-byte footprint is negligible next to a decoded page.
-constexpr size_t kRunCursorBufBytes = 4096;
-}  // namespace
-
-TsFileReader::RunCursor::RunCursor(std::string path, std::string sensor,
-                                   ChunkLocator locator)
-    : path_(std::move(path)),
-      sensor_(std::move(sensor)),
-      locator_(locator) {}
-
-Status TsFileReader::RunCursor::NextByte(uint8_t* out) {
-  if (buf_pos_ == buf_len_) {
-    const size_t want =
-        static_cast<size_t>(std::min<uint64_t>(kRunCursorBufBytes, unread_));
-    if (want == 0) {
-      return Status::Corruption("chunk truncated: " + path_);
-    }
-    buf_.resize(want);
-    in_.read(reinterpret_cast<char*>(buf_.data()),
-             static_cast<std::streamsize>(want));
-    if (in_.gcount() != static_cast<std::streamsize>(want)) {
-      return Status::Corruption("chunk truncated: " + path_);
-    }
-    unread_ -= want;
-    buf_pos_ = 0;
-    buf_len_ = want;
-  }
-  *out = buf_[buf_pos_++];
-  return Status::OK();
-}
-
-Status TsFileReader::RunCursor::ReadExact(uint8_t* dst, size_t n) {
-  // Drain the window first, then read the remainder straight from the
-  // file (page buffers are usually larger than the window).
-  const size_t from_buf = std::min(n, buf_len_ - buf_pos_);
-  std::memcpy(dst, buf_.data() + buf_pos_, from_buf);
-  buf_pos_ += from_buf;
-  const size_t rest = n - from_buf;
-  if (rest == 0) return Status::OK();
-  if (rest > unread_) {
-    return Status::Corruption("chunk truncated: " + path_);
-  }
-  in_.read(reinterpret_cast<char*>(dst + from_buf),
-           static_cast<std::streamsize>(rest));
-  if (in_.gcount() != static_cast<std::streamsize>(rest)) {
-    return Status::Corruption("chunk truncated: " + path_);
-  }
-  unread_ -= rest;
-  return Status::OK();
-}
-
-Status TsFileReader::RunCursor::SkipBytes(size_t n) {
-  const size_t from_buf = std::min(n, buf_len_ - buf_pos_);
-  buf_pos_ += from_buf;
-  const size_t rest = n - from_buf;
-  if (rest == 0) return Status::OK();
-  if (rest > unread_) {
-    return Status::Corruption("chunk truncated: " + path_);
-  }
-  in_.seekg(static_cast<std::streamoff>(rest), std::ios::cur);
-  if (!in_) return Status::Corruption("chunk truncated: " + path_);
-  unread_ -= rest;
-  return Status::OK();
-}
-
-Status TsFileReader::RunCursor::ReadVarint64(uint64_t* out) {
-  uint64_t result = 0;
-  for (int shift = 0; shift < 64; shift += 7) {
-    uint8_t byte = 0;
-    RETURN_NOT_OK(NextByte(&byte));
-    result |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) {
-      *out = result;
-      return Status::OK();
-    }
-  }
-  return Status::Corruption("varint too long: " + path_);
-}
-
-Status TsFileReader::RunCursor::ReadVarintSigned64(int64_t* out) {
-  uint64_t zigzag = 0;
-  RETURN_NOT_OK(ReadVarint64(&zigzag));
-  *out = static_cast<int64_t>(zigzag >> 1) ^ -static_cast<int64_t>(zigzag & 1);
-  return Status::OK();
-}
-
-Status TsFileReader::RunCursor::Open() {
-  if (locator_.points == 0) {
-    done_ = true;
-    return Status::OK();
-  }
-  in_.open(path_, std::ios::binary);
-  if (!in_) return Status::IOError("cannot open for read: " + path_);
-  in_.seekg(static_cast<std::streamoff>(locator_.offset));
-  if (!in_) return Status::Corruption("chunk offset beyond file: " + path_);
-  unread_ = locator_.length;
-
-  // Chunk header: sensor, type, encodings, page count — the same field
-  // sequence DecodeChunkSpan parses.
-  uint64_t name_len = 0;
-  RETURN_NOT_OK(ReadVarint64(&name_len));
-  if (name_len > locator_.length) {
-    return Status::Corruption("chunk sensor name overruns chunk: " + path_);
-  }
-  std::string stored_sensor(name_len, '\0');
-  RETURN_NOT_OK(
-      ReadExact(reinterpret_cast<uint8_t*>(stored_sensor.data()), name_len));
-  if (stored_sensor != sensor_) {
-    return Status::Corruption("chunk header sensor mismatch: " + path_);
-  }
-  uint8_t type = 0, time_enc = 0, value_enc = 0;
-  RETURN_NOT_OK(NextByte(&type));
-  RETURN_NOT_OK(NextByte(&time_enc));
-  RETURN_NOT_OK(NextByte(&value_enc));
-  if (static_cast<DataType>(type) != DataType::kDouble) {
-    return Status::InvalidArgument("data type mismatch for " + sensor_);
-  }
-  time_enc_ = static_cast<Encoding>(time_enc);
-  value_enc_ = static_cast<Encoding>(value_enc);
-  RETURN_NOT_OK(ReadVarint64(&pages_remaining_));
-  return LoadNextPage();
-}
-
-Status TsFileReader::RunCursor::LoadNextPage() {
-  while (pages_remaining_ > 0) {
-    --pages_remaining_;
-    uint64_t count = 0;
-    RETURN_NOT_OK(ReadVarint64(&count));
-    if (count > locator_.points) {
-      return Status::Corruption("page count exceeds chunk points: " + path_);
-    }
-    int64_t page_min = 0, page_max = 0;
-    RETURN_NOT_OK(ReadVarintSigned64(&page_min));
-    RETURN_NOT_OK(ReadVarintSigned64(&page_max));
-    RETURN_NOT_OK(SkipBytes(3 * 8));  // value stats: min, max, sum
-    uint64_t time_size = 0;
-    RETURN_NOT_OK(ReadVarint64(&time_size));
-    if (time_size > locator_.length) {
-      return Status::Corruption("page time buffer overruns chunk: " + path_);
-    }
-    if (count == 0) {
-      RETURN_NOT_OK(SkipBytes(time_size));
-      uint64_t value_size = 0;
-      RETURN_NOT_OK(ReadVarint64(&value_size));
-      RETURN_NOT_OK(SkipBytes(value_size));
-      continue;
-    }
-    scratch_.resize(time_size);
-    RETURN_NOT_OK(ReadExact(scratch_.data(), time_size));
-    {
-      ByteReader time_reader(scratch_.data(), time_size);
-      RETURN_NOT_OK(DecodeI64(time_enc_, &time_reader, count, &page_ts_));
-    }
-    uint64_t value_size = 0;
-    RETURN_NOT_OK(ReadVarint64(&value_size));
-    if (value_size > locator_.length) {
-      return Status::Corruption("page value buffer overruns chunk: " + path_);
-    }
-    scratch_.resize(value_size);
-    RETURN_NOT_OK(ReadExact(scratch_.data(), value_size));
-    {
-      ByteReader value_reader(scratch_.data(), value_size);
-      RETURN_NOT_OK(DecodeF64(value_enc_, &value_reader, count, &page_vals_));
-    }
-    if (page_ts_.size() != count || page_vals_.size() != count) {
-      return Status::Corruption("page decode count mismatch: " + path_);
-    }
-    page_idx_ = 0;
-    ++pages_decoded_;
-    return Status::OK();
-  }
-  done_ = true;
-  page_ts_.clear();
-  page_vals_.clear();
-  return Status::OK();
-}
-
-Status TsFileReader::RunCursor::Advance() {
-  if (done_) return Status::InvalidArgument("cursor already done");
-  if (++page_idx_ < page_ts_.size()) return Status::OK();
-  return LoadNextPage();
-}
-
 // --- standalone footer read ------------------------------------------------
 
-Status ReadTsFileFooter(const std::string& path, FooterMap* out) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return Status::IOError("cannot open for read: " + path);
-  const uint64_t file_size = static_cast<uint64_t>(in.tellg());
-  if (file_size < 2 * kMagicLen + 8) {
+namespace {
+
+/// ReadTsFileFooter on an open descriptor of `path`.
+Status ReadFooterFromFd(int fd, const std::string& path, FooterMap* out) {
+  struct stat st;
+  if (::fstat(fd, &st) != 0) return Status::IOError("fstat failed: " + path);
+  const uint64_t file_size = static_cast<uint64_t>(st.st_size);
+  if (file_size < kMagicLen + kTailLen) {
     return Status::Corruption("file too small for header/footer");
   }
-
-  // Tail = fixed64 index offset + magic. The tail magic names the format
-  // version (this is a tail-only read, so the head magic is never seen):
-  // BSTF2 index entries carry value statistics, BSTF1 entries do not.
-  uint8_t tail[8 + kMagicLen];
-  in.seekg(static_cast<std::streamoff>(file_size - sizeof(tail)));
-  in.read(reinterpret_cast<char*>(tail), sizeof(tail));
-  if (!in) return Status::IOError("read failed: " + path);
+  uint8_t head[kMagicLen];
+  uint8_t tail[kTailLen];
+  RETURN_NOT_OK(PreadExact(fd, 0, sizeof(head), head));
+  RETURN_NOT_OK(PreadExact(fd, file_size - kTailLen, sizeof(tail), tail));
   bool has_stats = false;
-  if (std::memcmp(tail + 8, TsFileWriter::kMagicV2, kMagicLen) == 0) {
-    has_stats = true;
-  } else if (std::memcmp(tail + 8, TsFileWriter::kMagic, kMagicLen) != 0) {
-    return Status::Corruption("bad tail magic (truncated file?)");
-  }
-  ByteReader tail_reader(tail, 8);
   uint64_t index_offset = 0;
-  RETURN_NOT_OK(tail_reader.GetFixed64(&index_offset));
-  if (index_offset >= file_size - sizeof(tail) || index_offset < kMagicLen) {
-    return Status::Corruption("index offset out of bounds");
-  }
-
-  const size_t block_size =
-      static_cast<size_t>(file_size - sizeof(tail) - index_offset);
-  std::vector<uint8_t> block(block_size);
-  in.seekg(static_cast<std::streamoff>(index_offset));
-  in.read(reinterpret_cast<char*>(block.data()),
-          static_cast<std::streamsize>(block_size));
-  if (!in) return Status::IOError("read failed: " + path);
+  RETURN_NOT_OK(
+      ParseFileFrame(head, tail, file_size, &has_stats, &index_offset));
+  std::vector<uint8_t> block(
+      static_cast<size_t>(file_size - kTailLen - index_offset));
+  RETURN_NOT_OK(PreadExact(fd, index_offset, block.size(), block.data()));
   return ParseIndexBlock(block.data(), block.size(), index_offset, file_size,
                          has_stats, out);
+}
+
+}  // namespace
+
+Status ReadTsFileFooter(const std::string& path, FooterMap* out) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return Status::IOError("cannot open for read: " + path);
+  const Status st = ReadFooterFromFd(fd, path, out);
+  ::close(fd);
+  return st;
 }
 
 Status SyncFileToDisk(const std::string& path) {

@@ -8,6 +8,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -247,9 +248,11 @@ class TsFileWriter {
   ValueStats chunk_stats_;
 };
 
-/// Read side. The file is slurped into memory on Open (flush files in this
-/// repository are MB-scale); all accessors are bounds-checked and return
-/// Corruption on damaged input.
+/// Standalone read side for tools and tests: the file is slurped into
+/// memory on Open, and all accessors are bounds-checked and return
+/// Corruption on damaged input. The engine reads through PageReader
+/// instead; this reader's whole-chunk decode is the independent reference
+/// the read-path differential tests compare against.
 class TsFileReader {
  public:
   explicit TsFileReader(std::string path) : path_(std::move(path)) {}
@@ -315,61 +318,6 @@ class TsFileReader {
   /// and recovery time.
   const FooterMap& Locators() const { return locators_; }
 
-  /// Streaming cursor over one sensor's chunk: decodes one page at a time
-  /// from its own file handle instead of slurping the chunk (or file) like
-  /// ReadChunkF64. This is the compaction merge's input — resident memory
-  /// per open run is one decoded page plus a small read buffer, regardless
-  /// of chunk size. Standalone by design: it needs only the path and the
-  /// footer's ChunkLocator, not an open TsFileReader.
-  class RunCursor {
-   public:
-    RunCursor(std::string path, std::string sensor, ChunkLocator locator);
-
-    /// Opens the file, parses the chunk header and decodes the first
-    /// page. A cursor over an empty chunk opens already done().
-    Status Open();
-
-    bool done() const { return done_; }
-    /// Current point; valid while !done().
-    Timestamp time() const { return page_ts_[page_idx_]; }
-    double value() const { return page_vals_[page_idx_]; }
-
-    /// Moves to the next point, decoding the next page when the current
-    /// one is exhausted (the only I/O after Open).
-    Status Advance();
-
-    /// Points in the currently decoded page — the cursor's entire decoded
-    /// footprint (the streaming-memory tests pin fan-in × this).
-    size_t page_points() const { return page_ts_.size(); }
-    size_t pages_decoded() const { return pages_decoded_; }
-
-   private:
-    Status ReadExact(uint8_t* dst, size_t n);
-    Status SkipBytes(size_t n);
-    Status NextByte(uint8_t* out);
-    Status ReadVarint64(uint64_t* out);
-    Status ReadVarintSigned64(int64_t* out);
-    Status LoadNextPage();
-
-    std::string path_;
-    std::string sensor_;
-    ChunkLocator locator_;
-    std::ifstream in_;
-    uint64_t unread_ = 0;  // chunk-span bytes not yet read from the file
-    std::vector<uint8_t> buf_;  // small sliding read window
-    size_t buf_pos_ = 0;
-    size_t buf_len_ = 0;
-    Encoding time_enc_ = Encoding::kTs2Diff;
-    Encoding value_enc_ = Encoding::kGorilla;
-    uint64_t pages_remaining_ = 0;
-    std::vector<Timestamp> page_ts_;
-    std::vector<double> page_vals_;
-    std::vector<uint8_t> scratch_;  // one encoded page buffer at a time
-    size_t page_idx_ = 0;
-    bool done_ = false;
-    size_t pages_decoded_ = 0;
-  };
-
  private:
   template <typename V>
   Status ReadChunkImpl(const std::string& sensor, DataType expect_type,
@@ -385,7 +333,8 @@ class TsFileReader {
 /// Tail-only footer read: parses the index block of a sealed TsFile (the
 /// last few KB of the file) into per-sensor chunk locators without
 /// slurping any chunk data. This is the read path's source of pruning and
-/// seek metadata when the footer is not already cached.
+/// seek metadata when the footer is not already cached, and recovery's.
+/// Checks the head magic against the tail magic, as TsFileReader::Open.
 Status ReadTsFileFooter(const std::string& path, FooterMap* out);
 
 /// Derives the page directory of `sensor`'s chunk from the chunk bytes
@@ -405,11 +354,12 @@ Status ReadPageDirectory(int fd, const std::string& sensor,
                          const ChunkLocator& locator, PageDirectory* out);
 
 /// Reads one F64 chunk page by page through its PageDirectory — the
-/// engine's sealed read path, and TsFileReader's page-stats aggregation.
-/// A call binary-searches the directory for the pages overlapping its
-/// range, fetches their bytes with one pread (or from an in-memory chunk)
-/// and decodes only those pages into reused scratch columns; nothing
-/// decoded outlives the call.
+/// engine's only reader of sealed bytes (queries, compaction, recovery),
+/// and TsFileReader's page-stats aggregation. A range call binary-searches
+/// the directory for the pages overlapping its range, fetches their bytes
+/// with one pread (or from an in-memory chunk) and decodes only those
+/// pages into reused scratch columns, checking each against its header;
+/// nothing decoded outlives the call.
 class PageReader {
  public:
   /// Reads with pread from `fd`, where the chunk starts at `chunk_offset`.
@@ -442,6 +392,18 @@ class PageReader {
                    TsFileReader::RangeStats* stats,
                    size_t* pages_skipped = nullptr);
 
+  /// Page-indexed walk (compaction's merge): DecodePage(p) reads and
+  /// decodes page `p` < page_count() alone, with Query's header check; its
+  /// points stay in page_times()/page_values() until the next call.
+  size_t page_count() const { return dir_->pages.size(); }
+  Status DecodePage(size_t p);
+  const std::vector<Timestamp>& page_times() const { return ts_; }
+  const std::vector<double>& page_values() const { return vals_; }
+
+  const std::shared_ptr<const PageDirectory>& directory() const {
+    return dir_;
+  }
+
   /// Read amplification: chunk bytes fetched (directory derivation
   /// included) and pages decoded so far.
   uint64_t bytes_read() const { return bytes_read_; }
@@ -467,6 +429,15 @@ class PageReader {
   uint64_t bytes_read_ = 0;
   uint64_t pages_decoded_ = 0;
 };
+
+/// The one way to open a sealed chunk: a PageReader over `sensor`'s chunk
+/// (`locator`) that owns a fresh read-only fd of `path`. A null
+/// `directory` is derived with ReadPageDirectory, and the reader's
+/// bytes_read() then starts at `locator.length`.
+Status OpenPageReader(const std::string& path, const std::string& sensor,
+                      const ChunkLocator& locator,
+                      std::shared_ptr<const PageDirectory> directory,
+                      std::optional<PageReader>* out);
 
 /// Merges the partial aggregate `part` into `*into`. Partials must come
 /// from duplicate-free sources (the engine guarantees sequence chunks are

@@ -215,6 +215,45 @@ TEST(SealedIdentity, PerPointWriteMatchesGolden) {
       << "query results diverged; actual 0x" << std::hex << d.queries;
 }
 
+// The golden workload, then a full Compact() down to one file: pins the
+// bytes the streaming compaction merge writes (page split, LWW survivors,
+// recomputed footer statistics and the generation-suffixed output name),
+// so a change to how compaction reads its inputs cannot move its output.
+TEST(SealedIdentity, CompactedBytesMatchGolden) {
+  const fs::path dir = TestDir("golden_compacted");
+  fs::remove_all(dir);
+
+  EngineOptions opt;
+  opt.data_dir = dir.string();
+  opt.shard_count = 3;
+  opt.flush_parallelism = 2;
+  opt.async_flush = false;
+  opt.memtable_flush_threshold = 3'000;
+  opt.footer_stats = true;
+  opt.compaction_max_fanin = 8;  // 12 files: an 8-way job, then a 5-way one
+
+  SealedDigest d;
+  {
+    StorageEngine engine(opt);
+    ASSERT_TRUE(engine.Open().ok());
+    RunWorkload(&engine);
+    ASSERT_TRUE(engine.Compact().ok());
+    d = DigestEngineOutput(&engine, dir);
+  }
+  fs::remove_all(dir);
+
+  constexpr uint64_t kGoldenFileBytes = 0xe74bf81872200544ull;
+  constexpr uint64_t kGoldenQueries = 0xa683a956a590e3e7ull;
+
+  EXPECT_EQ(d.points, size_t{257 * 40});
+  EXPECT_EQ(d.files, 1u) << "compaction left more than one file";
+  EXPECT_EQ(d.file_bytes, kGoldenFileBytes)
+      << "compacted byte stream diverged; actual 0x" << std::hex
+      << d.file_bytes;
+  EXPECT_EQ(d.queries, kGoldenQueries)
+      << "query results diverged; actual 0x" << std::hex << d.queries;
+}
+
 // Differential: a flush of a memtable holding every timestamp twice seals
 // the same bytes whichever sorter runs. Timsort keeps equal timestamps in
 // arrival order; Backward-Sort's stable blocks must too, and an unstable

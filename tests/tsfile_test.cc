@@ -394,6 +394,10 @@ TEST_F(TsFileTest, CorruptMagicDetected) {
   }
   TsFileReader reader(path);
   EXPECT_TRUE(reader.Open().IsCorruption());
+  // The tail-only footer read (recovery, footer re-reads after a cache
+  // eviction) checks the head magic against the tail magic too.
+  FooterMap footer;
+  EXPECT_TRUE(ReadTsFileFooter(path, &footer).IsCorruption());
 }
 
 TEST_F(TsFileTest, TruncatedFileDetected) {

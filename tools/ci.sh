@@ -63,8 +63,9 @@
 #      disk and from replication, so every out-of-bounds read must trip
 #      ASan rather than pass silently), the read-path and chunk-cache
 #      suites (page-directory derivation and page decode run a seeded
-#      mutation loop over real chunk bytes), the engine-model suite (the
-#      flush copies sealed TVLists out into reused flat buffers), then a
+#      mutation loop over real chunk bytes), the compaction suite (its
+#      mutation oracle damages real merge inputs), the engine-model suite
+#      (the flush copies sealed TVLists out into reused flat buffers), then a
 #      scaled 100k-sensor bench/system_cardinality run gated on idle heap
 #      staying <= 600 bytes/sensor (full scale measures ~191 vs ~1676 on the
 #      pre-interning string path, bench/baselines/
@@ -72,11 +73,12 @@
 #      ingest holding >= 0.5x the committed baseline's 100k-sensor rate;
 #      the encoding suite runs under ASan here too (its differential
 #      tests decode truncated and bit-flipped pages)
-#  12. UBSan: the encoding, WAL, wire-protocol and read-path suites under
-#      UndefinedBehaviorSanitizer with halt_on_error, so any report fails
-#      the step — shift-by-64 in the word-at-a-time bit reader/writer and
-#      signed overflow in TS_2DIFF delta arithmetic are the classic cases,
-#      and the CRC's carry-less-multiply path runs under it as well
+#  12. UBSan: the encoding, WAL, wire-protocol, read-path and compaction
+#      suites under UndefinedBehaviorSanitizer with halt_on_error, so any
+#      report fails the step — shift-by-64 in the word-at-a-time bit
+#      reader/writer and signed overflow in TS_2DIFF delta arithmetic are
+#      the classic cases, and the CRC's carry-less-multiply path runs
+#      under it as well
 #
 # Usage: tools/ci.sh   (from the repo root; build dirs: build/, build-tsan/,
 #                      build-asan/, build-ubsan/)
@@ -486,7 +488,7 @@ echo "=== [11/12] ASan: interner/arena/WAL/read-path suites + 100k-sensor smoke 
 cmake -B build-asan -S . -DBACKSORT_SANITIZE=address
 cmake --build build-asan -j --target interner_test tvlist_test wal_test \
   wal_tailer_test read_path_test chunk_cache_test encoding_test \
-  engine_model_test
+  engine_model_test compaction_test
 ./build-asan/tests/interner_test
 ./build-asan/tests/tvlist_test
 ./build-asan/tests/wal_test
@@ -495,6 +497,10 @@ cmake --build build-asan -j --target interner_test tvlist_test wal_test \
 # damaged: the mutation loop in read_path_test must fail cleanly in bounds.
 ./build-asan/tests/read_path_test
 ./build-asan/tests/chunk_cache_test
+# Compaction reads its inputs through the same page reader: its seeded
+# mutation oracle damages real job inputs and must fail cleanly in bounds
+# or produce the exact last-write-wins merge.
+./build-asan/tests/compaction_test
 # The bit readers load 8 bytes at a time near the end of a page: the
 # encoding suite's truncation and bit-flip differentials must stay in
 # bounds.
@@ -530,12 +536,13 @@ awk -v p="$card_pps" -v b="$base_pps" 'BEGIN { exit (p >= 0.5 * b) ? 0 : 1 }' ||
 }
 echo "cardinality smoke passed (idle ${card_idle} B/sensor, 100k ingest ${card_pps} pts/s vs baseline ${base_pps})"
 
-echo "=== [12/12] UBSan: encoding/WAL/wire/read-path suites ==="
+echo "=== [12/12] UBSan: encoding/WAL/wire/read-path/compaction suites ==="
 # halt_on_error turns every UBSan report into a failing exit status.
 cmake -B build-ubsan -S . -DBACKSORT_SANITIZE=undefined
 cmake --build build-ubsan -j --target encoding_test wal_test \
-  net_protocol_test read_path_test
-for t in encoding_test wal_test net_protocol_test read_path_test; do
+  net_protocol_test read_path_test compaction_test
+for t in encoding_test wal_test net_protocol_test read_path_test \
+    compaction_test; do
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 ./build-ubsan/tests/$t
 done
 
