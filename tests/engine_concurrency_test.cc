@@ -499,6 +499,15 @@ TEST_F(EngineConcurrencyTest, BackgroundCompactionRacesIngestAndQueries) {
   });
 
   for (size_t w = 0; w < kWriters; ++w) threads[w].join();
+  // Pending flushes preempt the scheduler, so ingest can end before any
+  // tick found the flush queue empty. Keep readers and the flusher racing
+  // until a job lands (bounded), instead of stopping on a lost race.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (engine.GetMetricsSnapshot().compaction_jobs == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
   done.store(true);
   for (size_t i = kWriters; i < threads.size(); ++i) threads[i].join();
 
