@@ -155,6 +155,30 @@ TEST_F(AggregateTest, SlidingEqualsTumblingWhenStepEqualsWidth) {
   }
 }
 
+// Tumbling windows aggregate a query clipped at t_max; sliding windows
+// query through the end of the last window. The same grid therefore
+// differs in its last window.
+TEST_F(AggregateTest, TumblingClipsLastWindowAtTMaxButSlidingDoesNot) {
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(engine_->Write("s", i, 1.0 * i).ok());
+  }
+  std::vector<WindowAggregate> tumbling, sliding;
+  ASSERT_TRUE(WindowedAggregate(*engine_, "s", 0, 94, 10, &tumbling).ok());
+  ASSERT_TRUE(SlidingAggregate(*engine_, "s", 0, 94, 10, 10, &sliding).ok());
+  ASSERT_EQ(tumbling.size(), 10u);
+  ASSERT_EQ(sliding.size(), 10u);
+  for (size_t w = 0; w + 1 < 10; ++w) {
+    EXPECT_EQ(tumbling[w].agg.count, 10u);
+    EXPECT_EQ(sliding[w].agg.count, 10u);
+  }
+  EXPECT_EQ(tumbling[9].window_start, 90);
+  EXPECT_EQ(tumbling[9].agg.count, 5u);
+  EXPECT_EQ(tumbling[9].agg.last_time, 94);
+  EXPECT_EQ(sliding[9].window_start, 90);
+  EXPECT_EQ(sliding[9].agg.count, 10u);
+  EXPECT_EQ(sliding[9].agg.last_time, 99);
+}
+
 TEST_F(AggregateTest, SlidingRejectsBadArgs) {
   std::vector<WindowAggregate> windows;
   EXPECT_TRUE(SlidingAggregate(*engine_, "s", 0, 10, 0, 1, &windows)
@@ -195,6 +219,50 @@ TEST_F(AggregateTest, FastPathAgreesWithQueryPath) {
   EXPECT_DOUBLE_EQ(fast.first, slow.first);
   EXPECT_EQ(fast.last_time, slow.last_time);
   EXPECT_DOUBLE_EQ(fast.last, slow.last);
+}
+
+// Tier 1 answers a chunk from its footer only when the range covers the
+// chunk's whole [min_t, max_t]; one timestamp short, the chunk is a stats
+// miss answered page by page — with the answer a fold over Query gives.
+// Integer values keep every sum exact, so the two tiers agree bit for bit.
+TEST_F(AggregateTest, FastPathHitsFooterOnlyOverTheWholeCompactedChunk) {
+  for (int i = 0; i < 12'000; ++i) {
+    const double v = i % 97 == 0 ? std::nan("") : 1.0 * (i % 100);
+    ASSERT_TRUE(engine_->Write("s", i, v).ok());
+  }
+  ASSERT_TRUE(engine_->FlushAll().ok());
+  ASSERT_TRUE(engine_->Compact().ok());
+  ASSERT_EQ(engine_->sealed_file_count(), 1u);
+
+  auto counters = [&] {
+    const auto snap = engine_->GetMetricsSnapshot();
+    return std::make_pair(snap.agg_stats_hits, snap.agg_stats_misses);
+  };
+  for (const Timestamp t_max : {Timestamp{11'999}, Timestamp{11'998}}) {
+    const auto before = counters();
+    TsFileReader::RangeStats fast;
+    bool used_fast = false;
+    ASSERT_TRUE(
+        engine_->AggregateFast("s", 0, t_max, &fast, &used_fast).ok());
+    EXPECT_TRUE(used_fast);
+    const auto after = counters();
+    const bool whole = t_max == 11'999;
+    EXPECT_EQ(after.first - before.first, whole ? 1u : 0u) << t_max;
+    EXPECT_EQ(after.second - before.second, whole ? 0u : 1u) << t_max;
+
+    std::vector<TvPairDouble> points;
+    ASSERT_TRUE(engine_->Query("s", 0, t_max, &points).ok());
+    TsFileReader::RangeStats want;
+    for (const TvPairDouble& p : points) want.Fold(p.t, p.v);
+    EXPECT_EQ(fast.count, want.count);
+    EXPECT_EQ(fast.sum, want.sum);
+    EXPECT_EQ(fast.min, want.min);
+    EXPECT_EQ(fast.max, want.max);
+    EXPECT_EQ(fast.first_time, want.first_time);
+    EXPECT_TRUE(std::isnan(fast.first) && std::isnan(want.first));
+    EXPECT_EQ(fast.last_time, want.last_time);
+    EXPECT_EQ(fast.last, want.last);
+  }
 }
 
 TEST_F(AggregateTest, FastPathRefusedWhenUnsequenceDataExists) {

@@ -6,6 +6,7 @@
 // request; the server must keep serving well-formed peers afterwards.
 
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <memory>
@@ -202,6 +203,71 @@ TEST(NetProtocol, PointListAndAggregateRoundTrip) {
   EXPECT_EQ(agg_out.stats.first_time, agg.stats.first_time);
   EXPECT_EQ(agg_out.stats.last_time, agg.stats.last_time);
   EXPECT_TRUE(agg_out.used_fast_path);
+}
+
+// Pins the BSN1 bytes of three AggregateFast answers, each computed by the
+// engine: a NaN-mixed range that folds a partial chunk page by page and a
+// whole chunk from its footer, an all-NaN range (min = +inf, max = -inf)
+// and an empty range (all zeros).
+TEST(NetProtocol, AggregateResultBytesMatchGolden) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("net_protocol_agg_golden_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  EngineOptions opt;
+  opt.data_dir = dir.string();
+  opt.shard_count = 1;
+  opt.async_flush = false;
+  std::vector<uint64_t> digests;
+  {
+    StorageEngine engine(opt);
+    ASSERT_TRUE(engine.Open().ok());
+    // Two sequence files of 5,000 points, a NaN every 11th value.
+    for (int f = 0; f < 2; ++f) {
+      for (int i = f * 5'000; i < (f + 1) * 5'000; ++i) {
+        const double v = i % 11 == 0 ? std::nan("") : std::cos(i * 0.003) * 7;
+        ASSERT_TRUE(engine.Write("mixed", i, v).ok());
+      }
+      ASSERT_TRUE(engine.FlushAll().ok());
+    }
+    for (int i = 0; i < 300; ++i) {
+      ASSERT_TRUE(engine.Write("allnan", i, std::nan("")).ok());
+    }
+    ASSERT_TRUE(engine.FlushAll().ok());
+    const struct {
+      const char* sensor;
+      Timestamp t_min, t_max;
+    } ranges[] = {{"mixed", 1'234, 20'000}, {"allnan", 0, 299},
+                  {"mixed", 20'000, 30'000}};
+    for (const auto& r : ranges) {
+      AggregateResult result;
+      ASSERT_TRUE(engine
+                      .AggregateFast(r.sensor, r.t_min, r.t_max,
+                                     &result.stats, &result.used_fast_path)
+                      .ok());
+      EXPECT_TRUE(result.used_fast_path);
+      ByteBuffer buf;
+      EncodeAggregateResult(result, &buf);
+      uint64_t h = 1469598103934665603ull;  // FNV-1a
+      for (const uint8_t b : buf.data()) {
+        h ^= b;
+        h *= 1099511628211ull;
+      }
+      digests.push_back(h);
+    }
+    // The mixed range took one chunk from its footer and one page by
+    // page; the all-NaN range took its chunk from the footer.
+    const auto snap = engine.GetMetricsSnapshot();
+    EXPECT_EQ(snap.agg_stats_hits, 2u);
+    EXPECT_EQ(snap.agg_stats_misses, 1u);
+  }
+  std::filesystem::remove_all(dir);
+  const uint64_t kGolden[] = {0x63a1105a3007bb63ull, 0x499d72a08187ccf4ull,
+                             0xb6064697d211d0e8ull};
+  for (size_t i = 0; i < digests.size(); ++i) {
+    EXPECT_EQ(digests[i], kGolden[i])
+        << "result " << i << " actual 0x" << std::hex << digests[i];
+  }
 }
 
 TEST(NetProtocol, TruncatedPayloadsFailCleanly) {

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <vector>
@@ -376,6 +377,123 @@ TEST_F(TsFileTest, NaNValuesExcludedFromFooterStats) {
   EXPECT_TRUE(std::isinf(allnan.max_v) && allnan.max_v < 0);
   EXPECT_DOUBLE_EQ(allnan.sum_v, 0.0);
   EXPECT_EQ(allnan.points, 2u);
+}
+
+// --- byte goldens for NaN and empty chunks -----------------------------------
+
+/// The mixed chunk of the NaN/empty goldens: 2,500 points over three
+/// 1,024-point pages, a NaN every 7th point and a whole page of NaN in the
+/// middle, so page headers carry both ordinary and +inf/-inf stats.
+void NaNGoldenMixed(std::vector<Timestamp>* ts, std::vector<double>* values) {
+  for (int i = 0; i < 2'500; ++i) {
+    ts->push_back(i * 3);
+    const bool nan = i % 7 == 0 || (i >= 1'024 && i < 2'048);
+    values->push_back(nan ? std::nan("") : std::sin(i * 0.01) * 100);
+  }
+}
+
+/// Writes the golden file — chunk "a.mixed", chunk "b.allnan" (100 NaN
+/// points) and chunk "c.empty" (0 points) — through the whole-chunk
+/// writer, or through the streaming Begin/AppendPage/EndChunk writer when
+/// `streaming`, and returns the file's FNV-1a digest.
+uint64_t WriteNaNGoldenFile(const std::string& path, bool footer_stats,
+                            bool streaming) {
+  std::vector<Timestamp> mixed_ts;
+  std::vector<double> mixed_vs;
+  NaNGoldenMixed(&mixed_ts, &mixed_vs);
+  std::vector<Timestamp> nan_ts;
+  for (int i = 0; i < 100; ++i) nan_ts.push_back(1'000 + i);
+  const std::vector<double> nan_vs(nan_ts.size(), std::nan(""));
+  constexpr size_t kPage = 1'024;
+
+  TsFileWriter writer(path);
+  writer.set_footer_stats(footer_stats);
+  auto write = [&](const char* sensor, const std::vector<Timestamp>& ts,
+                   const std::vector<double>& vs) {
+    if (!streaming) {
+      return writer.WriteChunkF64(sensor, ts, vs, Encoding::kTs2Diff,
+                                  Encoding::kGorilla, kPage);
+    }
+    const size_t pages = (ts.size() + kPage - 1) / kPage;
+    RETURN_NOT_OK(writer.BeginChunkF64(sensor, pages));
+    for (size_t lo = 0; lo < ts.size(); lo += kPage) {
+      const size_t hi = std::min(ts.size(), lo + kPage);
+      RETURN_NOT_OK(writer.AppendPageF64({ts.begin() + lo, ts.begin() + hi},
+                                         {vs.begin() + lo, vs.begin() + hi}));
+    }
+    return writer.EndChunk();
+  };
+  if (!write("a.mixed", mixed_ts, mixed_vs).ok() ||
+      !write("b.allnan", nan_ts, nan_vs).ok() ||
+      !write("c.empty", {}, {}).ok() || !writer.Finish().ok()) {
+    return 0;
+  }
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                                std::istreambuf_iterator<char>());
+  uint64_t h = 1469598103934665603ull;  // FNV-1a, as the sealed goldens
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// Pins the file bytes of chunks the engine-level sealed goldens never
+// produce: NaN page and footer stats, an all-NaN chunk and an empty chunk
+// (whose footer stats are the all-NaN sentinels min = +inf, max = -inf),
+// in both footer formats and through both chunk writers.
+TEST_F(TsFileTest, NaNAndEmptyChunkBytesMatchGolden) {
+  constexpr uint64_t kGoldenBstf2 = 0x239e169da17ba474ull;
+  constexpr uint64_t kGoldenBstf1 = 0xea559bdc378bc5d9ull;
+  for (const bool streaming : {false, true}) {
+    const uint64_t v2 = WriteNaNGoldenFile(Path("v2.bstf"), true, streaming);
+    EXPECT_EQ(v2, kGoldenBstf2)
+        << "streaming=" << streaming << " actual 0x" << std::hex << v2;
+    const uint64_t v1 = WriteNaNGoldenFile(Path("v1.bstf"), false, streaming);
+    EXPECT_EQ(v1, kGoldenBstf1)
+        << "streaming=" << streaming << " actual 0x" << std::hex << v1;
+  }
+  // The writer's own locators are what a footer read parses back.
+  ASSERT_NE(WriteNaNGoldenFile(Path("v2.bstf"), true, false), 0u);
+  FooterMap footer;
+  ASSERT_TRUE(ReadTsFileFooter(Path("v2.bstf"), &footer).ok());
+  const ChunkLocator& empty = footer.at("c.empty");
+  EXPECT_EQ(empty.points, 0u);
+  EXPECT_TRUE(std::isinf(empty.min_v) && empty.min_v > 0);
+  EXPECT_TRUE(std::isinf(empty.max_v) && empty.max_v < 0);
+  EXPECT_EQ(empty.sum_v, 0.0);
+}
+
+// Page headers carry count/min/max/sum but no first/last values, so the
+// interior pages a range aggregate folds from their headers must leave
+// first/last to the decoded boundary pages — also when a boundary value
+// is NaN.
+TEST_F(TsFileTest, InteriorPageStatsLeaveFirstAndLastToBoundaryPages) {
+  const std::string path = Path("interior.bstf");
+  ASSERT_NE(WriteNaNGoldenFile(path, true, false), 0u);
+  TsFileReader reader(path);
+  ASSERT_TRUE(reader.Open().ok());
+  std::vector<Timestamp> ts;
+  std::vector<double> vs;
+  NaNGoldenMixed(&ts, &vs);
+  // Points 0 and 2,499 (t = 0 and t = 7,497) are NaN; points 1 and 2,498
+  // are not. Both ranges fold the all-NaN middle page from its header.
+  for (const size_t lo : {size_t{0}, size_t{1}}) {
+    const size_t hi = vs.size() - 1 - lo;
+    TsFileReader::RangeStats stats;
+    size_t skipped = 0;
+    ASSERT_TRUE(
+        reader.AggregateRangeF64("a.mixed", ts[lo], ts[hi], &stats, &skipped)
+            .ok());
+    EXPECT_EQ(skipped, 1u);
+    EXPECT_EQ(stats.count, hi - lo + 1);
+    EXPECT_EQ(stats.first_time, ts[lo]);
+    // Bit-equal, so NaN equals NaN.
+    EXPECT_EQ(std::memcmp(&stats.first, &vs[lo], sizeof(double)), 0);
+    EXPECT_EQ(stats.last_time, ts[hi]);
+    EXPECT_EQ(std::memcmp(&stats.last, &vs[hi], sizeof(double)), 0);
+  }
 }
 
 // --- failure injection --------------------------------------------------------
