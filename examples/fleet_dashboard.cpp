@@ -95,9 +95,9 @@ int main() {
         truth += SignalValueAt(static_cast<size_t>(t));
       }
       truth /= kWindow;
-      max_err = std::max(max_err, std::fabs(truth - w.agg.mean));
+      max_err = std::max(max_err, std::fabs(truth - w.mean));
       std::printf("  minute @%5lld : %8.2f  (%7.2f ..%7.2f)  n=%zu\n",
-                  static_cast<long long>(w.window_start), w.agg.mean,
+                  static_cast<long long>(w.window_start), w.mean,
                   w.agg.min, w.agg.max, w.agg.count);
     }
     std::printf("  max deviation from ordered ground truth: %.2e\n", max_err);

@@ -80,7 +80,7 @@ Status ClusterClient::GetLatest(const std::string& sensor, TvPairDouble* out) {
 
 Status ClusterClient::AggregateFast(const std::string& sensor,
                                     Timestamp t_min, Timestamp t_max,
-                                    TsFileReader::RangeStats* stats,
+                                    RangeStats* stats,
                                     bool* used_fast_path) {
   return WithRoute(sensor, [&](BacksortClient* client) {
     return client->AggregateFast(sensor, t_min, t_max, stats, used_fast_path);

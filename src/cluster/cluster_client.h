@@ -54,7 +54,7 @@ class ClusterClient {
                std::vector<TvPairDouble>* out);
   Status GetLatest(const std::string& sensor, TvPairDouble* out);
   Status AggregateFast(const std::string& sensor, Timestamp t_min,
-                       Timestamp t_max, TsFileReader::RangeStats* stats,
+                       Timestamp t_max, RangeStats* stats,
                        bool* used_fast_path = nullptr);
 
   /// Fetches node `node`'s metrics exposition (no routing — the caller

@@ -1,6 +1,5 @@
 #include "engine/aggregate.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -8,50 +7,43 @@ namespace backsort {
 
 namespace {
 
-AggregateResult AggregateSortedRun(const std::vector<TvPairDouble>& points,
-                                   size_t begin, size_t end) {
-  AggregateResult r;
-  if (begin >= end) return r;
-  r.count = end - begin;
-  // Engine-wide NaN contract (docs/DESIGN.md §16, same as the statistics
-  // pushdown): NaN is counted and eligible as first/last, but never
-  // contributes to min/max/sum; an all-NaN window reports min = +inf,
-  // max = -inf, sum = 0.
-  r.min = std::numeric_limits<double>::infinity();
-  r.max = -std::numeric_limits<double>::infinity();
-  size_t finite = 0;
-  for (size_t i = begin; i < end; ++i) {
-    if (std::isnan(points[i].v)) continue;
-    ++finite;
-    r.sum += points[i].v;
-    r.min = std::min(r.min, points[i].v);
-    r.max = std::max(r.max, points[i].v);
+/// a + b for b >= 0, clamped at the largest Timestamp.
+Timestamp AddClamped(Timestamp a, Timestamp b) {
+  Timestamp sum;
+  if (__builtin_add_overflow(a, b, &sum)) {
+    return std::numeric_limits<Timestamp>::max();
   }
-  r.mean = finite == 0 ? std::nan("") : r.sum / static_cast<double>(finite);
-  // The engine returns points sorted by time, so positional first/last are
-  // temporal first/last.
-  r.first = points[begin].v;
-  r.first_time = points[begin].t;
-  r.last = points[end - 1].v;
-  r.last_time = points[end - 1].t;
-  return r;
+  return sum;
 }
 
-}  // namespace
-
-Status AggregateRange(StorageEngine& engine, const std::string& sensor,
-                      Timestamp t_min, Timestamp t_max,
-                      AggregateResult* result) {
-  std::vector<TvPairDouble> points;
-  RETURN_NOT_OK(engine.Query(sensor, t_min, t_max, &points));
-  *result = AggregateSortedRun(points, 0, points.size());
-  return Status::OK();
+/// Folds the sorted points [begin, end) into the window starting at
+/// `start`. The engine returns points sorted by time, so the fold's
+/// positional first/last are temporal first/last.
+WindowAggregate FoldWindow(Timestamp start, const TvPairDouble* begin,
+                           const TvPairDouble* end) {
+  WindowAggregate w;
+  w.window_start = start;
+  size_t finite = 0;
+  for (const TvPairDouble* p = begin; p != end; ++p) {
+    w.agg.Fold(p->t, p->v);
+    finite += std::isnan(p->v) ? 0 : 1;
+  }
+  if (w.agg.count > 0) {
+    w.mean = finite == 0 ? std::nan("")
+                         : w.agg.sum / static_cast<double>(finite);
+  }
+  return w;
 }
 
-Status SlidingAggregate(StorageEngine& engine, const std::string& sensor,
-                        Timestamp t_min, Timestamp t_max, Timestamp width,
-                        Timestamp step,
-                        std::vector<WindowAggregate>* results) {
+/// The one window loop: windows of `width` at t_min, t_min + step, ...
+/// while the start is <= t_max. Tumbling windows (`clip`) aggregate a
+/// query clipped at t_max; sliding windows query through the end of the
+/// last window. Window ends and the next start saturate instead of
+/// overflowing, so ranges reaching the ends of Timestamp are safe.
+Status FoldWindows(StorageEngine& engine, const std::string& sensor,
+                   Timestamp t_min, Timestamp t_max, Timestamp width,
+                   Timestamp step, bool clip,
+                   std::vector<WindowAggregate>* results) {
   results->clear();
   if (width <= 0 || step <= 0) {
     return Status::InvalidArgument("window width and step must be positive");
@@ -60,53 +52,50 @@ Status SlidingAggregate(StorageEngine& engine, const std::string& sensor,
     return Status::InvalidArgument("t_max before t_min");
   }
   std::vector<TvPairDouble> points;
-  RETURN_NOT_OK(engine.Query(sensor, t_min, t_max + width - 1, &points));
-
+  RETURN_NOT_OK(engine.Query(sensor, t_min,
+                             clip ? t_max : AddClamped(t_max, width - 1),
+                             &points));
   // Two monotone cursors over the sorted points: windows advance by step,
   // so begin/end only ever move right. O(points + windows) total.
-  size_t begin = 0;
-  size_t end = 0;
-  for (Timestamp start = t_min;; start += step) {
-    const Timestamp stop = start + width;  // exclusive
-    while (begin < points.size() && points[begin].t < start) ++begin;
+  const TvPairDouble* begin = points.data();
+  const TvPairDouble* end = begin;
+  const TvPairDouble* const stop = begin + points.size();
+  Timestamp start = t_min;
+  while (true) {
+    const Timestamp last = AddClamped(start, width - 1);  // inclusive
+    while (begin != stop && begin->t < start) ++begin;
     if (end < begin) end = begin;
-    while (end < points.size() && points[end].t < stop) ++end;
-    WindowAggregate w;
-    w.window_start = start;
-    w.agg = AggregateSortedRun(points, begin, end);
-    results->push_back(w);
-    if (start > t_max - step) break;  // next start would exceed t_max
+    while (end != stop && end->t <= last) ++end;
+    results->push_back(FoldWindow(start, begin, end));
+    if (__builtin_add_overflow(start, step, &start) || start > t_max) break;
   }
   return Status::OK();
+}
+
+}  // namespace
+
+Status AggregateRange(StorageEngine& engine, const std::string& sensor,
+                      Timestamp t_min, Timestamp t_max,
+                      WindowAggregate* result) {
+  std::vector<TvPairDouble> points;
+  RETURN_NOT_OK(engine.Query(sensor, t_min, t_max, &points));
+  *result = FoldWindow(t_min, points.data(), points.data() + points.size());
+  return Status::OK();
+}
+
+Status SlidingAggregate(StorageEngine& engine, const std::string& sensor,
+                        Timestamp t_min, Timestamp t_max, Timestamp width,
+                        Timestamp step,
+                        std::vector<WindowAggregate>* results) {
+  return FoldWindows(engine, sensor, t_min, t_max, width, step,
+                     /*clip=*/false, results);
 }
 
 Status WindowedAggregate(StorageEngine& engine, const std::string& sensor,
                          Timestamp t_min, Timestamp t_max, Timestamp width,
                          std::vector<WindowAggregate>* results) {
-  results->clear();
-  if (width <= 0) {
-    return Status::InvalidArgument("window width must be positive");
-  }
-  if (t_max < t_min) {
-    return Status::InvalidArgument("t_max before t_min");
-  }
-  std::vector<TvPairDouble> points;
-  RETURN_NOT_OK(engine.Query(sensor, t_min, t_max, &points));
-
-  size_t cursor = 0;
-  for (Timestamp start = t_min; start <= t_max; start += width) {
-    const Timestamp stop = start + width;  // exclusive
-    const size_t begin = cursor;
-    while (cursor < points.size() && points[cursor].t < stop) {
-      ++cursor;
-    }
-    WindowAggregate w;
-    w.window_start = start;
-    w.agg = AggregateSortedRun(points, begin, cursor);
-    results->push_back(w);
-    if (start > t_max - width) break;  // avoid Timestamp overflow on +=
-  }
-  return Status::OK();
+  return FoldWindows(engine, sensor, t_min, t_max, width, width,
+                     /*clip=*/true, results);
 }
 
 }  // namespace backsort

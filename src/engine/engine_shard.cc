@@ -805,9 +805,9 @@ Status EngineShard::Query(const std::string& sensor, Timestamp t_min,
 
 Status EngineShard::AggregateFast(const std::string& sensor, Timestamp t_min,
                                   Timestamp t_max,
-                                  TsFileReader::RangeStats* stats,
+                                  RangeStats* stats,
                                   bool* used_fast_path) {
-  *stats = TsFileReader::RangeStats{};
+  *stats = RangeStats{};
   if (used_fast_path != nullptr) *used_fast_path = false;
   EngineSharedState& shared = *shared_;
   shared.agg_requests.fetch_add(1, std::memory_order_relaxed);
@@ -908,7 +908,7 @@ Status EngineShard::AggregateFast(const std::string& sensor, Timestamp t_min,
     const SealedFileMeta* file;
     const ChunkLocator* locator;
   };
-  std::vector<TsFileReader::RangeStats> partials(snap.files.size());
+  std::vector<RangeStats> partials(snap.files.size());
   std::vector<DecodeTask> tasks;
   uint64_t hits = 0;
   for (size_t i = 0; i < snap.files.size(); ++i) {
@@ -922,15 +922,7 @@ Status EngineShard::AggregateFast(const std::string& sensor, Timestamp t_min,
         locator->stats_usable()) {
       // Tier 1 — the chunk is fully covered and unshadowed: the footer
       // statistics ARE the chunk's aggregate; no byte of it is read.
-      TsFileReader::RangeStats& part = partials[i];
-      part.count = locator->points;
-      part.min = locator->min_v;
-      part.max = locator->max_v;
-      part.sum = locator->sum_v;
-      part.first = locator->first_v;
-      part.first_time = locator->min_t;
-      part.last = locator->last_v;
-      part.last_time = locator->max_t;
+      partials[i] = RangeStats::OfChunk(*locator);
       ++hits;
       continue;
     }
@@ -970,15 +962,13 @@ Status EngineShard::AggregateFast(const std::string& sensor, Timestamp t_min,
   }
   ah.decode.Record(static_cast<uint64_t>(decode_timer.ElapsedNanos()));
   if (!decode_status.ok()) {
-    *stats = TsFileReader::RangeStats{};  // no partial aggregate on error
+    *stats = RangeStats{};  // no partial aggregate on error
     return decode_status;
   }
 
   // Stage 4 — merge: combine the per-chunk partials in file order.
   WallTimer merge_timer;
-  for (const TsFileReader::RangeStats& part : partials) {
-    CombineRangeStats(part, stats);
-  }
+  for (const RangeStats& part : partials) stats->Merge(part);
   ah.merge.Record(static_cast<uint64_t>(merge_timer.ElapsedNanos()));
   if (used_fast_path != nullptr) *used_fast_path = true;
   return Status::OK();

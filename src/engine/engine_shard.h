@@ -272,7 +272,7 @@ class EngineShard {
                std::vector<TvPairDouble>* out);
   Status GetLatest(const std::string& sensor, TvPairDouble* out);
   Status AggregateFast(const std::string& sensor, Timestamp t_min,
-                       Timestamp t_max, TsFileReader::RangeStats* stats,
+                       Timestamp t_max, RangeStats* stats,
                        bool* used_fast_path);
 
   /// Seals both working memtables into the flush queue (async mode: jobs go

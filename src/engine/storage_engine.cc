@@ -325,7 +325,7 @@ Status StorageEngine::GetLatest(const std::string& sensor,
 
 Status StorageEngine::AggregateFast(const std::string& sensor,
                                     Timestamp t_min, Timestamp t_max,
-                                    TsFileReader::RangeStats* stats,
+                                    RangeStats* stats,
                                     bool* used_fast_path) {
   return shards_[ShardFor(sensor)]->AggregateFast(sensor, t_min, t_max, stats,
                                                   used_fast_path);

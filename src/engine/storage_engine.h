@@ -129,7 +129,7 @@ class StorageEngine {
   /// scanning. NaN values are excluded from min/max/sum but counted and
   /// eligible as first/last (docs/DESIGN.md §16).
   Status AggregateFast(const std::string& sensor, Timestamp t_min,
-                       Timestamp t_max, TsFileReader::RangeStats* stats,
+                       Timestamp t_max, RangeStats* stats,
                        bool* used_fast_path = nullptr);
 
   /// Seals every shard's working memtables (if non-empty) and waits until

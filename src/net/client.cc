@@ -83,7 +83,7 @@ Status BacksortClient::GetLatest(const std::string& sensor,
 
 Status BacksortClient::AggregateFast(const std::string& sensor,
                                      Timestamp t_min, Timestamp t_max,
-                                     TsFileReader::RangeStats* stats,
+                                     RangeStats* stats,
                                      bool* used_fast_path) {
   RangeRequest req{sensor, t_min, t_max};
   ByteBuffer payload;

@@ -6,12 +6,12 @@
 #include <string>
 #include <vector>
 
+#include "common/range_stats.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "net/protocol.h"
 #include "net/socket.h"
-#include "tsfile/tsfile.h"
 
 namespace backsort {
 
@@ -87,7 +87,7 @@ class BacksortClient {
   Status GetLatest(const std::string& sensor, TvPairDouble* out);
 
   Status AggregateFast(const std::string& sensor, Timestamp t_min,
-                       Timestamp t_max, TsFileReader::RangeStats* stats,
+                       Timestamp t_max, RangeStats* stats,
                        bool* used_fast_path = nullptr);
 
   /// Fetches the server's merged engine + net Prometheus exposition.

@@ -10,7 +10,7 @@
 #include "common/types.h"
 #include "encoding/bytes.h"
 #include "engine/wal_tailer.h"
-#include "tsfile/tsfile.h"
+#include "common/range_stats.h"
 
 namespace backsort {
 
@@ -243,7 +243,7 @@ void EncodePoint(const TvPairDouble& p, ByteBuffer* out);
 Status DecodePoint(ByteReader* reader, TvPairDouble* out);
 
 struct AggregateResult {
-  TsFileReader::RangeStats stats;
+  RangeStats stats;
   bool used_fast_path = false;
 };
 

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -203,33 +202,23 @@ template <typename V>
 Status EncodePage(const std::vector<Timestamp>& ts,
                   const std::vector<V>& values, size_t begin, size_t end,
                   Encoding time_enc, Encoding value_enc, ByteBuffer* out,
-                  ValueStats* chunk_acc = nullptr) {
-  const size_t count = end - begin;
-  out->PutVarint64(count);
-  out->PutVarintSigned64(ts[begin]);
-  out->PutVarintSigned64(ts[end - 1]);
-  // Per-page value statistics for aggregation pushdown. NaN values are
-  // excluded (an all-NaN page stores min=+inf, max=-inf, sum=0), so the
-  // read path can always fold stored stats without poisoning min/max.
-  // For non-NaN data the bytes match the historical computation exactly.
-  // `chunk_acc`, when given, accumulates the same points in time order
-  // into the chunk-level statistics destined for the footer.
-  double min_v = std::numeric_limits<double>::infinity();
-  double max_v = -std::numeric_limits<double>::infinity();
-  double sum_v = 0.0;
+                  RangeStats* chunk) {
+  // The page header's stats and the chunk's footer stats fold the same
+  // points. The chunk folds them one by one too, so its sum is the
+  // sequential sum a decode computes, not a sum of page sums. An all-NaN
+  // page stores min = +inf, max = -inf, sum = 0.
+  RangeStats page;
   for (size_t i = begin; i < end; ++i) {
     const double v = static_cast<double>(values[i]);
-    if (chunk_acc != nullptr) chunk_acc->Fold(v);
-    if (!std::isnan(v)) {
-      min_v = std::min(min_v, v);
-      max_v = std::max(max_v, v);
-      sum_v += v;
-    }
+    page.Fold(ts[i], v);
+    chunk->Fold(ts[i], v);
   }
-  auto put_double = [out](double v) { out->PutFixed64(DoubleBits(v)); };
-  put_double(min_v);
-  put_double(max_v);
-  put_double(sum_v);
+  out->PutVarint64(page.count);
+  out->PutVarintSigned64(page.first_time);
+  out->PutVarintSigned64(page.last_time);
+  out->PutFixed64(DoubleBits(page.min));
+  out->PutFixed64(DoubleBits(page.max));
+  out->PutFixed64(DoubleBits(page.sum));
 
   std::vector<Timestamp> page_ts(ts.begin() + static_cast<ptrdiff_t>(begin),
                                  ts.begin() + static_cast<ptrdiff_t>(end));
@@ -261,7 +250,7 @@ Status EncodeChunkBody(std::string_view sensor,
                        const std::vector<V>& values, DataType type,
                        Encoding time_enc, Encoding value_enc,
                        size_t points_per_page, ByteBuffer* out,
-                       ValueStats* stats_out = nullptr) {
+                       RangeStats* stats) {
   if (ts.size() != values.size()) {
     return Status::InvalidArgument("time/value size mismatch");
   }
@@ -287,7 +276,7 @@ Status EncodeChunkBody(std::string_view sensor,
     const size_t begin = p * points_per_page;
     const size_t end = std::min(begin + points_per_page, ts.size());
     RETURN_NOT_OK(EncodePage(ts, values, begin, end, time_enc, value_enc,
-                             out, stats_out));
+                             out, stats));
   }
   return Status::OK();
 }
@@ -306,15 +295,13 @@ Status TsFileWriter::WriteChunkImpl(std::string_view sensor,
     return Status::InvalidArgument("streaming chunk still open");
   }
   ByteBuffer body;
-  ValueStats vstats;
+  RangeStats stats;
   RETURN_NOT_OK(EncodeChunkBody(sensor, ts, values, type, time_enc,
-                                value_enc, points_per_page, &body, &vstats));
+                                value_enc, points_per_page, &body, &stats));
   if (FileOffset() == 0) {
     buffer_.PutBytes(magic(), kMagicLen);
   }
-  index_.push_back({std::string(sensor), FileOffset(), type, ts.size(),
-                    ts.empty() ? Timestamp{0} : ts.front(),
-                    ts.empty() ? Timestamp{-1} : ts.back(), vstats});
+  index_.push_back({std::string(sensor), FileOffset(), type, stats});
   buffer_.Append(body);
   return MaybeSpill();
 }
@@ -327,10 +314,7 @@ Status TsFileWriter::EncodeChunkF64(std::string_view sensor,
                                     EncodedChunk* out) {
   out->body.Clear();
   out->type = DataType::kDouble;
-  out->points = ts.size();
-  out->min_t = ts.empty() ? Timestamp{0} : ts.front();
-  out->max_t = ts.empty() ? Timestamp{-1} : ts.back();
-  out->stats = ValueStats{};
+  out->stats = RangeStats{};
   return EncodeChunkBody(sensor, ts, values, DataType::kDouble, time_enc,
                          value_enc, points_per_page, &out->body,
                          &out->stats);
@@ -346,7 +330,7 @@ Status TsFileWriter::AppendEncodedChunk(std::string_view sensor,
     buffer_.PutBytes(magic(), kMagicLen);
   }
   index_.push_back({std::string(sensor), FileOffset(), chunk.type,
-                    chunk.points, chunk.min_t, chunk.max_t, chunk.stats});
+                    chunk.stats});
   buffer_.Append(chunk.body);
   return MaybeSpill();
 }
@@ -414,10 +398,7 @@ Status TsFileWriter::BeginChunkF64(std::string_view sensor,
   chunk_value_enc_ = value_enc;
   chunk_declared_pages_ = page_count;
   chunk_appended_pages_ = 0;
-  chunk_points_ = 0;
-  chunk_min_t_ = 0;
-  chunk_max_t_ = -1;
-  chunk_stats_ = ValueStats{};
+  chunk_stats_ = RangeStats{};
   return Status::OK();
 }
 
@@ -433,14 +414,11 @@ Status TsFileWriter::AppendPageF64(const std::vector<Timestamp>& ts,
   if (!std::is_sorted(ts.begin(), ts.end())) {
     return Status::InvalidArgument("page timestamps must be sorted");
   }
-  if (chunk_points_ > 0 && ts.front() < chunk_max_t_) {
+  if (chunk_stats_.count > 0 && ts.front() < chunk_stats_.last_time) {
     return Status::InvalidArgument("pages must be appended in time order");
   }
   RETURN_NOT_OK(EncodePage(ts, values, 0, ts.size(), chunk_time_enc_,
                            chunk_value_enc_, &buffer_, &chunk_stats_));
-  if (chunk_points_ == 0) chunk_min_t_ = ts.front();
-  chunk_max_t_ = ts.back();
-  chunk_points_ += ts.size();
   ++chunk_appended_pages_;
   return MaybeSpill();
 }
@@ -450,11 +428,8 @@ Status TsFileWriter::EndChunk() {
   if (chunk_appended_pages_ != chunk_declared_pages_) {
     return Status::InvalidArgument("fewer pages appended than declared");
   }
-  index_.push_back({chunk_sensor_, chunk_offset_, DataType::kDouble,
-                    chunk_points_, chunk_points_ == 0 ? Timestamp{0}
-                                                      : chunk_min_t_,
-                    chunk_points_ == 0 ? Timestamp{-1} : chunk_max_t_,
-                    chunk_stats_});
+  index_.push_back(
+      {chunk_sensor_, chunk_offset_, DataType::kDouble, chunk_stats_});
   chunk_open_ = false;
   return Status::OK();
 }
@@ -469,51 +444,56 @@ Status TsFileWriter::Finish() {
   }
   const uint64_t index_offset = FileOffset();
   buffer_.PutVarint64(index_.size());
-  for (const IndexEntry& e : index_) {
-    buffer_.PutLengthPrefixedString(e.sensor);
-    buffer_.PutFixed64(e.offset);
-    buffer_.PutU8(static_cast<uint8_t>(e.type));
-    buffer_.PutVarint64(e.points);
-    buffer_.PutVarintSigned64(e.min_t);
-    buffer_.PutVarintSigned64(e.max_t);
-    if (footer_stats_) {
-      buffer_.PutFixed64(DoubleBits(e.stats.min_v));
-      buffer_.PutFixed64(DoubleBits(e.stats.max_v));
-      buffer_.PutFixed64(DoubleBits(e.stats.sum_v));
-      buffer_.PutFixed64(DoubleBits(e.stats.first_v));
-      buffer_.PutFixed64(DoubleBits(e.stats.last_v));
-    }
-  }
-  buffer_.PutFixed64(index_offset);
-  buffer_.PutBytes(magic(), kMagicLen);
-
-  // Flat sorted entries instead of a FooterMap: sealing a 100k-sensor
-  // table costs two large allocations here, not 100k tree nodes the
-  // allocator would retain after the writer dies. Lexicographic order is
-  // what the map iteration used to give every consumer.
+  // Each index entry is serialized from the locator the writer hands out,
+  // so Locators() is what ReadTsFileFooter parses back. Flat sorted
+  // entries instead of a FooterMap: sealing a 100k-sensor table costs two
+  // large allocations here, not 100k tree nodes the allocator would
+  // retain after the writer dies. Lexicographic order is what the map
+  // iteration used to give every consumer.
   locators_.clear();
   locators_.reserve(index_.size());
   for (size_t i = 0; i < index_.size(); ++i) {
     const IndexEntry& e = index_[i];
-    ChunkLocator locator;
+    ChunkLocator locator;  // time range [0, -1] when the chunk is empty
     locator.offset = e.offset;
     locator.length =
         (i + 1 < index_.size() ? index_[i + 1].offset : index_offset) -
         e.offset;
-    locator.points = e.points;
-    locator.min_t = e.min_t;
-    locator.max_t = e.max_t;
+    locator.points = e.stats.count;
     locator.raw_type = static_cast<uint8_t>(e.type);
+    if (e.stats.count > 0) {
+      locator.min_t = e.stats.first_time;
+      locator.max_t = e.stats.last_time;
+    }
+    buffer_.PutLengthPrefixedString(e.sensor);
+    buffer_.PutFixed64(locator.offset);
+    buffer_.PutU8(locator.raw_type);
+    buffer_.PutVarint64(locator.points);
+    buffer_.PutVarintSigned64(locator.min_t);
+    buffer_.PutVarintSigned64(locator.max_t);
     if (footer_stats_) {
+      // An empty chunk stores the all-NaN sentinels min = +inf and
+      // max = -inf, since no value took part in min/max; an empty
+      // RangeStats reads 0/0 instead.
+      const bool empty = e.stats.count == 0;
       locator.has_stats = true;
-      locator.min_v = e.stats.min_v;
-      locator.max_v = e.stats.max_v;
-      locator.sum_v = e.stats.sum_v;
-      locator.first_v = e.stats.first_v;
-      locator.last_v = e.stats.last_v;
+      locator.min_v = empty ? std::numeric_limits<double>::infinity()
+                            : e.stats.min;
+      locator.max_v = empty ? -std::numeric_limits<double>::infinity()
+                            : e.stats.max;
+      locator.sum_v = e.stats.sum;
+      locator.first_v = e.stats.first;
+      locator.last_v = e.stats.last;
+      for (const double v : {locator.min_v, locator.max_v, locator.sum_v,
+                             locator.first_v, locator.last_v}) {
+        buffer_.PutFixed64(DoubleBits(v));
+      }
     }
     locators_.emplace_back(e.sensor, locator);
   }
+  buffer_.PutFixed64(index_offset);
+  buffer_.PutBytes(magic(), kMagicLen);
+
   std::sort(locators_.begin(), locators_.end(),
             [](const FooterEntries::value_type& a,
                const FooterEntries::value_type& b) {
@@ -810,9 +790,8 @@ Status PageReader::Query(Timestamp t_min, Timestamp t_max,
 }
 
 Status PageReader::Aggregate(Timestamp t_min, Timestamp t_max,
-                             TsFileReader::RangeStats* stats,
-                             size_t* pages_skipped) {
-  *stats = TsFileReader::RangeStats{};
+                             RangeStats* stats, size_t* pages_skipped) {
+  *stats = RangeStats{};
   if (pages_skipped != nullptr) *pages_skipped = 0;
   const auto [first, last] = Overlap(t_min, t_max);
   // The first and last overlapping pages are always decoded, so first/last
@@ -823,10 +802,7 @@ Status PageReader::Aggregate(Timestamp t_min, Timestamp t_max,
     const PageEntry& e = dir_->pages[p];
     const bool inside = e.min_t >= t_min && e.max_t <= t_max;
     if (inside && p != first && p + 1 != last && e.stats_usable()) {
-      stats->min = std::min(stats->min, e.min_v);
-      stats->max = std::max(stats->max, e.max_v);
-      stats->sum += e.sum_v;
-      stats->count += e.points;
+      stats->MergePage(e);
       if (pages_skipped != nullptr) ++(*pages_skipped);
       continue;
     }
@@ -857,27 +833,6 @@ Status OpenPageReader(const std::string& path, const std::string& sensor,
   }
   out->emplace(fd, locator.offset, std::move(directory), derived_bytes);
   return Status::OK();
-}
-
-void CombineRangeStats(const TsFileReader::RangeStats& part,
-                       TsFileReader::RangeStats* into) {
-  if (part.count == 0) return;
-  if (into->count == 0) {
-    *into = part;
-    return;
-  }
-  into->min = std::min(into->min, part.min);
-  into->max = std::max(into->max, part.max);
-  into->sum += part.sum;
-  into->count += part.count;
-  if (part.first_time < into->first_time) {
-    into->first_time = part.first_time;
-    into->first = part.first;
-  }
-  if (part.last_time > into->last_time) {
-    into->last_time = part.last_time;
-    into->last = part.last;
-  }
 }
 
 // --- standalone footer read ------------------------------------------------

@@ -1,11 +1,8 @@
 #ifndef BACKSORT_TSFILE_TSFILE_H_
 #define BACKSORT_TSFILE_TSFILE_H_
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <fstream>
-#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -14,6 +11,7 @@
 #include <vector>
 
 #include "common/chunk_locator.h"
+#include "common/range_stats.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "encoding/encoding.h"
@@ -25,34 +23,6 @@ namespace backsort {
 enum class DataType : uint8_t {
   kInt64 = 0,
   kDouble = 1,
-};
-
-/// Running value statistics over one chunk, folded point by point in time
-/// order during encode. NaN values are excluded from min/max/sum but still
-/// counted by the caller's point count; first/last keep the raw values.
-/// Folding left to right matters: `sum` then equals what a sequential
-/// decode of the chunk would compute, so metadata-only aggregation agrees
-/// with the decode path on single-chunk ranges.
-struct ValueStats {
-  double min_v = std::numeric_limits<double>::infinity();
-  double max_v = -std::numeric_limits<double>::infinity();
-  double sum_v = 0.0;
-  double first_v = 0.0;
-  double last_v = 0.0;
-  bool any = false;  // first_v/last_v valid
-
-  void Fold(double v) {
-    if (!any) {
-      first_v = v;
-      any = true;
-    }
-    last_v = v;
-    if (!std::isnan(v)) {
-      min_v = std::min(min_v, v);
-      max_v = std::max(max_v, v);
-      sum_v += v;
-    }
-  }
 };
 
 /// A simplified TsFile: the columnar, chunk-per-sensor file IoTDB flushes
@@ -126,10 +96,7 @@ class TsFileWriter {
   struct EncodedChunk {
     ByteBuffer body;
     DataType type = DataType::kDouble;
-    size_t points = 0;
-    Timestamp min_t = 0;
-    Timestamp max_t = -1;  // empty-chunk sentinel, as WriteChunkF64 records
-    ValueStats stats;      // folded in time order during encode
+    RangeStats stats;  // every point, folded in time order during encode
   };
 
   /// Encodes one F64 chunk body into `out` without touching any writer.
@@ -196,10 +163,7 @@ class TsFileWriter {
     std::string sensor;
     uint64_t offset;
     DataType type;
-    uint64_t points;
-    Timestamp min_t;
-    Timestamp max_t;
-    ValueStats stats;
+    RangeStats stats;  // point count, time range and value stats
   };
 
   /// Head/tail magic for the configured format version.
@@ -242,10 +206,7 @@ class TsFileWriter {
   uint64_t chunk_offset_ = 0;
   uint64_t chunk_declared_pages_ = 0;
   uint64_t chunk_appended_pages_ = 0;
-  uint64_t chunk_points_ = 0;
-  Timestamp chunk_min_t_ = 0;
-  Timestamp chunk_max_t_ = -1;  // empty-chunk sentinel
-  ValueStats chunk_stats_;
+  RangeStats chunk_stats_;
 };
 
 /// Standalone read side for tools and tests: the file is slurped into
@@ -273,42 +234,14 @@ class TsFileReader {
                        Timestamp t_max, std::vector<Timestamp>* ts,
                        std::vector<double>* values) const;
 
+  /// The range aggregate under its older name, which tools and
+  /// benchmarks still use.
+  using RangeStats = backsort::RangeStats;
+
   /// Aggregation with statistics pushdown: pages fully inside [t_min,
   /// t_max] contribute their stored count/sum/min/max without being
   /// decoded; boundary pages are decoded and filtered. `pages_skipped`
   /// (optional) reports how many pages were served from statistics.
-  ///
-  /// NaN semantics (documented contract, pinned by tests): NaN values are
-  /// excluded from min/max/sum but included in count and first/last. A
-  /// range whose matches are all NaN reports min=+inf, max=-inf, sum=0.
-  struct RangeStats {
-    size_t count = 0;
-    double sum = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    Timestamp first_time = 0;
-    double first = 0.0;
-    Timestamp last_time = 0;
-    double last = 0.0;
-
-    /// Folds the next point in time order under the NaN contract.
-    void Fold(Timestamp t, double v) {
-      if (count == 0) {
-        first_time = t;
-        first = v;
-        min = std::numeric_limits<double>::infinity();
-        max = -std::numeric_limits<double>::infinity();
-      }
-      ++count;
-      last_time = t;
-      last = v;
-      if (!std::isnan(v)) {
-        min = std::min(min, v);
-        max = std::max(max, v);
-        sum += v;
-      }
-    }
-  };
   Status AggregateRangeF64(const std::string& sensor, Timestamp t_min,
                            Timestamp t_max, RangeStats* stats,
                            size_t* pages_skipped = nullptr) const;
@@ -387,9 +320,8 @@ class PageReader {
   /// overlapping pages (plus any page whose stats are NaN) are read and
   /// decoded. Same NaN contract and reset-on-entry behavior as
   /// TsFileReader::AggregateRangeF64; count == 0 means nothing matched.
-  /// Partials from several chunks combine with CombineRangeStats.
-  Status Aggregate(Timestamp t_min, Timestamp t_max,
-                   TsFileReader::RangeStats* stats,
+  /// Partials from several chunks combine with RangeStats::Merge.
+  Status Aggregate(Timestamp t_min, Timestamp t_max, RangeStats* stats,
                    size_t* pages_skipped = nullptr);
 
   /// Page-indexed walk (compaction's merge): DecodePage(p) reads and
@@ -438,14 +370,6 @@ Status OpenPageReader(const std::string& path, const std::string& sensor,
                       const ChunkLocator& locator,
                       std::shared_ptr<const PageDirectory> directory,
                       std::optional<PageReader>* out);
-
-/// Merges the partial aggregate `part` into `*into`. Partials must come
-/// from duplicate-free sources (the engine guarantees sequence chunks are
-/// mutually disjoint per sensor): counts and sums add, min/max combine,
-/// first/last resolve by timestamp. A partial with count == 0 is a no-op;
-/// so is merging into an empty `*into` except that `part` is copied in.
-void CombineRangeStats(const TsFileReader::RangeStats& part,
-                       TsFileReader::RangeStats* into);
 
 /// ::fsync an existing file's contents to the storage device. TsFileWriter
 /// (ofstream-backed) only flushes to the OS cache; paths that delete

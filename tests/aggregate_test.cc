@@ -1,5 +1,6 @@
 #include <cmath>
 #include <filesystem>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -41,17 +42,17 @@ TEST_F(AggregateTest, BasicStatistics) {
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(engine_->Write("s", i, i * 2.0).ok());
   }
-  AggregateResult r;
+  WindowAggregate r;
   ASSERT_TRUE(AggregateRange(*engine_, "s", 10, 19, &r).ok());
-  EXPECT_EQ(r.count, 10u);
-  EXPECT_DOUBLE_EQ(r.min, 20.0);
-  EXPECT_DOUBLE_EQ(r.max, 38.0);
-  EXPECT_DOUBLE_EQ(r.sum, (20.0 + 38.0) * 10 / 2);
+  EXPECT_EQ(r.agg.count, 10u);
+  EXPECT_DOUBLE_EQ(r.agg.min, 20.0);
+  EXPECT_DOUBLE_EQ(r.agg.max, 38.0);
+  EXPECT_DOUBLE_EQ(r.agg.sum, (20.0 + 38.0) * 10 / 2);
   EXPECT_DOUBLE_EQ(r.mean, 29.0);
-  EXPECT_DOUBLE_EQ(r.first, 20.0);
-  EXPECT_DOUBLE_EQ(r.last, 38.0);
-  EXPECT_EQ(r.first_time, 10);
-  EXPECT_EQ(r.last_time, 19);
+  EXPECT_DOUBLE_EQ(r.agg.first, 20.0);
+  EXPECT_DOUBLE_EQ(r.agg.last, 38.0);
+  EXPECT_EQ(r.agg.first_time, 10);
+  EXPECT_EQ(r.agg.last_time, 19);
 }
 
 TEST_F(AggregateTest, FirstLastCorrectUnderDisorder) {
@@ -60,20 +61,20 @@ TEST_F(AggregateTest, FirstLastCorrectUnderDisorder) {
   ASSERT_TRUE(engine_->Write("s", 1, 10.0).ok());
   ASSERT_TRUE(engine_->Write("s", 9, 90.0).ok());
   ASSERT_TRUE(engine_->Write("s", 3, 30.0).ok());
-  AggregateResult r;
+  WindowAggregate r;
   ASSERT_TRUE(AggregateRange(*engine_, "s", 0, 100, &r).ok());
-  EXPECT_EQ(r.count, 4u);
-  EXPECT_DOUBLE_EQ(r.first, 10.0);
-  EXPECT_EQ(r.first_time, 1);
-  EXPECT_DOUBLE_EQ(r.last, 90.0);
-  EXPECT_EQ(r.last_time, 9);
+  EXPECT_EQ(r.agg.count, 4u);
+  EXPECT_DOUBLE_EQ(r.agg.first, 10.0);
+  EXPECT_EQ(r.agg.first_time, 1);
+  EXPECT_DOUBLE_EQ(r.agg.last, 90.0);
+  EXPECT_EQ(r.agg.last_time, 9);
 }
 
 TEST_F(AggregateTest, EmptyRange) {
   ASSERT_TRUE(engine_->Write("s", 5, 1.0).ok());
-  AggregateResult r;
+  WindowAggregate r;
   ASSERT_TRUE(AggregateRange(*engine_, "s", 100, 200, &r).ok());
-  EXPECT_EQ(r.count, 0u);
+  EXPECT_EQ(r.agg.count, 0u);
 }
 
 TEST_F(AggregateTest, SpansMemoryAndDisk) {
@@ -86,12 +87,12 @@ TEST_F(AggregateTest, SpansMemoryAndDisk) {
     expect_sum += p.v;
   }
   // Threshold 5000: part on disk, part in memory.
-  AggregateResult r;
+  WindowAggregate r;
   ASSERT_TRUE(AggregateRange(*engine_, "s", 0, 12'000, &r).ok());
-  EXPECT_EQ(r.count, 12'000u);
-  EXPECT_NEAR(r.sum, expect_sum, 1e-6 * std::abs(expect_sum));
-  EXPECT_EQ(r.first_time, 0);
-  EXPECT_EQ(r.last_time, 11'999);
+  EXPECT_EQ(r.agg.count, 12'000u);
+  EXPECT_NEAR(r.agg.sum, expect_sum, 1e-6 * std::abs(expect_sum));
+  EXPECT_EQ(r.agg.first_time, 0);
+  EXPECT_EQ(r.agg.last_time, 11'999);
 }
 
 TEST_F(AggregateTest, WindowedTumbling) {
@@ -104,7 +105,7 @@ TEST_F(AggregateTest, WindowedTumbling) {
   for (size_t w = 0; w < windows.size(); ++w) {
     EXPECT_EQ(windows[w].window_start, static_cast<Timestamp>(w * 10));
     EXPECT_EQ(windows[w].agg.count, 10u);
-    EXPECT_DOUBLE_EQ(windows[w].agg.mean, w * 10 + 4.5);
+    EXPECT_DOUBLE_EQ(windows[w].mean, w * 10 + 4.5);
   }
 }
 
@@ -135,7 +136,7 @@ TEST_F(AggregateTest, SlidingWindowsOverlap) {
         std::min<size_t>(20, 100 - static_cast<size_t>(w) * 10);
     EXPECT_EQ(windows[w].agg.count, expect) << "window " << w;
     if (windows[w].agg.count == 20) {
-      EXPECT_DOUBLE_EQ(windows[w].agg.mean, w * 10 + 9.5);
+      EXPECT_DOUBLE_EQ(windows[w].mean, w * 10 + 9.5);
     }
   }
 }
@@ -179,6 +180,53 @@ TEST_F(AggregateTest, TumblingClipsLastWindowAtTMaxButSlidingDoesNot) {
   EXPECT_EQ(sliding[9].agg.last_time, 99);
 }
 
+// Window ends and starts saturate at the limits of Timestamp instead of
+// overflowing; tools/ci.sh runs this suite under UBSan.
+TEST_F(AggregateTest, TumblingWindowBoundsSaturateAtTimestampMax) {
+  constexpr Timestamp kMax = std::numeric_limits<Timestamp>::max();
+  constexpr Timestamp kQuarter = Timestamp{1} << 62;
+  for (const Timestamp t : {Timestamp{0}, Timestamp{5}, kQuarter + 1}) {
+    ASSERT_TRUE(engine_->Write("s", t, 1.0).ok());
+  }
+  std::vector<WindowAggregate> windows;
+  ASSERT_TRUE(WindowedAggregate(*engine_, "s", 0, kMax, kQuarter, &windows)
+                  .ok());
+  ASSERT_EQ(windows.size(), 2u);  // [0, 2^62), [2^62, 2^63)
+  EXPECT_EQ(windows[0].agg.count, 2u);
+  EXPECT_EQ(windows[1].window_start, kQuarter);
+  EXPECT_EQ(windows[1].agg.count, 1u);
+}
+
+TEST_F(AggregateTest, SlidingWindowBoundsSaturateAtTimestampMax) {
+  constexpr Timestamp kMax = std::numeric_limits<Timestamp>::max();
+  for (Timestamp t = 0; t < 5; ++t) {
+    ASSERT_TRUE(engine_->Write("s", t, 1.0).ok());
+  }
+  std::vector<WindowAggregate> windows;
+  ASSERT_TRUE(
+      SlidingAggregate(*engine_, "s", 0, kMax - 1, 4, kMax / 2, &windows)
+          .ok());
+  ASSERT_EQ(windows.size(), 3u);  // starts 0, kMax / 2, kMax - 1
+  EXPECT_EQ(windows[0].agg.count, 4u);
+  EXPECT_EQ(windows[1].window_start, kMax / 2);
+  EXPECT_EQ(windows[2].window_start, kMax - 1);
+  EXPECT_EQ(windows[2].agg.count, 0u);
+}
+
+TEST_F(AggregateTest, WindowBoundsSafeNearTimestampMin) {
+  constexpr Timestamp kMin = std::numeric_limits<Timestamp>::min();
+  std::vector<WindowAggregate> windows;
+  ASSERT_TRUE(
+      WindowedAggregate(*engine_, "s", kMin, kMin + 5, 10, &windows).ok());
+  ASSERT_EQ(windows.size(), 1u);
+  EXPECT_EQ(windows[0].window_start, kMin);
+  EXPECT_EQ(windows[0].agg.count, 0u);
+  ASSERT_TRUE(
+      SlidingAggregate(*engine_, "s", kMin, kMin + 5, 4, 10, &windows).ok());
+  ASSERT_EQ(windows.size(), 1u);
+  EXPECT_EQ(windows[0].window_start, kMin);
+}
+
 TEST_F(AggregateTest, SlidingRejectsBadArgs) {
   std::vector<WindowAggregate> windows;
   EXPECT_TRUE(SlidingAggregate(*engine_, "s", 0, 10, 0, 1, &windows)
@@ -209,16 +257,16 @@ TEST_F(AggregateTest, FastPathAgreesWithQueryPath) {
   ASSERT_TRUE(
       engine_->AggregateFast("s", 2'000, 27'000, &fast, &used_fast).ok());
   EXPECT_TRUE(used_fast);
-  AggregateResult slow;
+  WindowAggregate slow;
   ASSERT_TRUE(AggregateRange(*engine_, "s", 2'000, 27'000, &slow).ok());
-  EXPECT_EQ(fast.count, slow.count);
-  EXPECT_DOUBLE_EQ(fast.min, slow.min);
-  EXPECT_DOUBLE_EQ(fast.max, slow.max);
-  EXPECT_NEAR(fast.sum, slow.sum, 1e-6 * std::abs(slow.sum));
-  EXPECT_EQ(fast.first_time, slow.first_time);
-  EXPECT_DOUBLE_EQ(fast.first, slow.first);
-  EXPECT_EQ(fast.last_time, slow.last_time);
-  EXPECT_DOUBLE_EQ(fast.last, slow.last);
+  EXPECT_EQ(fast.count, slow.agg.count);
+  EXPECT_DOUBLE_EQ(fast.min, slow.agg.min);
+  EXPECT_DOUBLE_EQ(fast.max, slow.agg.max);
+  EXPECT_NEAR(fast.sum, slow.agg.sum, 1e-6 * std::abs(slow.agg.sum));
+  EXPECT_EQ(fast.first_time, slow.agg.first_time);
+  EXPECT_DOUBLE_EQ(fast.first, slow.agg.first);
+  EXPECT_EQ(fast.last_time, slow.agg.last_time);
+  EXPECT_DOUBLE_EQ(fast.last, slow.agg.last);
 }
 
 // Tier 1 answers a chunk from its footer only when the range covers the
@@ -384,12 +432,12 @@ TEST_F(AggregateTest, NaNExcludedFromMinMaxSumButCounted) {
   EXPECT_TRUE(std::isnan(stats.last));
 
   // AggregateRange (the Query-based operator) agrees too.
-  AggregateResult r;
+  WindowAggregate r;
   ASSERT_TRUE(AggregateRange(*engine_, "s", 0, 10, &r).ok());
-  EXPECT_EQ(r.count, 4u);
-  EXPECT_DOUBLE_EQ(r.min, 3.0);
-  EXPECT_DOUBLE_EQ(r.max, 5.0);
-  EXPECT_DOUBLE_EQ(r.sum, 8.0);
+  EXPECT_EQ(r.agg.count, 4u);
+  EXPECT_DOUBLE_EQ(r.agg.min, 3.0);
+  EXPECT_DOUBLE_EQ(r.agg.max, 5.0);
+  EXPECT_DOUBLE_EQ(r.agg.sum, 8.0);
   EXPECT_DOUBLE_EQ(r.mean, 4.0);  // mean over the non-NaN values
 }
 
@@ -429,7 +477,7 @@ TEST_F(AggregateTest, DisorderedMeanMatchesOrderedGroundTruth) {
       expect += SignalValueAt(static_cast<size_t>(t));
     }
     expect /= 100.0;
-    ASSERT_NEAR(w.agg.mean, expect, 1e-9) << "window " << w.window_start;
+    ASSERT_NEAR(w.mean, expect, 1e-9) << "window " << w.window_start;
   }
 }
 

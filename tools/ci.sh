@@ -73,12 +73,13 @@
 #      ingest holding >= 0.5x the committed baseline's 100k-sensor rate;
 #      the encoding suite runs under ASan here too (its differential
 #      tests decode truncated and bit-flipped pages)
-#  12. UBSan: the encoding, WAL, wire-protocol, read-path and compaction
-#      suites under UndefinedBehaviorSanitizer with halt_on_error, so any
-#      report fails the step — shift-by-64 in the word-at-a-time bit
-#      reader/writer and signed overflow in TS_2DIFF delta arithmetic are
-#      the classic cases, and the CRC's carry-less-multiply path runs
-#      under it as well
+#  12. UBSan: the encoding, WAL, wire-protocol, read-path, compaction,
+#      TsFile and aggregation suites under UndefinedBehaviorSanitizer with
+#      halt_on_error, so any report fails the step — shift-by-64 in the
+#      word-at-a-time bit reader/writer, signed overflow in TS_2DIFF delta
+#      arithmetic and in window bounds near the Timestamp limits are the
+#      classic cases, and the CRC's carry-less-multiply path runs under it
+#      as well
 #
 # Usage: tools/ci.sh   (from the repo root; build dirs: build/, build-tsan/,
 #                      build-asan/, build-ubsan/)
@@ -536,13 +537,14 @@ awk -v p="$card_pps" -v b="$base_pps" 'BEGIN { exit (p >= 0.5 * b) ? 0 : 1 }' ||
 }
 echo "cardinality smoke passed (idle ${card_idle} B/sensor, 100k ingest ${card_pps} pts/s vs baseline ${base_pps})"
 
-echo "=== [12/12] UBSan: encoding/WAL/wire/read-path/compaction suites ==="
+echo "=== [12/12] UBSan: encoding/WAL/wire/read-path/compaction/TsFile/aggregation suites ==="
 # halt_on_error turns every UBSan report into a failing exit status.
 cmake -B build-ubsan -S . -DBACKSORT_SANITIZE=undefined
 cmake --build build-ubsan -j --target encoding_test wal_test \
-  net_protocol_test read_path_test compaction_test
+  net_protocol_test read_path_test compaction_test tsfile_test \
+  aggregate_test aggregate_differential_test
 for t in encoding_test wal_test net_protocol_test read_path_test \
-    compaction_test; do
+    compaction_test tsfile_test aggregate_test aggregate_differential_test; do
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 ./build-ubsan/tests/$t
 done
 
