@@ -6,11 +6,11 @@
 #include <string>
 #include <vector>
 
+#include "common/range_stats.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "encoding/bytes.h"
 #include "engine/wal_tailer.h"
-#include "common/range_stats.h"
 
 namespace backsort {
 

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "benchkit/digest.h"
 #include "net/client.h"
 #include "net/protocol.h"
 #include "net/server.h"
@@ -248,12 +249,7 @@ TEST(NetProtocol, AggregateResultBytesMatchGolden) {
       EXPECT_TRUE(result.used_fast_path);
       ByteBuffer buf;
       EncodeAggregateResult(result, &buf);
-      uint64_t h = 1469598103934665603ull;  // FNV-1a
-      for (const uint8_t b : buf.data()) {
-        h ^= b;
-        h *= 1099511628211ull;
-      }
-      digests.push_back(h);
+      digests.push_back(bench::FnvBytes(buf.data().data(), buf.size()));
     }
     // The mixed range took one chunk from its footer and one page by
     // page; the all-NaN range took its chunk from the footer.

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "benchkit/digest.h"
 #include "common/rng.h"
 #include "tsfile/tsfile.h"
 
@@ -428,15 +429,7 @@ uint64_t WriteNaNGoldenFile(const std::string& path, bool footer_stats,
       !write("c.empty", {}, {}).ok() || !writer.Finish().ok()) {
     return 0;
   }
-  std::ifstream in(path, std::ios::binary);
-  const std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
-                                std::istreambuf_iterator<char>());
-  uint64_t h = 1469598103934665603ull;  // FNV-1a, as the sealed goldens
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
+  return bench::FnvFile(path);
 }
 
 // Pins the file bytes of chunks the engine-level sealed goldens never
