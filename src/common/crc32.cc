@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "common/types.h"
+
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #include <immintrin.h>
 #define BACKSORT_CRC32_FOLD 1
@@ -20,7 +22,7 @@ namespace {
 // the WAL append path and on both sides of every network frame. The
 // 32-bit loads read input bytes out of the low byte first, which is only
 // the stream order on little-endian hosts; big-endian builds take the
-// byte-at-a-time loop (same gate as protocol.cc's kPointsAreWireLayout),
+// byte-at-a-time loop (the kHostIsLittleEndian gate of common/types.h),
 // keeping Crc32 value-identical across hosts.
 struct Crc32Tables {
   uint32_t entries[16][256];
@@ -44,12 +46,6 @@ struct Crc32Tables {
 };
 
 constexpr Crc32Tables kTables;
-
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-inline constexpr bool kHostIsLittleEndian = true;
-#else
-inline constexpr bool kHostIsLittleEndian = false;
-#endif
 
 /// Advances the pre-inverted CRC register `c` over `n` bytes with tables.
 uint32_t TableUpdate(uint32_t c, const uint8_t* p, size_t n) {

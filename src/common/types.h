@@ -11,6 +11,14 @@ namespace backsort {
 /// is always a Java long regardless of the value type V.
 using Timestamp = int64_t;
 
+/// Whether the host stores integers little-endian, i.e. in the byte order
+/// of every fixed-width field this project writes to disk or the wire.
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+inline constexpr bool kHostIsLittleEndian = true;
+#else
+inline constexpr bool kHostIsLittleEndian = false;
+#endif
+
 /// One time/value data point. The array index of a TvPair in a buffer is its
 /// arrival order (Definition 1 in the paper); `t` is the generation
 /// timestamp the series must be sorted by.

@@ -13,11 +13,7 @@ namespace backsort {
 namespace bitio_internal {
 
 inline uint64_t FromBigEndian64(uint64_t v) {
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
-  return v;
-#else
-  return __builtin_bswap64(v);
-#endif
+  return kHostIsLittleEndian ? __builtin_bswap64(v) : v;
 }
 
 }  // namespace bitio_internal

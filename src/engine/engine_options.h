@@ -77,7 +77,11 @@ struct EngineOptions {
   /// Write-ahead logging: every ingested point is framed and CRC-protected
   /// in a per-memtable WAL segment before being buffered; segments are
   /// deleted once their memtable's TsFile is durable. Open() replays any
-  /// leftover segments, so a crash loses at most the torn tail record.
+  /// leftover segments up to the first torn or damaged frame. With
+  /// sync_wal_every_write off, frames wait in the WAL's stdio buffer (4 KiB
+  /// with glibc) until it fills or the segment is synced, so a process
+  /// crash loses every acknowledged write still in that buffer, not only
+  /// the torn tail record (WalWriter in engine/wal.h).
   bool enable_wal = true;
 
   /// Force WAL buffers to the OS after every append. Durable but slow;

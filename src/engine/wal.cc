@@ -25,13 +25,6 @@ enum WalRecordType : uint8_t {
   kWalBatch = 2,
 };
 
-void PutPoint(Timestamp t, double v, ByteBuffer* payload) {
-  payload->PutFixed64(static_cast<uint64_t>(t));
-  uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  payload->PutFixed64(bits);
-}
-
 // Frame header: fixed32 payload size + fixed32 payload CRC.
 constexpr size_t kFrameHeaderLen = 8;
 
@@ -73,23 +66,17 @@ Status ParseWalPayloadV2(const uint8_t* payload, size_t size,
   if (!body.GetVarint64(&group_count).ok()) {
     return Status::Corruption("WAL batch malformed");
   }
+  std::string sensor;
+  std::vector<TvPairDouble> points;
   for (uint64_t g = 0; g < group_count; ++g) {
-    std::string sensor;
     uint64_t count = 0;
     if (!body.GetLengthPrefixedString(&sensor).ok() ||
-        !body.GetVarint64(&count).ok()) {
+        !body.GetVarint64(&count).ok() ||
+        !GetPoints(&body, count, &points).ok()) {
       return Status::Corruption("WAL batch malformed");
     }
-    for (uint64_t i = 0; i < count; ++i) {
-      WalRecord record;
-      record.sensor = sensor;
-      uint64_t t_bits = 0, v_bits = 0;
-      if (!body.GetFixed64(&t_bits).ok() || !body.GetFixed64(&v_bits).ok()) {
-        return Status::Corruption("WAL batch malformed");
-      }
-      record.t = static_cast<Timestamp>(t_bits);
-      std::memcpy(&record.v, &v_bits, sizeof(record.v));
-      records->push_back(std::move(record));
+    for (const TvPairDouble& p : points) {
+      records->push_back(WalRecord{sensor, p.t, p.v});
     }
   }
   return Status::OK();
@@ -134,8 +121,9 @@ Status WalWriter::AppendBatch(const SensorSpanDouble* groups,
   }
   if (non_empty == 0) return Status::OK();
   // The whole frame is encoded in place into the reused buffer, header
-  // words first as placeholders patched once the payload is known: a
-  // steady-state append allocates nothing and issues one fwrite.
+  // words first as placeholders patched once the payload is known, and
+  // each group's points as one PutPoints copy: a steady-state append
+  // allocates nothing and issues one fwrite.
   frame_.Clear();
   frame_.PutFixed32(0);
   frame_.PutFixed32(0);
@@ -146,9 +134,7 @@ Status WalWriter::AppendBatch(const SensorSpanDouble* groups,
     if (group.count == 0) continue;
     frame_.PutLengthPrefixedString(*group.sensor);
     frame_.PutVarint64(group.count);
-    for (size_t i = 0; i < group.count; ++i) {
-      PutPoint(group.points[i].t, group.points[i].v, &frame_);
-    }
+    PutPoints(group.points, group.count, &frame_);
   }
   const size_t payload_size = frame_.size() - kFrameHeaderLen;
   frame_.PatchFixed32(0, static_cast<uint32_t>(payload_size));

@@ -22,8 +22,19 @@ struct WalRecord {
 /// Append-only write-ahead log segment. Each record is framed as
 ///   [payload size : fixed32][crc32(payload) : fixed32][payload]
 /// Recovery replays records until the first frame whose size or CRC does
-/// not check out — a torn tail from a crash loses at most the last record
-/// (for a batch record: the last group commit), never poisons earlier ones.
+/// not check out, so a torn tail never poisons the frames before it.
+///
+/// Crash-loss window. AppendBatch hands each frame to a stdio buffer (one
+/// st_blksize, 4 KiB with glibc on common filesystems); a frame larger
+/// than the buffer goes out in whole blocks, but glibc still keeps its
+/// remainder there. Until Sync() runs, a process crash therefore loses
+/// every frame that buffer holds — possibly many acknowledged group
+/// commits, plus the torn frame whose head already reached the file — not
+/// just the last record. With EngineOptions::sync_wal_every_write each
+/// write is synced before it is acknowledged; without `fsync_on_sync` a
+/// power cut can still lose what the kernel has not written back.
+/// (WalTest.TornTailLosesOnlyLastRecord truncates a closed file; it
+/// models a torn final write, not a process death.)
 ///
 /// Format versioning. A fresh segment starts with a 5-byte header, magic
 /// "BWAL" + version byte 2, and every v2 payload then begins with a record
@@ -31,7 +42,8 @@ struct WalRecord {
 ///   point (1): sensor (length-prefixed) + fixed64 time + fixed64 value bits
 ///   batch (2): group count (varint), then per group
 ///              sensor (length-prefixed) + point count (varint) +
-///              count x (fixed64 time, fixed64 value bits)
+///              count x (fixed64 time, fixed64 value bits) — a point run
+///              in the layout of PutPoints/GetPoints (encoding/bytes.h)
 /// The batch record is the group commit of the write path: one frame, one
 /// CRC, one buffered write for a whole multi-sensor batch, and the only
 /// record the writer emits (a single point is a one-point batch). Point

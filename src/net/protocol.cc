@@ -1,6 +1,5 @@
 #include "net/protocol.h"
 
-#include <cstddef>
 #include <cstring>
 
 #include "common/crc32.h"
@@ -27,30 +26,6 @@ Status GetTimestamp(ByteReader* reader, Timestamp* out) {
   RETURN_NOT_OK(reader->GetFixed64(&bits));
   *out = static_cast<Timestamp>(bits);
   return Status::OK();
-}
-
-// The wire point layout (fixed64 LE timestamp + fixed64 LE IEEE-754
-// value bits) is byte-identical to the in-memory TvPairDouble on a
-// little-endian host, so bulk point runs move as one memcpy in both
-// directions; big-endian hosts take the per-field path.
-static_assert(sizeof(TvPairDouble) == 16);
-static_assert(offsetof(TvPairDouble, t) == 0);
-static_assert(offsetof(TvPairDouble, v) == 8);
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-inline constexpr bool kPointsAreWireLayout = true;
-#else
-inline constexpr bool kPointsAreWireLayout = false;
-#endif
-
-void PutPoints(const TvPairDouble* points, size_t count, ByteBuffer* out) {
-  if (kPointsAreWireLayout) {
-    out->PutBytes(points, count * sizeof(TvPairDouble));
-    return;
-  }
-  for (size_t i = 0; i < count; ++i) {
-    out->PutFixed64(static_cast<uint64_t>(points[i].t));
-    PutDoubleBits(points[i].v, out);
-  }
 }
 
 WireCode StatusToWire(const Status& st) {
@@ -222,29 +197,6 @@ void EncodeWriteBatchRequest(const WriteBatchRequest& req, ByteBuffer* out) {
                           out);
 }
 
-Status DecodeWriteBatchRequest(const uint8_t* payload, size_t size,
-                               WriteBatchRequest* out) {
-  ByteReader reader(payload, size);
-  RETURN_NOT_OK(reader.GetLengthPrefixedString(&out->sensor));
-  uint64_t count = 0;
-  RETURN_NOT_OK(reader.GetVarint64(&count));
-  // Each point is 16 bytes; a count the remaining bytes cannot hold is
-  // malformed, not a reason to allocate.
-  if (count > reader.remaining() / 16) {
-    return Status::Corruption("write batch count exceeds payload");
-  }
-  out->points.clear();
-  out->points.reserve(static_cast<size_t>(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    TvPairDouble p{};
-    RETURN_NOT_OK(GetTimestamp(&reader, &p.t));
-    RETURN_NOT_OK(GetDoubleBits(&reader, &p.v));
-    out->points.push_back(p);
-  }
-  if (!reader.AtEnd()) return Status::Corruption("trailing bytes in request");
-  return Status::OK();
-}
-
 Status DecodeWriteBatchView(const uint8_t* payload, size_t size,
                             std::vector<TvPairDouble>* scratch,
                             WriteBatchView* out) {
@@ -254,32 +206,22 @@ Status DecodeWriteBatchView(const uint8_t* payload, size_t size,
   RETURN_NOT_OK(reader.GetVarint64(&count));
   // Points are exactly the remaining bytes: 16 each, nothing trailing.
   // Divide instead of multiplying so an attacker-chosen count can't wrap.
-  if (count > reader.remaining() / 16) {
+  if (count > reader.remaining() / kPointBytes) {
     return Status::Corruption("write batch count exceeds payload");
   }
-  if (count * 16 != reader.remaining()) {
+  if (count * kPointBytes != reader.remaining()) {
     return Status::Corruption("trailing bytes in request");
   }
   out->count = static_cast<size_t>(count);
-  const uint8_t* raw = payload + reader.position();
-  if (kPointsAreWireLayout) {
-    // An aligned little-endian payload needs no decode at all.
-    if (reinterpret_cast<uintptr_t>(raw) % alignof(TvPairDouble) == 0) {
-      out->points = reinterpret_cast<const TvPairDouble*>(raw);
-      return Status::OK();
-    }
-    // Misaligned: one bulk relayout into the caller's reusable scratch.
-    scratch->resize(out->count);
-    std::memcpy(scratch->data(), raw, out->count * sizeof(TvPairDouble));
-  } else {
-    // Big-endian host: per-field decode into scratch.
-    scratch->resize(out->count);
-    ByteReader points_reader(raw, reader.remaining());
-    for (size_t i = 0; i < out->count; ++i) {
-      RETURN_NOT_OK(GetTimestamp(&points_reader, &(*scratch)[i].t));
-      RETURN_NOT_OK(GetDoubleBits(&points_reader, &(*scratch)[i].v));
-    }
+  // An aligned little-endian payload needs no decode at all; otherwise the
+  // points are copied into the caller's reusable scratch.
+  const uint8_t* raw = reader.cursor();
+  if (kPointsAreWireLayout &&
+      reinterpret_cast<uintptr_t>(raw) % alignof(TvPairDouble) == 0) {
+    out->points = reinterpret_cast<const TvPairDouble*>(raw);
+    return Status::OK();
   }
+  RETURN_NOT_OK(GetPoints(&reader, count, scratch));
   out->points = scratch->data();
   return Status::OK();
 }
@@ -361,24 +303,7 @@ Status DecodeReplicateBatchRequest(const uint8_t* payload, size_t size,
     RETURN_NOT_OK(reader.GetLengthPrefixedString(&group.sensor));
     uint64_t count = 0;
     RETURN_NOT_OK(reader.GetVarint64(&count));
-    if (count > reader.remaining() / 16) {
-      return Status::Corruption("replicate batch count exceeds payload");
-    }
-    group.points.clear();
-    if (kPointsAreWireLayout) {
-      group.points.resize(static_cast<size_t>(count));
-      RETURN_NOT_OK(reader.GetBytes(group.points.data(),
-                                    group.points.size() *
-                                        sizeof(TvPairDouble)));
-    } else {
-      group.points.reserve(static_cast<size_t>(count));
-      for (uint64_t i = 0; i < count; ++i) {
-        TvPairDouble p{};
-        RETURN_NOT_OK(GetTimestamp(&reader, &p.t));
-        RETURN_NOT_OK(GetDoubleBits(&reader, &p.v));
-        group.points.push_back(p);
-      }
-    }
+    RETURN_NOT_OK(GetPoints(&reader, count, &group.points));
   }
   if (!reader.AtEnd()) return Status::Corruption("trailing bytes in request");
   return Status::OK();
@@ -409,27 +334,11 @@ void EncodePointList(const std::vector<TvPairDouble>& points,
 Status DecodePointList(ByteReader* reader, std::vector<TvPairDouble>* out) {
   uint64_t count = 0;
   RETURN_NOT_OK(reader->GetVarint64(&count));
-  if (count > reader->remaining() / 16) {
-    return Status::Corruption("point list count exceeds payload");
-  }
-  out->clear();
-  if (kPointsAreWireLayout) {
-    out->resize(static_cast<size_t>(count));
-    return reader->GetBytes(out->data(), out->size() * sizeof(TvPairDouble));
-  }
-  out->reserve(static_cast<size_t>(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    TvPairDouble p{};
-    RETURN_NOT_OK(GetTimestamp(reader, &p.t));
-    RETURN_NOT_OK(GetDoubleBits(reader, &p.v));
-    out->push_back(p);
-  }
-  return Status::OK();
+  return GetPoints(reader, count, out);
 }
 
 void EncodePoint(const TvPairDouble& p, ByteBuffer* out) {
-  out->PutFixed64(static_cast<uint64_t>(p.t));
-  PutDoubleBits(p.v, out);
+  PutPoints(&p, 1, out);
 }
 
 Status DecodePoint(ByteReader* reader, TvPairDouble* out) {

@@ -149,8 +149,6 @@ void EncodeWriteBatchRequest(const WriteBatchRequest& req, ByteBuffer* out);
 void EncodeWriteBatchRequest(const std::string& sensor,
                              const TvPairDouble* points, size_t count,
                              ByteBuffer* out);
-Status DecodeWriteBatchRequest(const uint8_t* payload, size_t size,
-                               WriteBatchRequest* out);
 
 /// Non-owning view of a decoded WriteBatch request: `points` aliases
 /// either the payload bytes themselves (the zero-copy fast path — the
@@ -163,9 +161,9 @@ struct WriteBatchView {
   size_t count = 0;
 };
 
-/// Streaming decode for the server's write path: validates the payload
-/// like DecodeWriteBatchRequest but never materializes an owning point
-/// vector — the view feeds StorageEngine::WriteMulti spans directly.
+/// The WriteBatch decoder: rejects a count the payload cannot hold and
+/// any trailing bytes, and never materializes an owning point vector —
+/// the view feeds StorageEngine::WriteMulti spans directly.
 Status DecodeWriteBatchView(const uint8_t* payload, size_t size,
                             std::vector<TvPairDouble>* scratch,
                             WriteBatchView* out);

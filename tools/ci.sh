@@ -72,10 +72,15 @@
 #      BENCH_system_cardinality_stringpath.json) and on wide-batch
 #      ingest holding >= 0.5x the committed baseline's 100k-sensor rate;
 #      the encoding suite runs under ASan here too (its differential
-#      tests decode truncated and bit-flipped pages)
-#  12. UBSan: the encoding, WAL, wire-protocol, read-path, compaction,
-#      TsFile and aggregation suites under UndefinedBehaviorSanitizer with
-#      halt_on_error, so any report fails the step — shift-by-64 in the
+#      tests decode truncated and bit-flipped pages), and so does the
+#      wire-protocol suite (every BSN1 point decoder reads through the
+#      shared GetPoints codec, and NetMalformedTest feeds it hostile
+#      frames)
+#  12. UBSan: the encoding, WAL, WAL-tailer, wire-protocol, read-path,
+#      compaction, TsFile and aggregation suites under
+#      UndefinedBehaviorSanitizer with halt_on_error, so any report fails
+#      the step (the WAL-tailer suite drives the shared point-run codec
+#      through shipped frames) — shift-by-64 in the
 #      word-at-a-time bit reader/writer, signed overflow in TS_2DIFF delta
 #      arithmetic and in window bounds near the Timestamp limits are the
 #      classic cases, and the CRC's carry-less-multiply path runs under it
@@ -479,7 +484,7 @@ scale2=$(grep '"scale_out_2v1"' "$smoke_dir/BENCH_system_cluster.json" \
   | awk -F': ' '{print $2}' | tr -d ',')
 echo "cluster bench passed (2-node/1-node write ratio ${scale2} on this host)"
 
-echo "=== [11/12] ASan: interner/arena/WAL/read-path suites + 100k-sensor smoke ==="
+echo "=== [11/12] ASan: interner/arena/WAL/read-path/wire suites + 100k-sensor smoke ==="
 # The interner and arenas trade allocator nodes for raw pointer lifetimes
 # (string_views into a bump arena, TVList blocks freed wholesale at seal);
 # run their suites under AddressSanitizer to keep those lifetimes honest.
@@ -489,7 +494,7 @@ echo "=== [11/12] ASan: interner/arena/WAL/read-path suites + 100k-sensor smoke 
 cmake -B build-asan -S . -DBACKSORT_SANITIZE=address
 cmake --build build-asan -j --target interner_test tvlist_test wal_test \
   wal_tailer_test read_path_test chunk_cache_test encoding_test \
-  engine_model_test compaction_test
+  engine_model_test compaction_test net_protocol_test
 ./build-asan/tests/interner_test
 ./build-asan/tests/tvlist_test
 ./build-asan/tests/wal_test
@@ -509,6 +514,9 @@ cmake --build build-asan -j --target interner_test tvlist_test wal_test \
 # The flush copies sealed TVLists out into reused flat buffers and sorts
 # them there; the model suite drives that copy through every seal.
 ./build-asan/tests/engine_model_test
+# WAL replay and every BSN1 point decoder share one point-run codec
+# (GetPoints): the wire suite's hostile frames must stay in bounds too.
+./build-asan/tests/net_protocol_test
 # Scaled cardinality smoke: 100k sensors, one rep, disorder panels off.
 # Two gates against the flat JSON: idle heap per sensor (absolute budget —
 # full scale measures ~191 B/sensor; 600 leaves 3x noise headroom while
@@ -537,14 +545,15 @@ awk -v p="$card_pps" -v b="$base_pps" 'BEGIN { exit (p >= 0.5 * b) ? 0 : 1 }' ||
 }
 echo "cardinality smoke passed (idle ${card_idle} B/sensor, 100k ingest ${card_pps} pts/s vs baseline ${base_pps})"
 
-echo "=== [12/12] UBSan: encoding/WAL/wire/read-path/compaction/TsFile/aggregation suites ==="
+echo "=== [12/12] UBSan: encoding/WAL/WAL-tailer/wire/read-path/compaction/TsFile/aggregation suites ==="
 # halt_on_error turns every UBSan report into a failing exit status.
 cmake -B build-ubsan -S . -DBACKSORT_SANITIZE=undefined
 cmake --build build-ubsan -j --target encoding_test wal_test \
-  net_protocol_test read_path_test compaction_test tsfile_test \
-  aggregate_test aggregate_differential_test
-for t in encoding_test wal_test net_protocol_test read_path_test \
-    compaction_test tsfile_test aggregate_test aggregate_differential_test; do
+  wal_tailer_test net_protocol_test read_path_test compaction_test \
+  tsfile_test aggregate_test aggregate_differential_test
+for t in encoding_test wal_test wal_tailer_test net_protocol_test \
+    read_path_test compaction_test tsfile_test aggregate_test \
+    aggregate_differential_test; do
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 ./build-ubsan/tests/$t
 done
 
