@@ -1,6 +1,7 @@
 // Mixed read/write benchmark for the rebuilt read path: readers repeat
 // fixed-range queries while a writer streams disordered points, once with
-// the shared chunk cache + file pruning enabled and once with both off.
+// the shared chunk cache enabled and once with it off (footer-based file
+// pruning is always on).
 // Prints write throughput, query p50/p99 latency and the cache hit rate
 // per configuration, and writes the full metric registries (query-stage
 // histograms, cache counters) to

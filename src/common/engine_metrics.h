@@ -77,9 +77,8 @@ struct StageLatencySnapshots {
   HistogramSnapshot queue_wait;
   /// Per-flush total TVList sort time.
   HistogramSnapshot sort;
-  /// One per-sensor sort+encode job inside a flush — the unit of work the
-  /// intra-flush parallelism fans out (one sample per sensor per flush,
-  /// whatever the parallelism).
+  /// One per-sensor sort+encode job inside a flush (one sample per sensor
+  /// per flush).
   HistogramSnapshot sort_job;
   /// Per-flush total encode+write time.
   HistogramSnapshot encode;

@@ -52,23 +52,16 @@ struct EngineOptions {
   /// file list, so writers of different sensors do not contend.
   /// 0 = auto: $BACKSORT_SHARDS when set (the ci.sh test-matrix hook),
   /// else 1. With 1 shard the engine behaves exactly like the pre-sharding
-  /// single-lock engine.
+  /// single-lock engine. A set variable that is not a plain decimal count
+  /// makes Open() fail with InvalidArgument.
   size_t shard_count = 0;
 
   /// Workers in the shared flush pool draining sealed memtables from all
   /// shards, so sorts for different shards overlap. 0 = auto:
   /// $BACKSORT_FLUSH_WORKERS when set, else min(shard_count,
-  /// hardware_concurrency). Ignored when async_flush is false.
+  /// hardware_concurrency). Ignored when async_flush is false. Malformed
+  /// values of the variable fail Open() like $BACKSORT_SHARDS.
   size_t flush_workers = 0;
-
-  /// Intra-flush parallelism: how many worker threads one flush may fan
-  /// its per-sensor sort+encode jobs across. Output is deterministic at
-  /// any setting — encoded chunks are appended to the TsFile in sensor
-  /// order, so the sealed bytes are identical to the serial path. 0 =
-  /// auto: $BACKSORT_FLUSH_PARALLELISM when set, else 1. With 1 the flush
-  /// loop runs inline on the flush worker, exactly the pre-parallel
-  /// behavior. Tuning notes in docs/OPERATIONS.md.
-  size_t flush_parallelism = 0;
 
   /// Run flushes on background threads (IoTDB's flush is "asynchronously
   /// awaited"). Tests may turn this off for determinism.
@@ -99,11 +92,6 @@ struct EngineOptions {
   /// fflush per ingest; leave off outside cluster mode.
   bool replication_log = false;
 
-  /// Rotate a shard's ship-log segment once it exceeds this many bytes.
-  /// Smaller segments bound replication replay and purge granularity;
-  /// larger ones reduce file churn.
-  size_t ship_segment_bytes = 4u << 20;  // 4 MiB
-
   /// Make every WAL Sync() also ::fsync the segment to the storage device,
   /// not just into the OS page cache. Off, a Sync survives a process crash
   /// but not a power cut; on, it survives both at a large latency cost
@@ -115,25 +103,15 @@ struct EngineOptions {
   /// deleted durable files, so there is no cheaper honest mode.
   bool wal_fsync = false;
 
-  /// Sentinel for `chunk_cache_bytes`: resolve from the environment / the
-  /// built-in default at engine construction.
-  static constexpr size_t kChunkCacheAuto = static_cast<size_t>(-1);
-  /// Built-in chunk-cache capacity when nothing else is configured.
+  /// Built-in chunk-cache capacity.
   static constexpr size_t kDefaultChunkCacheBytes = 64u << 20;  // 64 MiB
 
   /// Byte capacity of the engine-wide chunk cache (page directories +
   /// parsed footers, shared by all shards; see common/chunk_cache.h).
-  /// kChunkCacheAuto = resolve $BACKSORT_CHUNK_CACHE_BYTES when set, else
-  /// 64 MiB. 0 disables the cache: footers stay pinned per file and every
-  /// page read derives its chunk's page directory again. Sizing guidance
-  /// in docs/OPERATIONS.md.
-  size_t chunk_cache_bytes = kChunkCacheAuto;
-
-  /// File-level time pruning: skip sealed files whose footer says the
-  /// sensor has no points in the query range, without opening them. Off =
-  /// every file is consulted (the pre-pruning read path; useful for A/B
-  /// checks and as the conservative fallback while debugging).
-  bool enable_file_pruning = true;
+  /// 0 disables the cache: footers stay pinned per file and every page
+  /// read derives its chunk's page directory again. Sizing guidance in
+  /// docs/OPERATIONS.md.
+  size_t chunk_cache_bytes = kDefaultChunkCacheBytes;
 
   /// Test hook, invoked by Query after the snapshot is taken and the shard
   /// lock released, before any file I/O. Lets tests hold a query mid-read
@@ -146,26 +124,21 @@ struct EngineOptions {
   /// a thread that keeps the sealed-file count bounded by merging size
   /// tiers of the registry with the streaming loser-tree merge. Off (the
   /// default), files accumulate until an explicit Compact()/CompactStep().
-  /// Can be forced on via $BACKSORT_COMPACTION=1 when left false.
   bool compaction_enabled = false;
 
   /// Maximum files merged by one compaction job (the k of the k-way
   /// merge; also the bound on open run cursors, hence on job memory).
-  /// 0 = auto: $BACKSORT_COMPACTION_MAX_FANIN when set, else 8.
+  /// 0 = CompactionConfig::kDefaultMaxFanin (8); floor 2.
   size_t compaction_max_fanin = 0;
 
-  /// Size ratio between consecutive tiers: a file of `bytes` lives in
-  /// tier floor(log_ratio(bytes / 64KiB)). 0 = auto:
-  /// $BACKSORT_COMPACTION_TIER_RATIO when set, else 4.
-  double compaction_tier_ratio = 0.0;
-
   /// How many same-tier files must accumulate (consecutively, in creation
-  /// order) before the planner schedules a merge of that tier. 0 = auto:
-  /// $BACKSORT_COMPACTION_TRIGGER_FILES when set, else 4.
+  /// order) before the planner schedules a merge of that tier. 0 =
+  /// CompactionConfig::kDefaultTriggerFiles (4); floor 2. Tiers are a
+  /// fixed CompactionConfig::kDefaultTierRatio (4x) apart.
   size_t compaction_trigger_files = 0;
 
-  /// Poll interval of the background scheduler, milliseconds. 0 = auto:
-  /// $BACKSORT_COMPACTION_INTERVAL_MS when set, else 250.
+  /// Poll interval of the background scheduler, milliseconds. 0 =
+  /// CompactionConfig::kDefaultCheckIntervalMs (250).
   size_t compaction_check_interval_ms = 0;
 };
 

@@ -6,7 +6,6 @@
 #include <filesystem>
 #include <limits>
 #include <optional>
-#include <thread>
 
 #if defined(__GLIBC__)
 #include <malloc.h>
@@ -39,6 +38,11 @@ void MaybeTrimHeap(size_t freed_bytes) {
   (void)freed_bytes;
 #endif
 }
+
+/// A shard's ship-log segment is rotated once it exceeds this many bytes.
+/// Smaller segments bound replication replay and purge granularity;
+/// larger ones reduce file churn.
+constexpr size_t kShipSegmentBytes = 4u << 20;  // 4 MiB
 
 /// Adds one chunk read to the amplification counters.
 void CountPageReads(EngineSharedState* shared, const PageReader& reader) {
@@ -148,7 +152,7 @@ Status EngineShard::ShipAppendLocked(const SensorSpanDouble* groups,
   // the tailer reads the file through the page cache, so an unflushed
   // record would be invisible to replication until some later flush.
   RETURN_NOT_OK(ship_->Sync());
-  if (ship_->bytes() >= shared_->options.ship_segment_bytes) {
+  if (ship_->bytes() >= kShipSegmentBytes) {
     return RotateShipLocked();
   }
   return Status::OK();
@@ -417,43 +421,30 @@ Status EngineShard::FlushTable(const FlushJob& job) {
   writer.set_footer_stats(options.footer_stats);
   Status write_status = Status::OK();
   {
-    // One sort+encode job per sensor, in map (sensor-name) order. Encoded
-    // chunk bodies are position-independent, so jobs run on any worker in
-    // any order; the coordinator appends results in job order below,
-    // making the sealed file byte-identical to the serial loop at every
-    // parallelism setting.
-    struct JobResult {
-      TsFileWriter::EncodedChunk chunk;
-      Status status;
-      int64_t sort_ns = 0;
-      int64_t encode_ns = 0;
-    };
     // `chunk->sensor` (an arena-backed view, valid for the table's
     // lifetime) serves as sort key and encoder name alike — no per-sensor
     // string copies on the seal path.
-    std::vector<MemTable::Chunk*> jobs(table->chunks().begin(),
-                                       table->chunks().end());
+    std::vector<MemTable::Chunk*> chunks(table->chunks().begin(),
+                                         table->chunks().end());
     // Chunks live in first-write order; the file format (and the sealed
     // byte-identity goldens) expect lexicographic sensor order, exactly
     // what the old std::map iteration produced.
-    std::sort(jobs.begin(), jobs.end(),
+    std::sort(chunks.begin(), chunks.end(),
               [](const MemTable::Chunk* a, const MemTable::Chunk* b) {
                 return a->sensor < b->sensor;
               });
-    std::vector<JobResult> results(jobs.size());
 
-    // Per-worker reusable scratch: the flat copy the sort runs on and the
-    // encoder's columns, grown once to the largest chunk a worker sees,
-    // not reallocated per sensor.
-    struct Scratch {
-      std::vector<TvPairDouble> points;
-      std::vector<Timestamp> ts;
-      std::vector<double> values;
-    };
-    auto run_job = [&](size_t i, Scratch& scratch) {
-      const DoubleTVList& list = jobs[i]->list;
-      JobResult& res = results[i];
+    // One sort+encode job per sensor, run in sensor order on this flush
+    // worker; the first failure stops the file. The flat copy the sort
+    // runs on and the encoder's columns are reused across sensors, grown
+    // once to the largest chunk rather than reallocated per sensor.
+    std::vector<TvPairDouble> points;
+    std::vector<Timestamp> ts;
+    std::vector<double> values;
+    for (const MemTable::Chunk* chunk : chunks) {
+      const DoubleTVList& list = chunk->list;
       WallTimer job_timer;
+      int64_t sort_ns = 0;
       // Copy the sealed TVList out in arrival order and sort the flat copy
       // with the configured algorithm (skipped when appends arrived in
       // order — IoTDB checks the same flag). The TVList itself is never
@@ -461,60 +452,30 @@ Status EngineShard::FlushTable(const FlushJob& job) {
       auto copy_out = [&](std::vector<TvPairDouble>* out) {
         list.AppendRangeTo(list.min_time(), list.max_time(), out);
       };
-      scratch.points.clear();
-      copy_out(&scratch.points);
+      points.clear();
+      copy_out(&points);
       if (!list.sorted()) {
         WallTimer sort_timer;
-        SortArrivals(options, &scratch.points, copy_out);
-        res.sort_ns = sort_timer.ElapsedNanos();
+        SortArrivals(options, &points, copy_out);
+        sort_ns = sort_timer.ElapsedNanos();
       }
-      scratch.ts.resize(scratch.points.size());
-      scratch.values.resize(scratch.points.size());
-      for (size_t k = 0; k < scratch.points.size(); ++k) {
-        scratch.ts[k] = scratch.points[k].t;
-        scratch.values[k] = scratch.points[k].v;
+      ts.resize(points.size());
+      values.resize(points.size());
+      for (size_t k = 0; k < points.size(); ++k) {
+        ts[k] = points[k].t;
+        values[k] = points[k].v;
       }
-      res.status = TsFileWriter::EncodeChunkF64(
-          jobs[i]->sensor, scratch.ts, scratch.values, Encoding::kTs2Diff,
-          Encoding::kGorilla, options.points_per_page, &res.chunk);
+      TsFileWriter::EncodedChunk encoded;
+      write_status = TsFileWriter::EncodeChunkF64(
+          chunk->sensor, ts, values, Encoding::kTs2Diff, Encoding::kGorilla,
+          options.points_per_page, &encoded);
       const int64_t job_ns = job_timer.ElapsedNanos();
-      res.encode_ns = job_ns - res.sort_ns;
       shared_->histograms.sort_job.Record(static_cast<uint64_t>(job_ns));
-    };
-
-    const size_t parallelism = std::min(
-        std::max<size_t>(options.flush_parallelism, 1), jobs.size());
-    if (parallelism <= 1) {
-      // Inline on the flush worker — the pre-parallel path.
-      Scratch scratch;
-      for (size_t i = 0; i < jobs.size(); ++i) run_job(i, scratch);
-    } else {
-      std::atomic<size_t> next{0};
-      std::vector<std::thread> task_group;
-      task_group.reserve(parallelism);
-      for (size_t w = 0; w < parallelism; ++w) {
-        task_group.emplace_back([&] {
-          Scratch scratch;
-          for (size_t i = next.fetch_add(1, std::memory_order_relaxed);
-               i < jobs.size();
-               i = next.fetch_add(1, std::memory_order_relaxed)) {
-            run_job(i, scratch);
-          }
-        });
-      }
-      for (auto& worker : task_group) worker.join();
-    }
-
-    // Deterministic assembly in job (sensor) order; first failure wins,
-    // like the serial loop.
-    for (size_t i = 0; i < results.size(); ++i) {
-      JobResult& res = results[i];
-      sort_ms += static_cast<double>(res.sort_ns) / 1e6;
-      trace.sort_ns += res.sort_ns;
-      trace.encode_ns += res.encode_ns;
-      write_status = res.status;
+      sort_ms += static_cast<double>(sort_ns) / 1e6;
+      trace.sort_ns += sort_ns;
+      trace.encode_ns += job_ns - sort_ns;
       if (write_status.ok()) {
-        write_status = writer.AppendEncodedChunk(jobs[i]->sensor, res.chunk);
+        write_status = writer.AppendEncodedChunk(chunk->sensor, encoded);
       }
       if (!write_status.ok()) break;
     }
@@ -729,23 +690,21 @@ Status EngineShard::Query(const std::string& sensor, Timestamp t_min,
   uint64_t pruned = 0;
   for (const SealedFileRef& file : snap.files) {
     ++priority;
-    if (shared.options.enable_file_pruning) {
-      if (!file->SpanOverlaps(t_min, t_max)) {
+    if (!file->SpanOverlaps(t_min, t_max)) {
+      ++pruned;
+      continue;
+    }
+    std::shared_ptr<const FooterIndex> footer;
+    if (file->Footer(&footer).ok()) {
+      const ChunkLocator* locator = footer->Find(sensor);
+      if (locator == nullptr || locator->min_t > locator->max_t ||
+          locator->max_t < t_min || locator->min_t > t_max) {
         ++pruned;
         continue;
       }
-      std::shared_ptr<const FooterIndex> footer;
-      if (file->Footer(&footer).ok()) {
-        const ChunkLocator* locator = footer->Find(sensor);
-        if (locator == nullptr || locator->min_t > locator->max_t ||
-            locator->max_t < t_min || locator->min_t > t_max) {
-          ++pruned;
-          continue;
-        }
-      }
-      // An unreadable footer never prunes — the read below surfaces the
-      // I/O error instead of silently dropping the file's points.
     }
+    // An unreadable footer never prunes — the read below surfaces the
+    // I/O error instead of silently dropping the file's points.
     files.emplace_back(file, priority);
   }
   if (pruned > 0) {
@@ -855,10 +814,6 @@ Status EngineShard::AggregateFast(const std::string& sensor, Timestamp t_min,
     for (size_t i = 0; i < snap.files.size(); ++i) {
       const SealedFileMeta& file = *snap.files[i];
       if (!file.unsequence()) continue;
-      if (!shared.options.enable_file_pruning) {
-        fast_ok = false;
-        break;
-      }
       const ChunkLocator* locator = footers[i]->Find(sensor);
       if (locator != nullptr && locator->min_t <= locator->max_t &&
           locator->max_t >= t_min && locator->min_t <= t_max) {

@@ -1,5 +1,6 @@
 #include "engine/storage_engine.h"
 
+#include "common/parse_count.h"
 #include "engine/wal_tailer.h"
 
 #include <algorithm>
@@ -17,16 +18,18 @@ namespace backsort {
 
 namespace {
 
-size_t EnvCount(const char* name) {
+/// Resolves an auto (0) count from the environment hook `name`. Unset or
+/// empty leaves `*count` at 0; a value that is not a plain decimal count
+/// (ParseCount) leaves it at 0 too and records the first such error in
+/// `*status`, which Open() returns.
+void EnvCount(const char* name, size_t* count, Status* status) {
   const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return 0;
-  return static_cast<size_t>(std::strtoull(v, nullptr, 10));
-}
-
-double EnvRatio(const char* name) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return 0.0;
-  return std::strtod(v, nullptr);
+  if (v == nullptr || *v == '\0' || ParseCount(v, count)) return;
+  if (status->ok()) {
+    *status = Status::InvalidArgument(std::string("$") + name +
+                                      " must be a decimal count, got '" + v +
+                                      "'");
+  }
 }
 
 }  // namespace
@@ -34,67 +37,43 @@ double EnvRatio(const char* name) {
 StorageEngine::StorageEngine(EngineOptions options) {
   shared_.options = std::move(options);
   shared_.pool = &pool_;
-
-  // Resolve the chunk-cache capacity. EnvCount-style parsing is not usable
-  // here: an explicit "0" must disable the cache, which is distinct from
-  // the variable being unset, so getenv is consulted directly.
-  size_t cache_bytes = shared_.options.chunk_cache_bytes;
-  if (cache_bytes == EngineOptions::kChunkCacheAuto) {
-    const char* env = std::getenv("BACKSORT_CHUNK_CACHE_BYTES");
-    if (env != nullptr && *env != '\0') {
-      cache_bytes = static_cast<size_t>(std::strtoull(env, nullptr, 10));
-    } else {
-      cache_bytes = EngineOptions::kDefaultChunkCacheBytes;
-    }
-  }
-  shared_.chunk_cache = std::make_unique<ChunkCache>(cache_bytes);
+  shared_.chunk_cache =
+      std::make_unique<ChunkCache>(shared_.options.chunk_cache_bytes);
 
   // Resolve the auto (0) settings: the BACKSORT_SHARDS /
   // BACKSORT_FLUSH_WORKERS environment hooks let tools/ci.sh run the whole
   // test suite in a sharded configuration without touching each test;
   // explicit option values always win.
   size_t shards = shared_.options.shard_count;
-  if (shards == 0) shards = EnvCount("BACKSORT_SHARDS");
+  if (shards == 0) EnvCount("BACKSORT_SHARDS", &shards, &env_status_);
   if (shards == 0) shards = 1;
 
   size_t workers = shared_.options.flush_workers;
-  if (workers == 0) workers = EnvCount("BACKSORT_FLUSH_WORKERS");
+  if (workers == 0) EnvCount("BACKSORT_FLUSH_WORKERS", &workers, &env_status_);
   if (workers == 0) {
     const size_t hw = std::thread::hardware_concurrency();
     workers = std::min(shards, hw == 0 ? size_t{1} : hw);
   }
   flush_workers_ = std::max<size_t>(workers, 1);
 
-  size_t parallelism = shared_.options.flush_parallelism;
-  if (parallelism == 0) parallelism = EnvCount("BACKSORT_FLUSH_PARALLELISM");
-  if (parallelism == 0) parallelism = 1;
-  shared_.options.flush_parallelism = parallelism;
-
-  // Tiered-compaction tuning: explicit option values win, auto (0)
-  // consults the BACKSORT_COMPACTION* environment, then the built-in
-  // defaults. The enabled flag can only be forced ON by the environment,
-  // never off (tests that construct with it set rely on that).
-  compaction_enabled_ = shared_.options.compaction_enabled ||
-                        EnvCount("BACKSORT_COMPACTION") != 0;
+  // Tiered-compaction tuning: explicit option values win, auto (0) keeps
+  // the CompactionConfig defaults.
+  compaction_enabled_ = shared_.options.compaction_enabled;
   compaction_config_.data_dir = shared_.options.data_dir;
   compaction_config_.points_per_page = shared_.options.points_per_page;
   compaction_config_.footer_stats = shared_.options.footer_stats;
-  size_t fanin = shared_.options.compaction_max_fanin;
-  if (fanin == 0) fanin = EnvCount("BACKSORT_COMPACTION_MAX_FANIN");
-  if (fanin == 0) fanin = CompactionConfig::kDefaultMaxFanin;
-  compaction_config_.max_fanin = std::max<size_t>(fanin, 2);
-  double ratio = shared_.options.compaction_tier_ratio;
-  if (ratio <= 0.0) ratio = EnvRatio("BACKSORT_COMPACTION_TIER_RATIO");
-  if (ratio <= 1.0) ratio = CompactionConfig::kDefaultTierRatio;
-  compaction_config_.tier_ratio = ratio;
-  size_t trigger = shared_.options.compaction_trigger_files;
-  if (trigger == 0) trigger = EnvCount("BACKSORT_COMPACTION_TRIGGER_FILES");
-  if (trigger == 0) trigger = CompactionConfig::kDefaultTriggerFiles;
-  compaction_config_.trigger_files = std::max<size_t>(trigger, 2);
-  size_t interval = shared_.options.compaction_check_interval_ms;
-  if (interval == 0) interval = EnvCount("BACKSORT_COMPACTION_INTERVAL_MS");
-  if (interval == 0) interval = CompactionConfig::kDefaultCheckIntervalMs;
-  compaction_config_.check_interval_ms = interval;
+  if (shared_.options.compaction_max_fanin != 0) {
+    compaction_config_.max_fanin =
+        std::max<size_t>(shared_.options.compaction_max_fanin, 2);
+  }
+  if (shared_.options.compaction_trigger_files != 0) {
+    compaction_config_.trigger_files =
+        std::max<size_t>(shared_.options.compaction_trigger_files, 2);
+  }
+  if (shared_.options.compaction_check_interval_ms != 0) {
+    compaction_config_.check_interval_ms =
+        shared_.options.compaction_check_interval_ms;
+  }
 
   const size_t per_shard_threshold =
       std::max<size_t>(shared_.options.memtable_flush_threshold / shards, 1);
@@ -120,6 +99,7 @@ size_t StorageEngine::ShardFor(const std::string& sensor) const {
 }
 
 Status StorageEngine::Open() {
+  RETURN_NOT_OK(env_status_);
   std::error_code ec;
   std::filesystem::create_directories(shared_.options.data_dir, ec);
   if (ec) {

@@ -44,7 +44,9 @@ class StorageEngine {
   /// Creates the data directory, recovers sealed TsFiles and WAL segments
   /// from a previous incarnation (routing each sensor's state to its
   /// current shard, so the shard count may change between runs), and
-  /// starts the flush pool.
+  /// starts the flush pool. Fails with InvalidArgument, before any I/O,
+  /// when $BACKSORT_SHARDS or $BACKSORT_FLUSH_WORKERS was set to something
+  /// other than a decimal count.
   Status Open();
 
   /// Ingests one point (arrival order = call order) as a one-point group
@@ -168,11 +170,6 @@ class StorageEngine {
   size_t shard_count() const { return shards_.size(); }
   size_t flush_worker_count() const { return flush_workers_; }
 
-  /// Resolved intra-flush parallelism (after env and auto defaults; >= 1).
-  size_t flush_parallelism() const {
-    return shared_.options.flush_parallelism;
-  }
-
   /// Full compaction to a fixpoint: repeatedly merges the oldest
   /// max-fan-in window of the sealed-file list (streaming, bounded
   /// memory; see engine/compaction.h) until the files present when the
@@ -188,12 +185,11 @@ class StorageEngine {
   /// background scheduler calls this in a loop; tools and tests can too.
   Status CompactStep(bool* performed = nullptr);
 
-  /// Resolved compaction tuning (after env and auto defaults).
+  /// Resolved compaction tuning (options over CompactionConfig defaults).
   const CompactionConfig& compaction_config() const {
     return compaction_config_;
   }
-  /// Whether the background compaction scheduler runs (option or
-  /// $BACKSORT_COMPACTION).
+  /// Whether the background compaction scheduler runs.
   bool compaction_enabled() const { return compaction_enabled_; }
 
   /// Planner's stable-file bound for the data currently on disk: the
@@ -230,12 +226,15 @@ class StorageEngine {
   Status RecoverAll();
 
   EngineSharedState shared_;
+  /// First malformed environment hook met at construction; Open() fails
+  /// with it before touching the data directory.
+  Status env_status_;
   size_t flush_workers_ = 1;
   std::vector<std::unique_ptr<EngineShard>> shards_;
   FlushPool pool_;
   bool pool_started_ = false;
 
-  /// Resolved at construction (options + BACKSORT_COMPACTION* env).
+  /// Resolved at construction from the options.
   CompactionConfig compaction_config_;
   bool compaction_enabled_ = false;
   /// Serializes whole compaction cycles (scheduler, CompactStep,

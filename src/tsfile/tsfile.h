@@ -87,12 +87,11 @@ class TsFileWriter {
                        size_t points_per_page = kDefaultPointsPerPage);
 
   /// One chunk's serialized body plus the metadata its index entry needs —
-  /// the split that lets encoding run off the writer. Chunk bodies are
+  /// the split that lets encoding run off the writer, so the flush can time
+  /// a sensor's sort+encode apart from its append. Chunk bodies are
   /// position-independent (the index entry records the offset at append
-  /// time), so parallel flush workers encode different sensors
-  /// concurrently and the coordinator appends the results in a
-  /// deterministic order; the file bytes are identical to the serial
-  /// WriteChunkF64 path by construction.
+  /// time), so the file bytes are identical to the WriteChunkF64 path by
+  /// construction.
   struct EncodedChunk {
     ByteBuffer body;
     DataType type = DataType::kDouble;

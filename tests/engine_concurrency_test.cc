@@ -318,13 +318,12 @@ TEST_F(EngineConcurrencyTest, RewriteRoundsStayLastWriteWins) {
 
 // The batch-native path under fire: writers ship group-commit batches
 // (private sensor plus a WriteMulti slice of a shared sensor) while
-// readers query, a flusher drives FlushAll, and every flush fans its
-// per-sensor jobs across 4 intra-flush workers. TSan must see clean
-// happens-before edges through the batch apply, the parallel sort+encode
-// workers and the query snapshots.
+// readers query, a flusher drives FlushAll, and 2 pool workers flush the
+// 4 shards' sealed memtables in parallel. TSan must see clean
+// happens-before edges through the batch apply, the concurrent flushes'
+// sort+encode over sealed memtables and the query snapshots.
 TEST_F(EngineConcurrencyTest, BatchedWritersWithParallelFlush) {
   EngineOptions opt = Options(/*shards=*/4, /*flush_workers=*/2);
-  opt.flush_parallelism = 4;
   opt.memtable_flush_threshold = 4'000;
   StorageEngine engine(opt);
   ASSERT_TRUE(engine.Open().ok());

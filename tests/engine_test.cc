@@ -1,13 +1,15 @@
-#include <algorithm>
+#include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
+#include <limits>
 #include <memory>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/parse_count.h"
 #include "common/rng.h"
 #include "disorder/series_generator.h"
 #include "engine/storage_engine.h"
@@ -438,65 +440,90 @@ TEST_F(EngineTest, WriteMultiAppliesEverySensor) {
   EXPECT_GE(snap.batch_writes, 1u);  // one call per shard touched
 }
 
-TEST_F(EngineTest, ParallelFlushSealsByteIdenticalFiles) {
-  // flush_parallelism only changes who encodes each sensor, never the
-  // bytes: chunks are appended in sensor order, so the sealed files of a
-  // parallelism-4 engine must equal the serial engine's bit for bit.
-  auto ingest = [&](const std::string& sub, size_t parallelism,
-                    std::filesystem::path* out_dir) {
-    EngineOptions opt = Options(SorterId::kBackward, /*async=*/false);
-    opt.data_dir = (dir_ / sub).string();
-    opt.memtable_flush_threshold = 2'000;
-    opt.flush_parallelism = parallelism;
-    *out_dir = opt.data_dir;
+// Restores an environment variable's previous state when the scope ends,
+// so the hook tests also pass under ci.sh's sharded re-run, which exports
+// BACKSORT_SHARDS and BACKSORT_FLUSH_WORKERS itself.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) saved_ = old;
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (saved_.has_value()) {
+      ::setenv(name_, saved_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+
+ private:
+  const char* name_;
+  std::optional<std::string> saved_;
+};
+
+TEST(ParseCountTest, AcceptsPlainDecimalCounts) {
+  const struct {
+    const char* text;
+    size_t value;
+  } cases[] = {{"0", 0},
+               {"7", 7},
+               {"0042", 42},
+               {"18446744073709551615", std::numeric_limits<size_t>::max()}};
+  for (const auto& c : cases) {
+    size_t out = 123;
+    EXPECT_TRUE(ParseCount(c.text, &out)) << c.text;
+    EXPECT_EQ(out, c.value) << c.text;
+  }
+}
+
+TEST(ParseCountTest, RejectsEverythingElse) {
+  for (const char* text :
+       {"", "-1", "+1", "-0", " 1", "1 ", "10x", "x10", "1.5", "0x10", "1e3",
+        "18446744073709551616", "99999999999999999999999"}) {
+    size_t out = 123;
+    EXPECT_FALSE(ParseCount(text, &out)) << "'" << text << "'";
+    EXPECT_EQ(out, 123u) << "'" << text << "' wrote its output";
+  }
+}
+
+TEST_F(EngineTest, EnvHooksResolveShardAndWorkerCounts) {
+  ScopedEnv shards("BACKSORT_SHARDS", "3");
+  ScopedEnv workers("BACKSORT_FLUSH_WORKERS", "2");
+  StorageEngine engine(Options(SorterId::kBackward));
+  EXPECT_EQ(engine.shard_count(), 3u);
+  EXPECT_EQ(engine.flush_worker_count(), 2u);
+  ASSERT_TRUE(engine.Open().ok());
+}
+
+TEST_F(EngineTest, ExplicitOptionsOverrideEnvHooks) {
+  // Explicit values win, and a hook that is not consulted cannot fail
+  // Open(), however malformed.
+  for (const char* value : {"3", "3x"}) {
+    ScopedEnv shards("BACKSORT_SHARDS", value);
+    ScopedEnv workers("BACKSORT_FLUSH_WORKERS", value);
+    EngineOptions opt = Options(SorterId::kBackward);
+    opt.data_dir = (dir_ / value).string();
+    opt.shard_count = 2;
+    opt.flush_workers = 1;
     StorageEngine engine(opt);
-    ASSERT_TRUE(engine.Open().ok());
-    Rng rng(1234);
-    AbsNormalDelay delay(1, 25.0);
-    for (int s = 0; s < 6; ++s) {
-      const std::string sensor = "pf.sensor." + std::to_string(s);
-      const auto ts = GenerateArrivalOrderedTimestamps(3'000, delay, rng);
-      std::vector<TvPairDouble> batch;
-      for (size_t i = 0; i < ts.size(); ++i) {
-        batch.push_back({ts[i], static_cast<double>(ts[i]) * 0.25});
-        if (batch.size() == 700 || i + 1 == ts.size()) {
-          ASSERT_TRUE(engine.WriteBatch(sensor, batch).ok());
-          batch.clear();
-        }
-      }
-    }
-    ASSERT_TRUE(engine.FlushAll().ok());
-  };
+    EXPECT_EQ(engine.shard_count(), 2u) << value;
+    EXPECT_EQ(engine.flush_worker_count(), 1u) << value;
+    ASSERT_TRUE(engine.Open().ok()) << value;
+  }
+}
 
-  std::filesystem::path serial_dir, parallel_dir;
-  ingest("serial", 1, &serial_dir);
-  ingest("parallel", 4, &parallel_dir);
-
-  auto list_tsfiles = [](const std::filesystem::path& root) {
-    std::vector<std::filesystem::path> files;
-    for (const auto& e : std::filesystem::recursive_directory_iterator(root)) {
-      if (e.is_regular_file() && e.path().extension() == ".bstf") {
-        files.push_back(std::filesystem::relative(e.path(), root));
-      }
-    }
-    std::sort(files.begin(), files.end());
-    return files;
-  };
-  auto read_file = [](const std::filesystem::path& p) {
-    std::ifstream in(p, std::ios::binary);
-    return std::string(std::istreambuf_iterator<char>(in),
-                       std::istreambuf_iterator<char>());
-  };
-
-  const auto serial_files = list_tsfiles(serial_dir);
-  const auto parallel_files = list_tsfiles(parallel_dir);
-  ASSERT_FALSE(serial_files.empty());
-  ASSERT_EQ(parallel_files, serial_files);
-  for (const auto& rel : serial_files) {
-    const std::string a = read_file(serial_dir / rel);
-    const std::string b = read_file(parallel_dir / rel);
-    ASSERT_FALSE(a.empty()) << rel;
-    EXPECT_EQ(a, b) << "sealed bytes diverge in " << rel;
+TEST_F(EngineTest, MalformedEnvHookFailsOpen) {
+  for (const char* name : {"BACKSORT_SHARDS", "BACKSORT_FLUSH_WORKERS"}) {
+    ScopedEnv shards("BACKSORT_SHARDS", "2");
+    ScopedEnv workers("BACKSORT_FLUSH_WORKERS", "1");
+    ScopedEnv bad(name, "2x");
+    StorageEngine engine(Options(SorterId::kBackward));
+    const Status st = engine.Open();
+    EXPECT_TRUE(st.IsInvalidArgument()) << name << ": " << st.ToString();
+    EXPECT_NE(st.message().find(name), std::string::npos) << st.ToString();
+    // Open() fails before it touches the data directory.
+    EXPECT_FALSE(std::filesystem::exists(dir_)) << name;
   }
 }
 

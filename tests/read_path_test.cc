@@ -3,8 +3,9 @@
 // footer-based file pruning, open descriptors bounded by reads in flight
 // rather than sealed files, the shared chunk cache (repeat queries hit
 // cached page directories, compaction invalidates), clean error handling
-// on corrupted sealed files, bit-identical results with the cache and
-// pruning disabled, and page-granular reads of large compacted chunks:
+// on corrupted sealed files, bit-identical results against a last-write-
+// wins model with the cache on and off, and page-granular reads of large
+// compacted chunks:
 // differential checks against TsFileReader and a brute-force fold, read
 // amplification counters, and seeded mutation of real chunk bytes.
 
@@ -237,65 +238,100 @@ TEST_F(ReadPathTest, CompactionInvalidatesCache) {
   }
 }
 
-// --- Disabled knobs reproduce the old read path ---------------------------
+// --- Cache on and off against a last-write-wins model --------------------
 
 TEST_F(ReadPathTest, DisabledCacheAndPruningGiveIdenticalResults) {
-  EngineOptions fast = Options();
-  fast.data_dir = dir_.string();
-  EngineOptions plain = Options();
-  plain.data_dir = dir_.string() + "_b";
-  plain.chunk_cache_bytes = 0;
-  plain.enable_file_pruning = false;
+  // File pruning is always on. The cached and the cache-off engine must
+  // each answer exactly like a test-local last-write-wins map fed the same
+  // writes. Every value is a small integer, so sums are exact whatever
+  // order the engine folds them in and the aggregates compare bit for bit.
+  EngineOptions cached_opt = Options();
+  EngineOptions uncached_opt = Options();
+  uncached_opt.data_dir = dir_.string() + "_b";
+  uncached_opt.chunk_cache_bytes = 0;
 
-  StorageEngine engine_fast(fast);
-  StorageEngine engine_plain(plain);
-  ASSERT_TRUE(engine_fast.Open().ok());
-  ASSERT_TRUE(engine_plain.Open().ok());
-  EXPECT_GT(engine_fast.chunk_cache_capacity(), 0u);
-  EXPECT_EQ(engine_plain.chunk_cache_capacity(), 0u);
+  StorageEngine cached(cached_opt);
+  StorageEngine uncached(uncached_opt);
+  ASSERT_TRUE(cached.Open().ok());
+  ASSERT_TRUE(uncached.Open().ok());
+  EXPECT_GT(cached.chunk_cache_capacity(), 0u);
+  EXPECT_EQ(uncached.chunk_cache_capacity(), 0u);
+  StorageEngine* const engines[] = {&cached, &uncached};
 
-  // Same disordered workload with duplicate-timestamp rewrites on both:
-  // several sealed files plus unflushed working points.
-  for (StorageEngine* engine : {&engine_fast, &engine_plain}) {
-    WriteFileRange(engine, "s", 0, 1000, 0.0);
-    WriteFileRange(engine, "s", 2000, 3000, 0.0);
-    for (Timestamp t = 500; t < 600; ++t) {
-      ASSERT_TRUE(engine->Write("s", t, 7000.0 + t).ok());  // rewrites
+  std::map<Timestamp, double> model;
+  auto write = [&](Timestamp t, double v) {
+    for (StorageEngine* engine : engines) {
+      ASSERT_TRUE(engine->Write("s", t, v).ok());
     }
-    ASSERT_TRUE(engine->FlushAll().ok());
-    for (Timestamp t = 2950; t < 3050; ++t) {
-      ASSERT_TRUE(engine->Write("s", t, 9000.0 + t).ok());  // in-memory
+    model[t] = v;
+  };
+  auto flush = [&] {
+    for (StorageEngine* engine : engines) {
+      ASSERT_TRUE(engine->FlushAll().ok());
     }
-  }
+  };
+  // Disordered workload with duplicate-timestamp rewrites: several sealed
+  // files plus unflushed working points.
+  for (Timestamp t = 0; t < 1000; ++t) write(t, static_cast<double>(t));
+  flush();
+  for (Timestamp t = 2000; t < 3000; ++t) write(t, static_cast<double>(t));
+  flush();
+  for (Timestamp t = 500; t < 600; ++t) write(t, 7000.0 + t);  // rewrites
+  flush();
+  for (Timestamp t = 2950; t < 3050; ++t) write(t, 9000.0 + t);  // in-memory
 
   const struct {
     Timestamp lo, hi;
   } ranges[] = {{0, 5000}, {400, 700}, {550, 2500}, {2900, 3100}, {1500, 1600}};
   for (const auto& r : ranges) {
-    // Twice per engine, so the second fast-engine pass reads from cache.
-    for (int pass = 0; pass < 2; ++pass) {
-      std::vector<TvPairDouble> a, b;
-      ASSERT_TRUE(engine_fast.Query("s", r.lo, r.hi, &a).ok());
-      ASSERT_TRUE(engine_plain.Query("s", r.lo, r.hi, &b).ok());
-      ASSERT_EQ(a.size(), b.size()) << "[" << r.lo << "," << r.hi << "]";
-      for (size_t i = 0; i < a.size(); ++i) {
-        ASSERT_EQ(a[i].t, b[i].t);
-        // Bit-identical, not approximately equal.
-        ASSERT_EQ(a[i].v, b[i].v) << "t=" << a[i].t;
+    std::vector<TvPairDouble> want;
+    RangeStats want_stats;  // an empty range reads all zeros
+    for (auto it = model.lower_bound(r.lo);
+         it != model.end() && it->first <= r.hi; ++it) {
+      const Timestamp t = it->first;
+      const double v = it->second;
+      want.push_back({t, v});
+      if (want_stats.count == 0) {
+        want_stats.min = want_stats.max = v;
+        want_stats.first_time = t;
+        want_stats.first = v;
       }
+      ++want_stats.count;
+      want_stats.sum += v;
+      want_stats.min = std::min(want_stats.min, v);
+      want_stats.max = std::max(want_stats.max, v);
+      want_stats.last_time = t;
+      want_stats.last = v;
     }
-    TsFileReader::RangeStats sa, sb;
-    bool fa = false, fb = false;
-    ASSERT_TRUE(engine_fast.AggregateFast("s", r.lo, r.hi, &sa, &fa).ok());
-    ASSERT_TRUE(engine_plain.AggregateFast("s", r.lo, r.hi, &sb, &fb).ok());
-    EXPECT_EQ(sa.count, sb.count);
-    EXPECT_EQ(sa.sum, sb.sum);
-    EXPECT_EQ(sa.min, sb.min);
-    EXPECT_EQ(sa.max, sb.max);
+    for (StorageEngine* engine : engines) {
+      const char* name = engine == &cached ? "cached" : "uncached";
+      // Twice per engine, so the cached engine's second pass reads from
+      // the cache.
+      for (int pass = 0; pass < 2; ++pass) {
+        std::vector<TvPairDouble> got;
+        ASSERT_TRUE(engine->Query("s", r.lo, r.hi, &got).ok());
+        ASSERT_EQ(got.size(), want.size())
+            << name << " [" << r.lo << "," << r.hi << "]";
+        for (size_t i = 0; i < got.size(); ++i) {
+          ASSERT_EQ(got[i].t, want[i].t) << name;
+          // Bit-identical, not approximately equal.
+          ASSERT_EQ(got[i].v, want[i].v) << name << " t=" << got[i].t;
+        }
+      }
+      RangeStats got;
+      ASSERT_TRUE(engine->AggregateFast("s", r.lo, r.hi, &got).ok());
+      EXPECT_EQ(got.count, want_stats.count) << name << " " << r.lo;
+      EXPECT_EQ(got.sum, want_stats.sum) << name << " " << r.lo;
+      EXPECT_EQ(got.min, want_stats.min) << name << " " << r.lo;
+      EXPECT_EQ(got.max, want_stats.max) << name << " " << r.lo;
+      EXPECT_EQ(got.first_time, want_stats.first_time) << name << " " << r.lo;
+      EXPECT_EQ(got.first, want_stats.first) << name << " " << r.lo;
+      EXPECT_EQ(got.last_time, want_stats.last_time) << name << " " << r.lo;
+      EXPECT_EQ(got.last, want_stats.last) << name << " " << r.lo;
+    }
   }
-  const ChunkCacheStats stats = engine_fast.GetChunkCacheStats();
-  EXPECT_GT(stats.hits, 0u);
-  EXPECT_EQ(engine_plain.GetChunkCacheStats().hits, 0u);
+  EXPECT_GT(cached.GetChunkCacheStats().hits, 0u);
+  EXPECT_EQ(uncached.GetChunkCacheStats().hits, 0u);
 }
 
 // --- Error handling on corrupted sealed files -----------------------------

@@ -8,8 +8,8 @@
 // contract.
 //
 // Everything the byte stream depends on is pinned explicitly (shard
-// count, flush parallelism, synchronous flush, threshold), so the ci.sh
-// BACKSORT_SHARDS / BACKSORT_FLUSH_PARALLELISM matrix cannot perturb it.
+// count, synchronous flush, threshold), so the ci.sh BACKSORT_SHARDS /
+// BACKSORT_FLUSH_WORKERS matrix cannot perturb it.
 
 #include <algorithm>
 #include <cstdint>
@@ -120,7 +120,6 @@ TEST(SealedIdentity, BytesMatchPreInterningGolden) {
   EngineOptions opt;
   opt.data_dir = dir.string();
   opt.shard_count = 3;
-  opt.flush_parallelism = 2;
   opt.async_flush = false;          // deterministic seal->flush interleaving
   opt.memtable_flush_threshold = 3'000;  // ~1000/shard: several seal rounds
   opt.footer_stats = true;
@@ -159,7 +158,6 @@ TEST(SealedIdentity, Bstf1BytesMatchPreInterningGolden) {
   EngineOptions opt;
   opt.data_dir = dir.string();
   opt.shard_count = 3;
-  opt.flush_parallelism = 2;
   opt.async_flush = false;
   opt.memtable_flush_threshold = 3'000;
   opt.footer_stats = false;
@@ -189,7 +187,6 @@ TEST(SealedIdentity, PerPointWriteMatchesGolden) {
   EngineOptions opt;
   opt.data_dir = dir.string();
   opt.shard_count = 3;
-  opt.flush_parallelism = 2;
   opt.async_flush = false;
   opt.memtable_flush_threshold = 3'000;
   opt.footer_stats = true;
@@ -226,7 +223,6 @@ TEST(SealedIdentity, CompactedBytesMatchGolden) {
   EngineOptions opt;
   opt.data_dir = dir.string();
   opt.shard_count = 3;
-  opt.flush_parallelism = 2;
   opt.async_flush = false;
   opt.memtable_flush_threshold = 3'000;
   opt.footer_stats = true;
@@ -267,7 +263,6 @@ TEST(SealedIdentity, TiedFlushBytesAreSorterIndependent) {
     EngineOptions opt;
     opt.data_dir = dir.string();
     opt.shard_count = 1;
-    opt.flush_parallelism = 1;
     opt.async_flush = false;
     opt.memtable_flush_threshold = 1'000'000;  // one memtable, one file
     opt.sorter = sorter;

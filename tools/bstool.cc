@@ -26,7 +26,7 @@
 //       and the aggregate stats-hit rate (chunks answered from footer
 //       statistics vs decoded).
 //       --chunk-cache-bytes sizes the shared chunk cache (0 disables it;
-//       unset = $BACKSORT_CHUNK_CACHE_BYTES or the 64 MiB default).
+//       unset = the 64 MiB default).
 //       --no-footer-stats writes stat-less BSTF1 footers (the legacy
 //       format); aggregates then fall back to page decode.
 //       While running (and at exit) the full engine state is exported in
@@ -76,6 +76,10 @@
 //         metrics                            server exposition on stdout
 //   bstool algos
 //       List registered sorting algorithms.
+//
+// Count-valued flags (`--name=N`, `--name=MS`) take decimal digits only;
+// a sign, a typo or an overflowing value exits with status 2 naming the
+// flag.
 
 #include <atomic>
 #include <csignal>
@@ -97,6 +101,7 @@
 #include "cluster/cluster_client.h"
 #include "cluster/node.h"
 #include "common/metrics_registry.h"
+#include "common/parse_count.h"
 #include "common/rng.h"
 #include "common/timer.h"
 #include "core/sorter_registry.h"
@@ -126,10 +131,8 @@ int Usage() {
                "  iir <in.csv>\n"
                "  ingest <dir> <points> <dist> [--shards=N]"
                " [--flush-workers=N]\n"
-               "         [--flush-parallelism=N] [--threads=N] [--sensors=N]"
-               " [--batch=N]\n"
-               "         [--seed=N] [--metrics-interval=MS]"
-               " [--metrics-file=PATH]\n"
+               "         [--threads=N] [--sensors=N] [--batch=N] [--seed=N]\n"
+               "         [--metrics-interval=MS] [--metrics-file=PATH]\n"
                "         [--chunk-cache-bytes=N] [--compaction]"
                " [--no-footer-stats]\n"
                "  compact <dir> [--step] [--fanin=N] [--trigger=N]\n"
@@ -139,14 +142,14 @@ int Usage() {
                " [--event-loops=N]\n"
                "        [--workers=N] [--max-pipeline-depth=N]"
                " [--shards=N] [--flush-workers=N]\n"
-               "        [--flush-parallelism=N] [--max-inflight-requests=N]\n"
-               "        [--max-inflight-bytes=N] [--wal-fsync]"
-               " [--compaction]\n"
-               "        [--cluster=SPEC] [--node-id=ID]\n"
+               "        [--max-inflight-requests=N] [--max-inflight-bytes=N]"
+               " [--wal-fsync]\n"
+               "        [--compaction] [--cluster=SPEC] [--node-id=ID]\n"
                "  client <host:port>"
                " ping|write|query|latest|agg|metrics [...]\n"
                "  client --servers=<host:port,...>"
-               " write|query|latest|agg [...]\n");
+               " write|query|latest|agg [...]\n"
+               "count-valued flags (=N, =MS) take decimal digits only\n");
   return 2;
 }
 
@@ -283,11 +286,17 @@ int CmdIir(int argc, char** argv) {
 }
 
 /// Parses `--name=value` into `out`; returns false when `arg` is a
-/// different flag.
+/// different flag. A value that is not a decimal count (ParseCount) exits
+/// with status 2 naming the flag: flags are parsed before any engine,
+/// server or connection does work, so there is nothing to unwind.
 bool FlagValue(const char* arg, const char* name, size_t* out) {
   const size_t len = std::strlen(name);
   if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  *out = static_cast<size_t>(std::strtoull(arg + len + 1, nullptr, 10));
+  if (!ParseCount(arg + len + 1, out)) {
+    std::fprintf(stderr, "error: %s must be a decimal count, got '%s'\n",
+                 name, arg + len + 1);
+    std::exit(2);
+  }
   return true;
 }
 
@@ -436,21 +445,14 @@ int CmdIngest(int argc, char** argv) {
     return 2;
   }
   // 0 = engine auto/env resolution
-  size_t shards = 0, flush_workers = 0, flush_parallelism = 0;
+  size_t shards = 0, flush_workers = 0;
   size_t threads = 4, sensors = 0, batch = 500, seed = 42;
   size_t metrics_interval = 1000;  // ms between exports; 0 = final only
   std::string metrics_file;        // default <dir>/metrics.prom
-  // Separate found-flag: an explicit --chunk-cache-bytes=0 (cache off) must
-  // be distinguishable from "flag absent" (engine auto/env resolution).
-  size_t chunk_cache_bytes = 0;
-  bool chunk_cache_set = false;
+  size_t chunk_cache_bytes = EngineOptions::kDefaultChunkCacheBytes;
   bool compaction = false;
   bool footer_stats = true;
   for (int i = 3; i < argc; ++i) {
-    if (FlagValue(argv[i], "--chunk-cache-bytes", &chunk_cache_bytes)) {
-      chunk_cache_set = true;
-      continue;
-    }
     if (std::strcmp(argv[i], "--compaction") == 0) {
       compaction = true;
       continue;
@@ -463,7 +465,7 @@ int CmdIngest(int argc, char** argv) {
     }
     if (FlagValue(argv[i], "--shards", &shards) ||
         FlagValue(argv[i], "--flush-workers", &flush_workers) ||
-        FlagValue(argv[i], "--flush-parallelism", &flush_parallelism) ||
+        FlagValue(argv[i], "--chunk-cache-bytes", &chunk_cache_bytes) ||
         FlagValue(argv[i], "--threads", &threads) ||
         FlagValue(argv[i], "--sensors", &sensors) ||
         FlagValue(argv[i], "--batch", &batch) ||
@@ -482,8 +484,7 @@ int CmdIngest(int argc, char** argv) {
   opt.data_dir = dir;
   opt.shard_count = shards;
   opt.flush_workers = flush_workers;
-  opt.flush_parallelism = flush_parallelism;
-  if (chunk_cache_set) opt.chunk_cache_bytes = chunk_cache_bytes;
+  opt.chunk_cache_bytes = chunk_cache_bytes;
   opt.compaction_enabled = compaction;
   opt.footer_stats = footer_stats;
   StorageEngine engine(opt);
@@ -523,10 +524,8 @@ int CmdIngest(int argc, char** argv) {
   std::printf("ingested %zu points (%s) with %zu client threads over"
               " %zu sensors\n",
               result.points_written, delay->Name().c_str(), threads, sensors);
-  std::printf("engine: %zu shard(s), %zu flush worker(s), "
-              "flush parallelism %zu\n",
-              engine.shard_count(), engine.flush_worker_count(),
-              engine.flush_parallelism());
+  std::printf("engine: %zu shard(s), %zu flush worker(s)\n",
+              engine.shard_count(), engine.flush_worker_count());
   std::printf("write throughput: %.0f points/s (%.3f s total)\n",
               result.write_throughput, result.total_latency_sec);
   const EngineMetricsSnapshot snap = engine.GetMetricsSnapshot();
@@ -675,7 +674,7 @@ int CmdServe(int argc, char** argv) {
   size_t port = 0, workers = server_opt.workers;
   size_t event_loops = server_opt.event_loops;
   size_t max_pipeline_depth = server_opt.max_pipeline_depth;
-  size_t shards = 0, flush_workers = 0, flush_parallelism = 0;
+  size_t shards = 0, flush_workers = 0;
   size_t max_inflight_requests = server_opt.max_inflight_requests;
   size_t max_inflight_bytes = server_opt.max_inflight_bytes;
   std::string host = server_opt.host, port_file;
@@ -701,7 +700,6 @@ int CmdServe(int argc, char** argv) {
         FlagValue(argv[i], "--max-pipeline-depth", &max_pipeline_depth) ||
         FlagValue(argv[i], "--shards", &shards) ||
         FlagValue(argv[i], "--flush-workers", &flush_workers) ||
-        FlagValue(argv[i], "--flush-parallelism", &flush_parallelism) ||
         FlagValue(argv[i], "--max-inflight-requests",
                   &max_inflight_requests) ||
         FlagValue(argv[i], "--max-inflight-bytes", &max_inflight_bytes)) {
@@ -716,7 +714,6 @@ int CmdServe(int argc, char** argv) {
   }
   engine_opt.shard_count = shards;
   engine_opt.flush_workers = flush_workers;
-  engine_opt.flush_parallelism = flush_parallelism;
   engine_opt.wal_fsync = wal_fsync;
   engine_opt.compaction_enabled = compaction;
   server_opt.host = host;

@@ -13,7 +13,9 @@
 #      exercise.
 #   4. chunk-cache effectiveness smoke: a small ingest + repeated queries
 #      must show a non-zero cache hit rate in the exported metrics, and a
-#      run with --chunk-cache-bytes=0 must export a zero capacity
+#      run with --chunk-cache-bytes=0 must export a zero capacity; then a
+#      malformed count flag (--metrics-interval=10x) must make bstool
+#      ingest exit 2 instead of parsing a number prefix
 #   5. network smoke: the wire-protocol and server suites under TSan,
 #      then a real bstool serve on an ephemeral port answering
 #      bstool client ping / write (sequential AND --pipeline=8) /
@@ -140,6 +142,16 @@ if [ -z "$hits" ] || [ "${hits%%.*}" -le 0 ]; then
   exit 1
 fi
 echo "cache smoke passed (query-mix cache hits: $hits)"
+# Count-valued flags parse strictly: a typo must be refused with status 2,
+# never read as its digit prefix or as 0 (auto).
+rc=0
+./build/tools/bstool ingest "$smoke_dir/badflag" 20000 absnormal:1,5 \
+  --metrics-interval=10x > /dev/null 2>&1 || rc=$?
+if [ "$rc" -ne 2 ]; then
+  echo "flag smoke FAILED: --metrics-interval=10x exited $rc, want 2"
+  exit 1
+fi
+echo "flag smoke passed (malformed count flag exits 2)"
 
 echo "=== [5/12] network loopback smoke ==="
 # Wire protocol + server correctness under ThreadSanitizer: concurrent
