@@ -39,49 +39,20 @@ inline void WriteBenchMetrics(const MetricsRegistry& metrics,
   std::printf("\nmetrics: wrote %s\n", path.c_str());
 }
 
-/// Emits one `<stage>_p50_ms` / `<stage>_p99_ms` / `<stage>_count` field
-/// triple per write-path stage into the current JSON object — the
+/// Emits one `<prefix><stage>_p50_ms` / `_p99_ms` / `_count` field triple
+/// per stage of a stage set into the current JSON object — the
 /// machine-readable form of the stage table `bstool ingest` prints.
-inline void JsonStagePercentiles(JsonWriter& json,
-                                 const StageLatencySnapshots& stages) {
-  const struct {
-    const char* name;
-    const HistogramSnapshot& hist;
-  } rows[] = {
-      {"batch_apply", stages.batch_apply},
-      {"queue_wait", stages.queue_wait},
-      {"sort", stages.sort},
-      {"sort_job", stages.sort_job},
-      {"encode", stages.encode},
-      {"seal", stages.seal},
-      {"flush", stages.flush},
-  };
-  for (const auto& r : rows) {
-    const std::string name = r.name;
-    json.Field(name + "_p50_ms", r.hist.Percentile(50) / 1e6);
-    json.Field(name + "_p99_ms", r.hist.Percentile(99) / 1e6);
-    json.Field(name + "_count", static_cast<size_t>(r.hist.count));
-  }
-}
-
-/// Same for the read-path stages of QueryStageSnapshots.
-inline void JsonQueryStagePercentiles(JsonWriter& json,
-                                      const QueryStageSnapshots& stages) {
-  const struct {
-    const char* name;
-    const HistogramSnapshot& hist;
-  } rows[] = {
-      {"q_snapshot", stages.snapshot},
-      {"q_prune", stages.prune},
-      {"q_read", stages.read},
-      {"q_merge", stages.merge},
-  };
-  for (const auto& r : rows) {
-    const std::string name = r.name;
-    json.Field(name + "_p50_ms", r.hist.Percentile(50) / 1e6);
-    json.Field(name + "_p99_ms", r.hist.Percentile(99) / 1e6);
-    json.Field(name + "_count", static_cast<size_t>(r.hist.count));
-  }
+template <template <class> class Set>
+void JsonStagePercentiles(JsonWriter& json,
+                          const Set<HistogramSnapshot>& stages,
+                          const std::string& prefix = "") {
+  Set<HistogramSnapshot>::ForEachStage([&](const char* stage, auto get) {
+    const HistogramSnapshot& hist = get(stages);
+    const std::string name = prefix + stage;
+    json.Field(name + "_p50_ms", hist.Percentile(50) / 1e6);
+    json.Field(name + "_p99_ms", hist.Percentile(99) / 1e6);
+    json.Field(name + "_count", static_cast<size_t>(hist.count));
+  });
 }
 
 /// Runs the paper's system experiment family over the given panels and
@@ -483,7 +454,7 @@ inline void RunQueryMix(const std::string& panel_name,
         json->Field("query_p99_ms", p99);
         json->Field("queries", all.size());
         json->Field("cache_hit_rate", hit_rate);
-        JsonQueryStagePercentiles(*json, snap.query_stages);
+        JsonStagePercentiles(*json, snap.query_stages, "q_");
         json->EndObject();
       }
     }

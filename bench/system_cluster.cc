@@ -114,17 +114,7 @@ class InProcessCluster {
   /// Merged snapshot across the ring's shippers.
   ClusterMetricsSnapshot MergedMetrics() const {
     ClusterMetricsSnapshot merged;
-    for (const auto& m : metrics_) {
-      const ClusterMetricsSnapshot snap = m->Snapshot();
-      merged.ship_chunks += snap.ship_chunks;
-      merged.ship_records += snap.ship_records;
-      merged.ship_bytes += snap.ship_bytes;
-      merged.acked_records += snap.acked_records;
-      merged.ship_errors += snap.ship_errors;
-      merged.reconnects += snap.reconnects;
-      merged.backlog_bytes += snap.backlog_bytes;
-      merged.ship_rtt_ns.Merge(snap.ship_rtt_ns);
-    }
+    for (const auto& m : metrics_) merged.Merge(m->Snapshot());
     return merged;
   }
 

@@ -5,38 +5,7 @@ namespace backsort {
 void ExportClusterMetrics(const ClusterMetricsSnapshot& snapshot,
                           const MetricsRegistry::Labels& base_labels,
                           MetricsRegistry* registry) {
-  registry->Counter("backsort_cluster_ship_chunks_total",
-                    "Replication chunks accepted by the follower.",
-                    base_labels, static_cast<double>(snapshot.ship_chunks));
-  registry->Counter("backsort_cluster_ship_records_total",
-                    "Points shipped to the follower inside accepted chunks.",
-                    base_labels, static_cast<double>(snapshot.ship_records));
-  registry->Counter("backsort_cluster_ship_bytes_total",
-                    "Encoded replication request-payload bytes shipped.",
-                    base_labels, static_cast<double>(snapshot.ship_bytes));
-  registry->Counter(
-      "backsort_cluster_acked_records_total",
-      "Points covered by a follower ack whose cursor reached the chunk end "
-      "(durably applied and resumable).",
-      base_labels, static_cast<double>(snapshot.acked_records));
-  registry->Counter("backsort_cluster_ship_errors_total",
-                    "Failed ship RPCs and ship-log read errors.", base_labels,
-                    static_cast<double>(snapshot.ship_errors));
-  registry->Counter(
-      "backsort_cluster_reconnects_total",
-      "Follower (re)connection attempts after the first established "
-      "replication stream.",
-      base_labels, static_cast<double>(snapshot.reconnects));
-  registry->Gauge(
-      "backsort_cluster_backlog_bytes",
-      "Ship-log bytes between the acknowledged frontier and the end of the "
-      "log — the replication lag in bytes.",
-      base_labels, static_cast<double>(snapshot.backlog_bytes));
-  registry->Summary(
-      "backsort_cluster_ship_rtt_seconds",
-      "Ship RPC round-trip in seconds (encode to follower ack); "
-      "quantile=\"1\" is the observed max.",
-      base_labels, snapshot.ship_rtt_ns, 1e-9);
+  BACKSORT_CLUSTER_METRICS(BACKSORT_METRIC_EXPORT)
 }
 
 }  // namespace backsort

@@ -34,6 +34,29 @@ std::string EscapeHelp(const std::string& s) {
   return out;
 }
 
+/// Adds one STAGES row: a summary sample set per stage, with the HELP text
+/// listing the set's stages.
+template <template <class> class Set>
+void AddStages(const char* family, const char* head, const char* note,
+               const Set<HistogramSnapshot>& stages,
+               const MetricsRegistry::Labels& base_labels,
+               MetricsRegistry* registry) {
+  std::string list;
+  Set<HistogramSnapshot>::ForEachStage([&](const char* stage, auto) {
+    if (!list.empty()) list += ", ";
+    list += stage;
+  });
+  const std::string help = std::string(head) +
+                           " stage latency in seconds (stages: " + list +
+                           note + "); quantile=\"1\" is the observed max.";
+  Set<HistogramSnapshot>::ForEachStage([&](const char* stage, auto get) {
+    MetricsRegistry::Labels labels = base_labels;
+    labels.emplace_back("stage", stage);
+    registry->Add({family, MetricType::kSummary, help.c_str(), 1e-9}, labels,
+                  get(stages));
+  });
+}
+
 }  // namespace
 
 std::string MetricsRegistry::EscapeLabelValue(const std::string& v) {
@@ -53,13 +76,13 @@ std::string MetricsRegistry::EscapeLabelValue(const std::string& v) {
   return out;
 }
 
-MetricsRegistry::Family* MetricsRegistry::FamilyFor(const std::string& name,
-                                                    const std::string& help,
-                                                    const std::string& type) {
-  auto it = family_index_.find(name);
+MetricsRegistry::Family* MetricsRegistry::FamilyFor(
+    const MetricFamily& family) {
+  auto it = family_index_.find(family.name);
   if (it != family_index_.end()) return &families_[it->second];
-  family_index_[name] = families_.size();
-  families_.push_back(Family{name, help, type, {}});
+  family_index_[family.name] = families_.size();
+  families_.push_back(
+      Family{family.name, family.help, MetricTypeName(family.type), {}});
   return &families_.back();
 }
 
@@ -84,33 +107,27 @@ void MetricsRegistry::AddSample(Family* family, const std::string& sample_name,
   family->lines.push_back(std::move(line));
 }
 
-void MetricsRegistry::Gauge(const std::string& name, const std::string& help,
-                            const Labels& labels, double value) {
-  AddSample(FamilyFor(name, help, "gauge"), name, labels, value);
+void MetricsRegistry::Add(const MetricFamily& family, const Labels& labels,
+                          double value) {
+  AddSample(FamilyFor(family), family.name, labels, value * family.scale);
 }
 
-void MetricsRegistry::Counter(const std::string& name, const std::string& help,
-                              const Labels& labels, double value) {
-  AddSample(FamilyFor(name, help, "counter"), name, labels, value);
-}
-
-void MetricsRegistry::Summary(const std::string& name, const std::string& help,
-                              const Labels& labels,
-                              const HistogramSnapshot& snapshot, double scale) {
+void MetricsRegistry::Add(const MetricFamily& family, const Labels& labels,
+                          const HistogramSnapshot& snapshot) {
   static constexpr double kQuantiles[] = {0.5, 0.9, 0.99, 1.0};
-  Family* family = FamilyFor(name, help, "summary");
+  Family* f = FamilyFor(family);
   for (double q : kQuantiles) {
     Labels with_quantile = labels;
     with_quantile.emplace_back("quantile", FormatValue(q));
     const double v = snapshot.count == 0
                          ? std::nan("")
-                         : snapshot.ValueAtQuantile(q) * scale;
-    AddSample(family, name, with_quantile, v);
+                         : snapshot.ValueAtQuantile(q) * family.scale;
+    AddSample(f, family.name, with_quantile, v);
   }
-  AddSample(family, name + "_sum", labels,
-            static_cast<double>(snapshot.sum) * scale);
-  AddSample(family, name + "_count", labels,
-            static_cast<double>(snapshot.count));
+  const std::string name = family.name;
+  AddSample(f, name + "_sum", labels,
+            static_cast<double>(snapshot.sum) * family.scale);
+  AddSample(f, name + "_count", labels, static_cast<double>(snapshot.count));
 }
 
 void MetricsRegistry::Comment(const std::string& text) {
@@ -152,233 +169,22 @@ Status MetricsRegistry::WriteFile(const std::string& path) const {
 void ExportEngineMetrics(const EngineMetricsSnapshot& snapshot,
                          const MetricsRegistry::Labels& base_labels,
                          bool include_traces, MetricsRegistry* registry) {
-  constexpr double kNsToSec = 1e-9;
-  constexpr double kNsToMs = 1e-6;
-  constexpr double kMsToSec = 1e-3;
-
-  const struct {
-    const char* stage;
-    const HistogramSnapshot& hist;
-  } stages[] = {
-      {"batch_apply", snapshot.stages.batch_apply},
-      {"queue_wait", snapshot.stages.queue_wait},
-      {"sort", snapshot.stages.sort},
-      {"sort_job", snapshot.stages.sort_job},
-      {"encode", snapshot.stages.encode},
-      {"seal", snapshot.stages.seal},
-      {"flush", snapshot.stages.flush},
-  };
-  for (const auto& s : stages) {
-    MetricsRegistry::Labels labels = base_labels;
-    labels.emplace_back("stage", s.stage);
-    registry->Summary(
-        "backsort_stage_duration_seconds",
-        "Write-path stage latency in seconds (stages: batch_apply, "
-        "queue_wait, sort, sort_job, encode, seal, flush); quantile=\"1\" is "
-        "the observed max.",
-        labels, s.hist, kNsToSec);
+#define BACKSORT_EXPORT_STAGES(member, Set, family, head, note) \
+  AddStages(family, head, note, snapshot.member, base_labels, registry);
+#define BACKSORT_EXPORT_SHARD(type, path, family, help, scale)           \
+  for (const ShardMetricsSnapshot& shard : snapshot.shards) {             \
+    MetricsRegistry::Labels labels = base_labels;                         \
+    labels.emplace_back("shard", std::to_string(shard.shard_id));         \
+    registry->Add({family, MetricType::k##type, help, scale}, labels,     \
+                  shard.path);                                            \
   }
-
-  const struct {
-    const char* stage;
-    const HistogramSnapshot& hist;
-  } query_stages[] = {
-      {"snapshot", snapshot.query_stages.snapshot},
-      {"prune", snapshot.query_stages.prune},
-      {"read", snapshot.query_stages.read},
-      {"merge", snapshot.query_stages.merge},
-  };
-  for (const auto& s : query_stages) {
-    MetricsRegistry::Labels labels = base_labels;
-    labels.emplace_back("stage", s.stage);
-    registry->Summary(
-        "backsort_query_stage_duration_seconds",
-        "Read-path stage latency in seconds (stages: snapshot, prune, read, "
-        "merge; only snapshot holds the shard lock); quantile=\"1\" is the "
-        "observed max.",
-        labels, s.hist, kNsToSec);
-  }
-
-  const struct {
-    const char* stage;
-    const HistogramSnapshot& hist;
-  } agg_stages[] = {
-      {"plan", snapshot.agg_stages.plan},
-      {"stats", snapshot.agg_stages.stats},
-      {"decode", snapshot.agg_stages.decode},
-      {"merge", snapshot.agg_stages.merge},
-  };
-  for (const auto& s : agg_stages) {
-    MetricsRegistry::Labels labels = base_labels;
-    labels.emplace_back("stage", s.stage);
-    registry->Summary(
-        "backsort_agg_stage_duration_seconds",
-        "Aggregation-path stage latency in seconds (stages: plan, stats, "
-        "decode, merge; only plan holds the shard lock); quantile=\"1\" is "
-        "the observed max.",
-        labels, s.hist, kNsToSec);
-  }
-
-  registry->Counter("backsort_agg_requests_total",
-                    "AggregateFast calls served since the engine opened.",
-                    base_labels, static_cast<double>(snapshot.agg_requests));
-  registry->Counter(
-      "backsort_agg_stats_hits_total",
-      "Chunks answered from footer statistics alone (tier 1, no decode).",
-      base_labels, static_cast<double>(snapshot.agg_stats_hits));
-  registry->Counter(
-      "backsort_agg_stats_misses_total",
-      "Aggregation sources that needed a decoding tier: partially covered "
-      "or stat-less chunks (tier 2) plus calls routed through the exact "
-      "merge fallback (tier 3).",
-      base_labels, static_cast<double>(snapshot.agg_stats_misses));
-
-  const struct {
-    const char* stage;
-    const HistogramSnapshot& hist;
-  } compaction_stages[] = {
-      {"plan", snapshot.compaction_stages.plan},
-      {"merge", snapshot.compaction_stages.merge},
-      {"publish", snapshot.compaction_stages.publish},
-  };
-  for (const auto& s : compaction_stages) {
-    MetricsRegistry::Labels labels = base_labels;
-    labels.emplace_back("stage", s.stage);
-    registry->Summary(
-        "backsort_compaction_stage_duration_seconds",
-        "Compaction stage latency in seconds (stages: plan, merge, publish; "
-        "only publish holds shard locks); quantile=\"1\" is the observed max.",
-        labels, s.hist, kNsToSec);
-  }
-
-  registry->Counter(
-      "backsort_engine_compaction_jobs_total",
-      "Compaction merges completed (one output file swapped in each).",
-      base_labels, static_cast<double>(snapshot.compaction_jobs));
-  registry->Counter(
-      "backsort_engine_compaction_failures_total",
-      "Compaction merges that failed and left the registry unchanged.",
-      base_labels, static_cast<double>(snapshot.compaction_failures));
-  registry->Counter(
-      "backsort_engine_compaction_input_files_total",
-      "Sealed files consumed (merged away) by completed compactions.",
-      base_labels, static_cast<double>(snapshot.compaction_input_files));
-  registry->Counter(
-      "backsort_engine_compaction_output_bytes_total",
-      "Bytes written into compaction output files (post-merge sizes).",
-      base_labels, static_cast<double>(snapshot.compaction_output_bytes));
-
-  registry->Counter(
-      "backsort_engine_batch_writes_total",
-      "Batched write calls applied via the group-commit ingest path.",
-      base_labels, static_cast<double>(snapshot.batch_writes));
-  registry->Counter("backsort_engine_batch_points_total",
-                    "Points ingested via the batched write path.",
-                    base_labels, static_cast<double>(snapshot.batch_points));
-
-  registry->Counter("backsort_queries_total",
-                    "Range queries served since the engine opened.",
-                    base_labels, static_cast<double>(snapshot.queries));
-  registry->Counter(
-      "backsort_query_files_pruned_total",
-      "Sealed files skipped by footer time-range pruning, all queries.",
-      base_labels, static_cast<double>(snapshot.query_files_pruned));
-  registry->Counter(
-      "backsort_query_files_opened_total",
-      "Sealed files that contributed a run to a query (disk or cache), all "
-      "queries.",
-      base_labels, static_cast<double>(snapshot.query_files_opened));
-  registry->Counter(
-      "backsort_engine_sealed_bytes_read_total",
-      "Bytes read from sealed chunks by queries and aggregations: spans of "
-      "overlapping pages plus page-directory derivations.",
-      base_labels, static_cast<double>(snapshot.sealed_bytes_read));
-  registry->Counter(
-      "backsort_engine_sealed_pages_decoded_total",
-      "Sealed pages decoded by queries and aggregations.", base_labels,
-      static_cast<double>(snapshot.sealed_pages_decoded));
-
-  registry->Counter("backsort_chunk_cache_hits_total",
-                    "Page-directory lookups served from the chunk cache.",
-                    base_labels, static_cast<double>(snapshot.cache.hits));
-  registry->Counter("backsort_chunk_cache_misses_total",
-                    "Page-directory lookups that read the chunk from disk.",
-                    base_labels,
-                    static_cast<double>(snapshot.cache.misses));
-  registry->Counter(
-      "backsort_chunk_cache_evictions_total",
-      "Chunk-cache entries evicted to stay under capacity.", base_labels,
-      static_cast<double>(snapshot.cache.evictions));
-  registry->Counter(
-      "backsort_chunk_cache_footer_hits_total",
-      "Footer/index lookups served from the chunk cache.", base_labels,
-      static_cast<double>(snapshot.cache.footer_hits));
-  registry->Counter("backsort_chunk_cache_footer_misses_total",
-                    "Footer/index lookups that read the file.", base_labels,
-                    static_cast<double>(snapshot.cache.footer_misses));
-  registry->Gauge("backsort_chunk_cache_bytes",
-                  "Resident chunk-cache bytes (page directories + footers).",
-                  base_labels, static_cast<double>(snapshot.cache.bytes));
-  registry->Gauge("backsort_chunk_cache_entries",
-                  "Resident chunk-cache entries (page directories + footers).",
-                  base_labels, static_cast<double>(snapshot.cache.entries));
-  registry->Gauge(
-      "backsort_chunk_cache_capacity_bytes",
-      "Configured chunk-cache capacity in bytes (0 = cache disabled).",
-      base_labels, static_cast<double>(snapshot.cache.capacity_bytes));
-
-  registry->Gauge("backsort_shard_count", "Engine shards.", base_labels,
-                  static_cast<double>(snapshot.shards.size()));
-  registry->Gauge("backsort_sealed_files",
-                  "Distinct sealed TsFiles across the engine.", base_labels,
-                  static_cast<double>(snapshot.sealed_files));
-  registry->Gauge("backsort_working_points",
-                  "Points buffered in working memtables, all shards.",
-                  base_labels,
-                  static_cast<double>(snapshot.total_working_points()));
-  registry->Gauge("backsort_working_bytes",
-                  "Approximate heap bytes of working memtables, all shards.",
-                  base_labels,
-                  static_cast<double>(snapshot.total_working_bytes()));
-  registry->Gauge("backsort_queued_flushes",
-                  "Sealed memtables waiting in flush queues, all shards.",
-                  base_labels,
-                  static_cast<double>(snapshot.total_queued_flushes()));
-  registry->Counter("backsort_flushes_total",
-                    "Flushes completed since the engine opened.", base_labels,
-                    static_cast<double>(snapshot.total_completed_flushes()));
-
-  for (const ShardMetricsSnapshot& shard : snapshot.shards) {
-    MetricsRegistry::Labels labels = base_labels;
-    labels.emplace_back("shard", std::to_string(shard.shard_id));
-    registry->Gauge("backsort_shard_working_points",
-                    "Points buffered in one shard's working memtables.",
-                    labels, static_cast<double>(shard.working_points));
-    registry->Gauge("backsort_shard_working_bytes",
-                    "Approximate heap bytes of one shard's working memtables.",
-                    labels, static_cast<double>(shard.working_bytes));
-    registry->Gauge("backsort_shard_queued_flushes",
-                    "Sealed memtables waiting in one shard's flush queue.",
-                    labels, static_cast<double>(shard.queued_flushes));
-    registry->Gauge(
-        "backsort_shard_flushing_tables",
-        "Sealed memtables of one shard not yet fully on disk.", labels,
-        static_cast<double>(shard.flushing_tables));
-    registry->Gauge("backsort_shard_sealed_files",
-                    "Sealed TsFiles one shard consults at query time.", labels,
-                    static_cast<double>(shard.sealed_files));
-    registry->Counter("backsort_shard_flushes_total",
-                      "Flushes one shard completed since the engine opened.",
-                      labels, static_cast<double>(shard.completed_flushes));
-    registry->Gauge("backsort_shard_flush_mean_seconds",
-                    "Mean whole-pipeline flush time of one shard, seconds.",
-                    labels, shard.flush.flush_ms.mean() * kMsToSec);
-    registry->Gauge("backsort_shard_sort_mean_seconds",
-                    "Mean in-flush sort time of one shard, seconds.", labels,
-                    shard.flush.sort_ms.mean() * kMsToSec);
-  }
+  BACKSORT_ENGINE_METRICS(BACKSORT_EXPORT_STAGES, BACKSORT_METRIC_EXPORT,
+                          BACKSORT_METRIC_EXPORT, BACKSORT_EXPORT_SHARD)
+#undef BACKSORT_EXPORT_STAGES
+#undef BACKSORT_EXPORT_SHARD
 
   if (!include_traces) return;
+  constexpr double kNsToMs = 1e-6;
   for (const ShardMetricsSnapshot& shard : snapshot.shards) {
     for (const FlushTrace& t : shard.recent_traces) {
       char buf[256];

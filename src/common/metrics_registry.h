@@ -9,6 +9,7 @@
 
 #include "common/engine_metrics.h"
 #include "common/latency_histogram.h"
+#include "common/metric_table.h"
 #include "common/status.h"
 
 namespace backsort {
@@ -25,24 +26,18 @@ class MetricsRegistry {
   /// Label set attached to one sample, rendered in the given order.
   using Labels = std::vector<std::pair<std::string, std::string>>;
 
-  /// Adds a gauge sample. The family's HELP/TYPE header is emitted on
-  /// first use; `help` of later calls for the same family is ignored.
-  void Gauge(const std::string& name, const std::string& help,
-             const Labels& labels, double value);
+  /// Adds one sample of a declared counter or gauge family: `value` times
+  /// the family's scale. The family's HELP/TYPE header is emitted on first
+  /// use; the help of later samples of the same family is ignored.
+  void Add(const MetricFamily& family, const Labels& labels, double value);
 
-  /// Adds a counter sample. Prometheus convention: `name` ends in
-  /// `_total`.
-  void Counter(const std::string& name, const std::string& help,
-               const Labels& labels, double value);
-
-  /// Adds a summary rendered from a histogram snapshot: quantile samples
-  /// (0.5, 0.9, 0.99 and 1 = observed max) plus `name_sum` and
-  /// `name_count`. Recorded values are multiplied by `scale` (the engine
-  /// records nanoseconds; scale 1e-9 renders seconds). Empty snapshots
-  /// render NaN quantiles, like standard Prometheus client libraries.
-  void Summary(const std::string& name, const std::string& help,
-               const Labels& labels, const HistogramSnapshot& snapshot,
-               double scale);
+  /// Adds one sample set of a declared summary family, rendered from a
+  /// histogram snapshot: quantile samples (0.5, 0.9, 0.99 and 1 = observed
+  /// max) scaled by the family's scale, plus `name_sum` and `name_count`.
+  /// Empty snapshots render NaN quantiles, like standard Prometheus client
+  /// libraries.
+  void Add(const MetricFamily& family, const Labels& labels,
+           const HistogramSnapshot& snapshot);
 
   /// Appends a free-form `# ` comment after all families — still valid
   /// exposition (scrapers skip unknown comments). Used for flush-trace
@@ -68,8 +63,7 @@ class MetricsRegistry {
     std::vector<std::string> lines;  // fully formatted sample lines
   };
 
-  Family* FamilyFor(const std::string& name, const std::string& help,
-                    const std::string& type);
+  Family* FamilyFor(const MetricFamily& family);
   void AddSample(Family* family, const std::string& sample_name,
                  const Labels& labels, double value);
 
@@ -80,9 +74,9 @@ class MetricsRegistry {
 
 /// Converts one engine metrics snapshot into registry samples, attaching
 /// `base_labels` to every sample (the bench harness labels runs with
-/// panel/sorter/write_pct; bstool passes no labels). Exports the stage
-/// latency summaries, engine totals, and the per-shard breakdown. When
-/// `include_traces` is set, each shard's recent FlushTrace spans are
+/// panel/sorter/write_pct; bstool passes no labels). Exports one family per
+/// row of BACKSORT_ENGINE_METRICS, in row order. When `include_traces` is
+/// set, each shard's recent FlushTrace spans are
 /// appended as `# flush-trace ...` comments.
 void ExportEngineMetrics(const EngineMetricsSnapshot& snapshot,
                          const MetricsRegistry::Labels& base_labels,

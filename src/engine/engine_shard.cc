@@ -295,7 +295,7 @@ Status EngineShard::WriteBatch(const SensorSpanDouble* groups,
     // The batch itself is staged and queryable; only the flush can fail.
     RETURN_NOT_OK(DrainQueueSyncLocked(lock));
   }
-  shared_->histograms.batch_apply.Record(
+  shared_->stages.batch_apply.Record(
       static_cast<uint64_t>(batch_timer.ElapsedNanos()));
   return Status::OK();
 }
@@ -470,7 +470,7 @@ Status EngineShard::FlushTable(const FlushJob& job) {
           chunk->sensor, ts, values, Encoding::kTs2Diff, Encoding::kGorilla,
           options.points_per_page, &encoded);
       const int64_t job_ns = job_timer.ElapsedNanos();
-      shared_->histograms.sort_job.Record(static_cast<uint64_t>(job_ns));
+      shared_->stages.sort_job.Record(static_cast<uint64_t>(job_ns));
       sort_ms += static_cast<double>(sort_ns) / 1e6;
       trace.sort_ns += sort_ns;
       trace.encode_ns += job_ns - sort_ns;
@@ -555,7 +555,7 @@ Status EngineShard::FlushTable(const FlushJob& job) {
 
   // Lock-free stage recording, consistent with the trace by construction:
   // every histogram value is a duration derived from this trace's spans.
-  WritePathHistograms& h = shared_->histograms;
+  WriteStages<LatencyHistogram>& h = shared_->stages;
   h.queue_wait.Record(static_cast<uint64_t>(
       std::max<int64_t>(trace.queue_wait_ns(), 0)));
   h.sort.Record(static_cast<uint64_t>(trace.sort_ns));
@@ -664,7 +664,7 @@ Status EngineShard::Query(const std::string& sensor, Timestamp t_min,
   out->clear();
   EngineSharedState& shared = *shared_;
   shared.queries.fetch_add(1, std::memory_order_relaxed);
-  QueryPathHistograms& qh = shared.query_histograms;
+  QueryStages<LatencyHistogram>& qh = shared.query_stages;
 
   // Stage 1 — the only part under the shard lock: a cheap consistent
   // snapshot. (IoTDB's query "takes the lock and blocks the write
@@ -770,7 +770,7 @@ Status EngineShard::AggregateFast(const std::string& sensor, Timestamp t_min,
   if (used_fast_path != nullptr) *used_fast_path = false;
   EngineSharedState& shared = *shared_;
   shared.agg_requests.fetch_add(1, std::memory_order_relaxed);
-  AggregatePathHistograms& ah = shared.agg_histograms;
+  AggregateStages<LatencyHistogram>& ah = shared.agg_stages;
 
   // An empty time range has a well-defined answer (count == 0) and needs
   // no snapshot, no I/O, not even the shard lock.
@@ -784,11 +784,11 @@ Status EngineShard::AggregateFast(const std::string& sensor, Timestamp t_min,
   // Soundness: statistics cannot express last-write-wins shadowing, so the
   // metadata tiers require every point in range to live in exactly one
   // sequence file. Sequence files never overlap per sensor (the watermark
-  // enforces strictly increasing time ranges). With pruning metadata the
-  // guard sharpens: an unsequence file disqualifies only when it actually
-  // holds points of this sensor inside the range (a non-overlapping one
-  // cannot shadow anything the aggregate sees); with pruning disabled the
-  // guard stays maximally conservative.
+  // enforces strictly increasing time ranges). The per-sensor footer
+  // ranges sharpen the guard: an unsequence file disqualifies only when it
+  // actually holds points of this sensor inside the range (a
+  // non-overlapping one cannot shadow anything the aggregate sees), and a
+  // footer that cannot be read disqualifies the plan.
   WallTimer plan_timer;
   ReadSnapshot snap;
   TakeSnapshot(sensor, t_min, t_max, /*want_points=*/false, &snap);

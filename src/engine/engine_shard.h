@@ -27,98 +27,17 @@ namespace backsort {
 
 class FlushPool;
 
-/// Engine-wide write-path latency histograms, one per instrumented stage
-/// (see StageLatencySnapshots for stage semantics). Shared by every shard
-/// and flush worker; recording is lock-free, so the histograms sit on the
-/// write path without adding contention.
-struct WritePathHistograms {
-  LatencyHistogram batch_apply;
-  LatencyHistogram queue_wait;
-  LatencyHistogram sort;
-  LatencyHistogram sort_job;
-  LatencyHistogram encode;
-  LatencyHistogram seal;
-  LatencyHistogram flush;
-
-  StageLatencySnapshots Snapshot() const {
-    StageLatencySnapshots snap;
-    snap.batch_apply = batch_apply.Snapshot();
-    snap.queue_wait = queue_wait.Snapshot();
-    snap.sort = sort.Snapshot();
-    snap.sort_job = sort_job.Snapshot();
-    snap.encode = encode.Snapshot();
-    snap.seal = seal.Snapshot();
-    snap.flush = flush.Snapshot();
-    return snap;
-  }
-};
-
-/// Engine-wide read-path latency histograms, one per query stage (see
-/// QueryStageSnapshots for stage semantics). Shared by every shard;
-/// recording is lock-free.
-struct QueryPathHistograms {
-  LatencyHistogram snapshot;
-  LatencyHistogram prune;
-  LatencyHistogram read;
-  LatencyHistogram merge;
-
-  QueryStageSnapshots Snapshot() const {
-    QueryStageSnapshots snap;
-    snap.snapshot = snapshot.Snapshot();
-    snap.prune = prune.Snapshot();
-    snap.read = read.Snapshot();
-    snap.merge = merge.Snapshot();
-    return snap;
-  }
-};
-
-/// Aggregation-path latency histograms, one per stage of the three-tier
-/// AggregateFast plan (see AggregateStageSnapshots for stage semantics).
-/// Shared by every shard; recording is lock-free.
-struct AggregatePathHistograms {
-  LatencyHistogram plan;
-  LatencyHistogram stats;
-  LatencyHistogram decode;
-  LatencyHistogram merge;
-
-  AggregateStageSnapshots Snapshot() const {
-    AggregateStageSnapshots snap;
-    snap.plan = plan.Snapshot();
-    snap.stats = stats.Snapshot();
-    snap.decode = decode.Snapshot();
-    snap.merge = merge.Snapshot();
-    return snap;
-  }
-};
-
-/// Compaction-path latency histograms, one per stage of a compaction
-/// cycle (see CompactionStageSnapshots for stage semantics). Recording is
-/// lock-free like the other stage histograms.
-struct CompactionPathHistograms {
-  LatencyHistogram plan;
-  LatencyHistogram merge;
-  LatencyHistogram publish;
-
-  CompactionStageSnapshots Snapshot() const {
-    CompactionStageSnapshots snap;
-    snap.plan = plan.Snapshot();
-    snap.merge = merge.Snapshot();
-    snap.publish = publish.Snapshot();
-    return snap;
-  }
-};
-
-/// State shared by all shards of one engine: the resolved options, the
-/// flush pool, globally unique file/WAL id allocators (so names never
-/// collide across shards), the shared chunk cache, and the engine-wide
-/// registry of distinct sealed TsFiles in creation order (compaction input
-/// + file counting).
+/// State shared by all shards of one engine: the metric cells (the base,
+/// recorded lock-free), the resolved options, the flush pool, globally
+/// unique file/WAL id allocators (so names never collide across shards),
+/// the shared chunk cache, and the engine-wide registry of distinct sealed
+/// TsFiles in creation order (compaction input + file counting).
 ///
 /// Lock hierarchy: facade → shard mu → files_mu. FlushTable publishes a
 /// file under its shard's mu with files_mu nested; Compact acquires every
 /// shard mu in index order before files_mu, so the nesting is acyclic.
 /// ChunkCache shard mutexes are leaves taken with no engine lock held.
-struct EngineSharedState {
+struct EngineSharedState : EngineMetricCells {
   EngineOptions options;
   FlushPool* pool = nullptr;
 
@@ -131,49 +50,6 @@ struct EngineSharedState {
   std::atomic<size_t> next_file_id{0};
   std::atomic<size_t> next_wal_id{0};
   std::atomic<size_t> file_count{0};
-
-  /// Lock-free stage latency histograms (see WritePathHistograms).
-  WritePathHistograms histograms;
-
-  /// Lock-free query-stage latency histograms (see QueryPathHistograms).
-  QueryPathHistograms query_histograms;
-
-  /// Read-path counters, engine-wide (relaxed; exact totals, approximate
-  /// ordering — same contract as the histograms).
-  std::atomic<uint64_t> queries{0};
-  std::atomic<uint64_t> query_files_pruned{0};
-  std::atomic<uint64_t> query_files_opened{0};
-  /// Sealed-data read amplification (Query + AggregateFast): bytes read
-  /// from sealed chunks (page spans and directory derivations) and pages
-  /// decoded.
-  std::atomic<uint64_t> sealed_bytes_read{0};
-  std::atomic<uint64_t> sealed_pages_decoded{0};
-
-  /// Lock-free aggregation-stage latency histograms (see
-  /// AggregatePathHistograms).
-  AggregatePathHistograms agg_histograms;
-
-  /// Aggregation counters (relaxed, same contract as above): AggregateFast
-  /// calls, chunks answered from footer statistics alone, and chunks that
-  /// needed a decoding tier.
-  std::atomic<uint64_t> agg_requests{0};
-  std::atomic<uint64_t> agg_stats_hits{0};
-  std::atomic<uint64_t> agg_stats_misses{0};
-
-  /// Batched-ingest counters: WriteBatch calls whose points were applied,
-  /// and the points they carried (relaxed, same contract as above).
-  std::atomic<uint64_t> batch_writes{0};
-  std::atomic<uint64_t> batch_points{0};
-
-  /// Compaction stage histograms (see CompactionPathHistograms).
-  CompactionPathHistograms compaction_histograms;
-
-  /// Compaction counters (relaxed, same contract as above): completed
-  /// jobs, failed jobs, input files consumed, output bytes written.
-  std::atomic<uint64_t> compaction_jobs{0};
-  std::atomic<uint64_t> compaction_failures{0};
-  std::atomic<uint64_t> compaction_input_files{0};
-  std::atomic<uint64_t> compaction_output_bytes{0};
 
   /// Epoch of every FlushTrace timestamp: engine construction time on the
   /// steady clock.

@@ -340,35 +340,8 @@ EngineMetricsSnapshot StorageEngine::GetMetricsSnapshot() const {
     snap.flush.Merge(snap.shards.back().flush);
   }
   snap.sealed_files = shared_.file_count.load();
-  snap.stages = shared_.histograms.Snapshot();
-  snap.query_stages = shared_.query_histograms.Snapshot();
-  snap.queries = shared_.queries.load(std::memory_order_relaxed);
-  snap.query_files_pruned =
-      shared_.query_files_pruned.load(std::memory_order_relaxed);
-  snap.query_files_opened =
-      shared_.query_files_opened.load(std::memory_order_relaxed);
-  snap.sealed_bytes_read =
-      shared_.sealed_bytes_read.load(std::memory_order_relaxed);
-  snap.sealed_pages_decoded =
-      shared_.sealed_pages_decoded.load(std::memory_order_relaxed);
-  snap.agg_stages = shared_.agg_histograms.Snapshot();
-  snap.agg_requests = shared_.agg_requests.load(std::memory_order_relaxed);
-  snap.agg_stats_hits =
-      shared_.agg_stats_hits.load(std::memory_order_relaxed);
-  snap.agg_stats_misses =
-      shared_.agg_stats_misses.load(std::memory_order_relaxed);
   snap.cache = shared_.chunk_cache->GetStats();
-  snap.batch_writes = shared_.batch_writes.load(std::memory_order_relaxed);
-  snap.batch_points = shared_.batch_points.load(std::memory_order_relaxed);
-  snap.compaction_stages = shared_.compaction_histograms.Snapshot();
-  snap.compaction_jobs =
-      shared_.compaction_jobs.load(std::memory_order_relaxed);
-  snap.compaction_failures =
-      shared_.compaction_failures.load(std::memory_order_relaxed);
-  snap.compaction_input_files =
-      shared_.compaction_input_files.load(std::memory_order_relaxed);
-  snap.compaction_output_bytes =
-      shared_.compaction_output_bytes.load(std::memory_order_relaxed);
+  shared_.CopyTo(&snap);
   return snap;
 }
 
@@ -473,7 +446,7 @@ Status StorageEngine::RunCompactionPlan(const CompactionPlan& plan,
   CompactionStats cstats;
   const int64_t merge_start = shared_.NowNs();
   Status st = job.Run(plan, &out_meta, &cstats);
-  shared_.compaction_histograms.merge.Record(
+  shared_.compaction_stages.merge.Record(
       static_cast<uint64_t>(shared_.NowNs() - merge_start));
   if (!st.ok()) {
     shared_.compaction_failures.fetch_add(1, std::memory_order_relaxed);
@@ -488,7 +461,7 @@ Status StorageEngine::RunCompactionPlan(const CompactionPlan& plan,
     shared_.compaction_failures.fetch_add(1, std::memory_order_relaxed);
     return st;
   }
-  shared_.compaction_histograms.publish.Record(
+  shared_.compaction_stages.publish.Record(
       static_cast<uint64_t>(shared_.NowNs() - publish_start));
   shared_.compaction_jobs.fetch_add(1, std::memory_order_relaxed);
   shared_.compaction_input_files.fetch_add(plan.inputs.size(),
@@ -508,7 +481,7 @@ Status StorageEngine::CompactStep(bool* performed) {
   SnapshotFiles(&files, &sizes);
   const CompactionPlanner planner(compaction_config_);
   CompactionPlan plan = planner.PlanTiered(files, sizes);
-  shared_.compaction_histograms.plan.Record(
+  shared_.compaction_stages.plan.Record(
       static_cast<uint64_t>(shared_.NowNs() - plan_start));
   if (plan.empty()) return Status::OK();
   return RunCompactionPlan(plan, performed);
@@ -531,7 +504,7 @@ Status StorageEngine::Compact() {
     const int64_t plan_start = shared_.NowNs();
     SnapshotFiles(&files, &sizes);
     CompactionPlan plan = planner.PlanFull(files, sizes, remaining);
-    shared_.compaction_histograms.plan.Record(
+    shared_.compaction_stages.plan.Record(
         static_cast<uint64_t>(shared_.NowNs() - plan_start));
     if (plan.empty()) break;
     RETURN_NOT_OK(RunCompactionPlan(plan, nullptr));

@@ -143,9 +143,10 @@ class StorageEngine {
   FlushMetrics GetFlushMetrics() const;
 
   /// Engine-wide metrics with the per-shard breakdown (queue depths, flush
-  /// counts, working set sizes), the write-path stage latency histograms,
-  /// and each shard's recent flush traces. Render with ExportEngineMetrics
-  /// (common/metrics_registry.h); metric reference in docs/METRICS.md.
+  /// counts, working set sizes), every recorded cell of
+  /// BACKSORT_ENGINE_METRICS, and each shard's recent flush traces. Render
+  /// with ExportEngineMetrics (common/metrics_registry.h); metric reference
+  /// in docs/METRICS.md.
   EngineMetricsSnapshot GetMetricsSnapshot() const;
 
   /// Distinct sealed TsFiles across the whole engine.

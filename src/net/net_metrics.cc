@@ -5,75 +5,16 @@ namespace backsort {
 void ExportNetMetrics(const NetMetricsSnapshot& snapshot,
                       const MetricsRegistry::Labels& base_labels,
                       MetricsRegistry* registry) {
-  constexpr double kNsToSec = 1e-9;
-
-  registry->Counter("backsort_net_connections_total",
-                    "TCP connections accepted since the server started.",
-                    base_labels,
-                    static_cast<double>(snapshot.connections_total));
-  registry->Gauge("backsort_net_active_connections",
-                  "TCP connections currently open.", base_labels,
-                  static_cast<double>(snapshot.active_connections));
-  registry->Counter("backsort_net_bytes_in_total",
-                    "Request frame bytes received (headers + payloads).",
-                    base_labels, static_cast<double>(snapshot.bytes_in));
-  registry->Counter("backsort_net_bytes_out_total",
-                    "Response frame bytes sent (headers + payloads).",
-                    base_labels, static_cast<double>(snapshot.bytes_out));
-  registry->Counter(
-      "backsort_net_overload_rejections_total",
-      "Requests shed with an Overloaded response by admission control.",
-      base_labels, static_cast<double>(snapshot.overload_rejections));
-  registry->Counter(
-      "backsort_net_protocol_errors_total",
-      "Malformed frames (bad magic, CRC, oversized or truncated) that "
-      "closed their connection.",
-      base_labels, static_cast<double>(snapshot.protocol_errors));
-  registry->Gauge("backsort_net_inflight_requests",
-                  "Requests holding an admission slot right now.",
-                  base_labels,
-                  static_cast<double>(snapshot.inflight_requests));
-  registry->Gauge("backsort_net_inflight_bytes",
-                  "Payload bytes holding admission budget right now.",
-                  base_labels, static_cast<double>(snapshot.inflight_bytes));
-  registry->Counter("backsort_net_event_loop_wakeups_total",
-                    "epoll_wait returns across all event-loop threads.",
-                    base_labels,
-                    static_cast<double>(snapshot.event_loop_wakeups));
-  registry->Counter(
-      "backsort_net_read_pauses_total",
-      "Connections whose reads were paused because their pipeline reached "
-      "max_pipeline_depth (backpressure events).",
-      base_labels, static_cast<double>(snapshot.read_pauses));
-  registry->Summary(
-      "backsort_net_event_loop_events",
-      "Readiness events delivered per epoll_wait return (event-loop "
-      "depth); quantile=\"1\" is the observed max.",
-      base_labels, snapshot.event_loop_events, 1.0);
-  registry->Summary(
-      "backsort_net_pipeline_depth",
-      "In-flight pipelined requests on a connection, sampled as each "
-      "request frame is decoded (1 = plain request/response traffic).",
-      base_labels, snapshot.pipeline_depth, 1.0);
-  registry->Summary(
-      "backsort_net_writev_frames",
-      "Response frames gathered into a single writev call (scatter/gather "
-      "batch size).",
-      base_labels, snapshot.writev_frames, 1.0);
-
-  for (size_t i = 0; i < kNumMsgTypes; ++i) {
-    const MsgType type = static_cast<MsgType>(i + 1);
-    MetricsRegistry::Labels labels = base_labels;
-    labels.emplace_back("type", MsgTypeName(type));
-    registry->Counter("backsort_net_requests_total",
-                      "Requests served (dispatched and answered), by type.",
-                      labels, static_cast<double>(snapshot.requests_total[i]));
-    registry->Summary(
-        "backsort_net_request_duration_seconds",
-        "Server-side request latency in seconds, decode to response "
-        "written, by type; quantile=\"1\" is the observed max.",
-        labels, snapshot.request_duration[i], kNsToSec);
+#define BACKSORT_NET_EXPORT_BY_TYPE(type, member, family, help, scale)      \
+  for (size_t i = 0; i < kNumMsgTypes; ++i) {                              \
+    MetricsRegistry::Labels labels = base_labels;                          \
+    labels.emplace_back("type", MsgTypeName(static_cast<MsgType>(i + 1))); \
+    registry->Add({family, MetricType::k##type, help, scale}, labels,      \
+                  snapshot.member[i]);                                     \
   }
+  BACKSORT_NET_METRICS(BACKSORT_METRIC_EXPORT, BACKSORT_METRIC_EXPORT,
+                       BACKSORT_NET_EXPORT_BY_TYPE)
+#undef BACKSORT_NET_EXPORT_BY_TYPE
 }
 
 }  // namespace backsort

@@ -795,7 +795,7 @@ void BacksortServer::ExecuteRequest(Request& request) {
   metrics_.requests_total[idx].fetch_add(1, std::memory_order_relaxed);
   EventLoop::FillFrameHeader(slot);
   admission_.Release(request.admitted_bytes);
-  metrics_.request_ns[idx].Record(timer.ElapsedNanos());
+  metrics_.request_duration[idx].Record(timer.ElapsedNanos());
   slot->ready.store(true, std::memory_order_release);
   request.conn->executing.fetch_sub(1, std::memory_order_acq_rel);
   request.conn->loop->PostCompletion(request.conn);

@@ -77,9 +77,10 @@
 //   bstool algos
 //       List registered sorting algorithms.
 //
-// Count-valued flags (`--name=N`, `--name=MS`) take decimal digits only;
-// a sign, a typo or an overflowing value exits with status 2 naming the
-// flag.
+// Counts — positional (`<points>`, `[seed]`, `[limit]`, `<count>`) and
+// flag values (`--name=N`, `--name=MS`) — take decimal digits only; a
+// sign, a typo or an overflowing value exits with status 2 naming the
+// argument.
 
 #include <atomic>
 #include <csignal>
@@ -149,8 +150,21 @@ int Usage() {
                " ping|write|query|latest|agg|metrics [...]\n"
                "  client --servers=<host:port,...>"
                " write|query|latest|agg [...]\n"
-               "count-valued flags (=N, =MS) take decimal digits only\n");
+               "counts (positional and =N, =MS flags) take decimal digits"
+               " only\n");
   return 2;
+}
+
+/// Parses the count `text`. A value that is not a decimal count (ParseCount)
+/// exits with status 2, naming the argument `what`.
+size_t CountArg(const char* text, const char* what) {
+  size_t value = 0;
+  if (!ParseCount(text, &value)) {
+    std::fprintf(stderr, "error: %s must be a decimal count, got '%s'\n",
+                 what, text);
+    std::exit(2);
+  }
+  return value;
 }
 
 std::unique_ptr<DelayDistribution> ParseDistribution(const std::string& spec) {
@@ -215,11 +229,10 @@ int CmdInspect(int argc, char** argv) {
 
 int CmdDump(int argc, char** argv) {
   if (argc < 2) return Usage();
+  const size_t limit =
+      argc >= 3 ? CountArg(argv[2], "[limit]") : static_cast<size_t>(-1);
   TsFileReader reader(argv[0]);
   if (Status st = reader.Open(); !st.ok()) return Fail(st);
-  const size_t limit =
-      argc >= 3 ? static_cast<size_t>(std::strtoull(argv[2], nullptr, 10))
-                : static_cast<size_t>(-1);
   std::vector<Timestamp> ts;
   std::vector<double> values;
   if (Status st = reader.ReadChunkF64(argv[1], &ts, &values); !st.ok()) {
@@ -234,14 +247,13 @@ int CmdDump(int argc, char** argv) {
 
 int CmdGen(int argc, char** argv) {
   if (argc < 3) return Usage();
-  const size_t points = static_cast<size_t>(std::strtoull(argv[1], nullptr,
-                                                          10));
+  const size_t points = CountArg(argv[1], "<points>");
   auto delay = ParseDistribution(argv[2]);
   if (delay == nullptr) {
     std::fprintf(stderr, "unknown distribution: %s\n", argv[2]);
     return 2;
   }
-  Rng rng(argc >= 4 ? std::strtoull(argv[3], nullptr, 10) : 42);
+  Rng rng(argc >= 4 ? CountArg(argv[3], "[seed]") : 42);
   const auto series = GenerateArrivalOrderedSeries<double>(points, *delay, rng);
   if (Status st = WriteCsv(argv[0], series); !st.ok()) return Fail(st);
   std::printf("wrote %zu arrival-ordered points (%s) to %s\n", series.size(),
@@ -292,11 +304,7 @@ int CmdIir(int argc, char** argv) {
 bool FlagValue(const char* arg, const char* name, size_t* out) {
   const size_t len = std::strlen(name);
   if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  if (!ParseCount(arg + len + 1, out)) {
-    std::fprintf(stderr, "error: %s must be a decimal count, got '%s'\n",
-                 name, arg + len + 1);
-    std::exit(2);
-  }
+  *out = CountArg(arg + len + 1, name);
   return true;
 }
 
@@ -437,8 +445,7 @@ int CmdWatch(int argc, char** argv) {
 int CmdIngest(int argc, char** argv) {
   if (argc < 3) return Usage();
   const std::string dir = argv[0];
-  const size_t points =
-      static_cast<size_t>(std::strtoull(argv[1], nullptr, 10));
+  const size_t points = CountArg(argv[1], "<points>");
   auto delay = ParseDistribution(argv[2]);
   if (delay == nullptr) {
     std::fprintf(stderr, "unknown distribution: %s\n", argv[2]);
@@ -571,27 +578,16 @@ int CmdIngest(int argc, char** argv) {
               static_cast<unsigned long long>(snap.agg_requests));
 
   // Stage latency percentiles from the engine-wide histograms (ns -> ms).
-  const struct {
-    const char* name;
-    const HistogramSnapshot& hist;
-  } stages[] = {
-      {"batch-apply", snap.stages.batch_apply},
-      {"queue-wait", snap.stages.queue_wait},
-      {"sort", snap.stages.sort},
-      {"sort-job", snap.stages.sort_job},
-      {"encode", snap.stages.encode},
-      {"seal", snap.stages.seal},
-      {"flush", snap.stages.flush},
-  };
   std::printf("%-12s %12s %12s %12s %12s %12s\n", "stage (ms)", "p50", "p90",
               "p99", "max", "count");
-  for (const auto& s : stages) {
-    std::printf("%-12s %12.4f %12.4f %12.4f %12.4f %12llu\n", s.name,
-                s.hist.Percentile(50) / 1e6, s.hist.Percentile(90) / 1e6,
-                s.hist.Percentile(99) / 1e6,
-                static_cast<double>(s.hist.max) / 1e6,
-                static_cast<unsigned long long>(s.hist.count));
-  }
+  WriteStages<HistogramSnapshot>::ForEachStage([&](const char* name,
+                                                   auto get) {
+    const HistogramSnapshot& hist = get(snap.stages);
+    std::printf("%-12s %12.4f %12.4f %12.4f %12.4f %12llu\n", name,
+                hist.Percentile(50) / 1e6, hist.Percentile(90) / 1e6,
+                hist.Percentile(99) / 1e6, static_cast<double>(hist.max) / 1e6,
+                static_cast<unsigned long long>(hist.count));
+  });
 
   if (Status st = DumpEngineMetrics(engine, metrics_file); !st.ok()) {
     return Fail(st);
@@ -832,8 +828,7 @@ int CmdClusterClient(const std::string& servers, int argc, char** argv) {
   if (op == "write") {
     if (argc < 2) return Usage();
     const std::string sensor = argv[0];
-    const size_t count =
-        static_cast<size_t>(std::strtoull(argv[1], nullptr, 10));
+    const size_t count = CountArg(argv[1], "<count>");
     size_t t0 = 0, batch = 500;
     for (int i = 2; i < argc; ++i) {
       if (FlagValue(argv[i], "--t0", &t0) ||
@@ -946,8 +941,7 @@ int CmdClient(int argc, char** argv) {
   if (op == "write") {
     if (argc < 2) return Usage();
     const std::string sensor = argv[0];
-    const size_t count =
-        static_cast<size_t>(std::strtoull(argv[1], nullptr, 10));
+    const size_t count = CountArg(argv[1], "<count>");
     size_t t0 = 0, batch = 500, pipeline = 0;
     for (int i = 2; i < argc; ++i) {
       if (FlagValue(argv[i], "--t0", &t0) ||

@@ -15,15 +15,20 @@
 #      must show a non-zero cache hit rate in the exported metrics, and a
 #      run with --chunk-cache-bytes=0 must export a zero capacity; then a
 #      malformed count flag (--metrics-interval=10x) must make bstool
-#      ingest exit 2 instead of parsing a number prefix
+#      ingest exit 2, and a malformed positional count (`bstool gen
+#      out.csv 5x ...`) must make bstool gen exit 2, instead of parsing a
+#      number prefix
 #   5. network smoke: the wire-protocol and server suites under TSan,
 #      then a real bstool serve on an ephemeral port answering
 #      bstool client ping / write (sequential AND --pipeline=8) /
 #      query / metrics before a clean SIGTERM shutdown
 #   6. docs: the wire_protocol_docs_test golden suite (docs/
 #      WIRE_PROTOCOL.md must match the protocol constants compiled into
-#      the binary), then a link check — every relative markdown link in
-#      README.md and docs/*.md must resolve
+#      the binary) and the METRICS.md check (metrics_exposition_test's
+#      docs tests: every metric table row is documented with its type, and
+#      every backsort_* family docs/METRICS.md names has a row), then a
+#      link check — every relative markdown link in README.md and
+#      docs/*.md must resolve
 #   7. perf smoke: a scaled-down bench/system_ingest run must show the
 #      batched write path at >= 1.5x the per-point path (BENCH_ingest.json
 #      "speedup_batched_over_per_point"), and a scaled-down
@@ -151,7 +156,14 @@ if [ "$rc" -ne 2 ]; then
   echo "flag smoke FAILED: --metrics-interval=10x exited $rc, want 2"
   exit 1
 fi
-echo "flag smoke passed (malformed count flag exits 2)"
+rc=0
+./build/tools/bstool gen "$smoke_dir/badcount.csv" 5x absnormal:1,5 \
+  > /dev/null 2>&1 || rc=$?
+if [ "$rc" -ne 2 ]; then
+  echo "flag smoke FAILED: bstool gen with <points>=5x exited $rc, want 2"
+  exit 1
+fi
+echo "flag smoke passed (malformed count flag and positional count exit 2)"
 
 echo "=== [5/12] network loopback smoke ==="
 # Wire protocol + server correctness under ThreadSanitizer: concurrent
@@ -207,11 +219,14 @@ wait "$serve_pid" || {
 }
 echo "net smoke passed ($rows rows round-tripped via $addr)"
 
-echo "=== [6/12] docs: wire-protocol golden suite + link check ==="
+echo "=== [6/12] docs: wire-protocol golden suite + METRICS.md check + link check ==="
 # The spec in docs/WIRE_PROTOCOL.md is executable documentation: this
 # suite re-derives magic/offsets/type tables from the compiled protocol
 # constants and fails if the prose drifted from the code.
 ./build/tests/wire_protocol_docs_test
+# docs/METRICS.md against the engine, net and cluster metric tables, in
+# both directions.
+./build/tests/metrics_exposition_test --gtest_filter='*Docs*'
 # Extract the target of every inline markdown link and verify that
 # non-URL, non-anchor targets exist relative to the linking file.
 docs_fail=0
