@@ -487,6 +487,34 @@ TEST(ParseCountTest, RejectsEverythingElse) {
   }
 }
 
+TEST(ParseTimestampTest, AcceptsSignedDecimals) {
+  const struct {
+    const char* text;
+    int64_t value;
+  } cases[] = {{"0", 0},
+               {"-0", 0},
+               {"5", 5},
+               {"-5", -5},
+               {"0042", 42},
+               {"9223372036854775807", std::numeric_limits<int64_t>::max()},
+               {"-9223372036854775808", std::numeric_limits<int64_t>::min()}};
+  for (const auto& c : cases) {
+    int64_t out = 123;
+    EXPECT_TRUE(ParseTimestamp(c.text, &out)) << c.text;
+    EXPECT_EQ(out, c.value) << c.text;
+  }
+}
+
+TEST(ParseTimestampTest, RejectsEverythingElse) {
+  for (const char* text :
+       {"", "-", "+1", " 1", "1 ", "5x", "x5", "junk", "1.5", "0x10", "1e3",
+        "--1", "9223372036854775808", "-9223372036854775809"}) {
+    int64_t out = 123;
+    EXPECT_FALSE(ParseTimestamp(text, &out)) << "'" << text << "'";
+    EXPECT_EQ(out, 123) << "'" << text << "' wrote its output";
+  }
+}
+
 TEST_F(EngineTest, EnvHooksResolveShardAndWorkerCounts) {
   ScopedEnv shards("BACKSORT_SHARDS", "3");
   ScopedEnv workers("BACKSORT_FLUSH_WORKERS", "2");

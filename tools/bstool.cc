@@ -167,6 +167,18 @@ size_t CountArg(const char* text, const char* what) {
   return value;
 }
 
+/// Parses the timestamp `text`. A value that is not a signed decimal
+/// (ParseTimestamp) exits with status 2, naming the argument `what`.
+Timestamp TimestampArg(const char* text, const char* what) {
+  int64_t value = 0;
+  if (!ParseTimestamp(text, &value)) {
+    std::fprintf(stderr, "error: %s must be a decimal timestamp, got '%s'\n",
+                 what, text);
+    std::exit(2);
+  }
+  return value;
+}
+
 std::unique_ptr<DelayDistribution> ParseDistribution(const std::string& spec) {
   for (DatasetId id : RealWorldDatasets()) {
     if (spec == DatasetName(id)) return MakeDatasetDelay(id);
@@ -860,10 +872,10 @@ int CmdClusterClient(const std::string& servers, int argc, char** argv) {
   }
   if (op == "query") {
     if (argc < 3) return Usage();
+    const Timestamp t0 = TimestampArg(argv[1], "<t0>");
+    const Timestamp t1 = TimestampArg(argv[2], "<t1>");
     std::vector<TvPairDouble> points;
-    if (Status st = client.Query(argv[0], std::atoll(argv[1]),
-                                 std::atoll(argv[2]), &points);
-        !st.ok()) {
+    if (Status st = client.Query(argv[0], t0, t1, &points); !st.ok()) {
       return Fail(st);
     }
     std::printf("timestamp,value\n");
@@ -881,10 +893,11 @@ int CmdClusterClient(const std::string& servers, int argc, char** argv) {
   }
   if (op == "agg") {
     if (argc < 3) return Usage();
+    const Timestamp t0 = TimestampArg(argv[1], "<t0>");
+    const Timestamp t1 = TimestampArg(argv[2], "<t1>");
     TsFileReader::RangeStats stats;
     bool fast = false;
-    if (Status st = client.AggregateFast(argv[0], std::atoll(argv[1]),
-                                         std::atoll(argv[2]), &stats, &fast);
+    if (Status st = client.AggregateFast(argv[0], t0, t1, &stats, &fast);
         !st.ok()) {
       return Fail(st);
     }
@@ -928,10 +941,15 @@ int CmdClient(int argc, char** argv) {
   argc -= 2;
   argv += 2;
 
+  // Each op parses all of its arguments before it connects, so a
+  // malformed one exits 2 whether or not the server is up.
   BacksortClient client;
-  if (Status st = client.Connect(host, port); !st.ok()) return Fail(st);
+  auto connect = [&client, &host, port]() {
+    return client.Connect(host, port);
+  };
 
   if (op == "ping") {
+    if (Status st = connect(); !st.ok()) return Fail(st);
     WallTimer timer;
     if (Status st = client.Ping(); !st.ok()) return Fail(st);
     std::printf("PONG from %s in %.3f ms\n", addr.c_str(),
@@ -952,6 +970,7 @@ int CmdClient(int argc, char** argv) {
       std::fprintf(stderr, "unknown option: %s\n", argv[i]);
       return Usage();
     }
+    if (Status st = connect(); !st.ok()) return Fail(st);
     WallTimer timer;
     std::vector<TvPairDouble> points;
     for (size_t i = 0; i < count;) {
@@ -981,10 +1000,11 @@ int CmdClient(int argc, char** argv) {
   }
   if (op == "query") {
     if (argc < 3) return Usage();
+    const Timestamp t0 = TimestampArg(argv[1], "<t0>");
+    const Timestamp t1 = TimestampArg(argv[2], "<t1>");
+    if (Status st = connect(); !st.ok()) return Fail(st);
     std::vector<TvPairDouble> points;
-    if (Status st = client.Query(argv[0], std::atoll(argv[1]),
-                                 std::atoll(argv[2]), &points);
-        !st.ok()) {
+    if (Status st = client.Query(argv[0], t0, t1, &points); !st.ok()) {
       return Fail(st);
     }
     std::printf("timestamp,value\n");
@@ -995,6 +1015,7 @@ int CmdClient(int argc, char** argv) {
   }
   if (op == "latest") {
     if (argc < 1) return Usage();
+    if (Status st = connect(); !st.ok()) return Fail(st);
     TvPairDouble p{};
     if (Status st = client.GetLatest(argv[0], &p); !st.ok()) return Fail(st);
     std::printf("%lld,%.17g\n", static_cast<long long>(p.t), p.v);
@@ -1002,10 +1023,12 @@ int CmdClient(int argc, char** argv) {
   }
   if (op == "agg") {
     if (argc < 3) return Usage();
+    const Timestamp t0 = TimestampArg(argv[1], "<t0>");
+    const Timestamp t1 = TimestampArg(argv[2], "<t1>");
+    if (Status st = connect(); !st.ok()) return Fail(st);
     TsFileReader::RangeStats stats;
     bool fast = false;
-    if (Status st = client.AggregateFast(argv[0], std::atoll(argv[1]),
-                                         std::atoll(argv[2]), &stats, &fast);
+    if (Status st = client.AggregateFast(argv[0], t0, t1, &stats, &fast);
         !st.ok()) {
       return Fail(st);
     }
@@ -1047,6 +1070,7 @@ int CmdClient(int argc, char** argv) {
     return 0;
   }
   if (op == "metrics") {
+    if (Status st = connect(); !st.ok()) return Fail(st);
     std::string exposition;
     if (Status st = client.MetricsSnapshot(&exposition); !st.ok()) {
       return Fail(st);

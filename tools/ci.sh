@@ -17,7 +17,9 @@
 #      malformed count flag (--metrics-interval=10x) must make bstool
 #      ingest exit 2, and a malformed positional count (`bstool gen
 #      out.csv 5x ...`) must make bstool gen exit 2, instead of parsing a
-#      number prefix
+#      number prefix; so must a malformed `bstool client` timestamp
+#      (`query s 0 5x`) and a malformed `client write` count, which the
+#      client parses before it connects (both against a closed port)
 #   5. network smoke: the wire-protocol and server suites under TSan,
 #      then a real bstool serve on an ephemeral port answering
 #      bstool client ping / write (sequential AND --pipeline=8) /
@@ -163,7 +165,21 @@ if [ "$rc" -ne 2 ]; then
   echo "flag smoke FAILED: bstool gen with <points>=5x exited $rc, want 2"
   exit 1
 fi
-echo "flag smoke passed (malformed count flag and positional count exit 2)"
+# The client parses every argument before it connects: nothing listens on
+# port 1, so connecting first would exit 1 instead.
+rc=0
+./build/tools/bstool client 127.0.0.1:1 query s 0 5x > /dev/null 2>&1 || rc=$?
+if [ "$rc" -ne 2 ]; then
+  echo "flag smoke FAILED: bstool client query with <t1>=5x exited $rc, want 2"
+  exit 1
+fi
+rc=0
+./build/tools/bstool client 127.0.0.1:1 write s 10x > /dev/null 2>&1 || rc=$?
+if [ "$rc" -ne 2 ]; then
+  echo "flag smoke FAILED: bstool client write with <count>=10x exited $rc, want 2"
+  exit 1
+fi
+echo "flag smoke passed (malformed counts and timestamps exit 2)"
 
 echo "=== [5/12] network loopback smoke ==="
 # Wire protocol + server correctness under ThreadSanitizer: concurrent
