@@ -178,19 +178,26 @@ struct CompactionStats {
   size_t sensors = 0;
   /// Peak decoded points resident at any instant of the merge: the open
   /// run cursors' current pages + the output page being built + the
-  /// lookahead point. The streaming bound — independent of input size.
+  /// lookahead point (or the one page being copied). The streaming bound
+  /// — independent of input size.
   size_t max_resident_points = 0;
+  /// Input pages written out byte for byte under a fresh header, and
+  /// input pages that went through the last-write-wins merge.
+  size_t pages_copied = 0;
+  size_t pages_merged = 0;
 };
 
-/// Merges one plan's input files into a single fresh sealed file with a
-/// streaming per-sensor loser-tree k-way merge: every sensor chunk is
-/// read page by page through a PageReader (the query path's reader, so a
-/// chunk a query would reject fails the job), deduplicated
-/// last-write-wins across sequence/unsequence inputs (higher window
-/// position = newer wins), and written page by page, so job memory is
-/// bounded by fan-in × page size — never by dataset size (each input's
-/// page directory is derived on open from one transient read of its
-/// chunk, and only the directory is kept). The output is
+/// Merges one plan's input files into a single fresh sealed file, one
+/// sensor chunk at a time. Every input chunk is read page by page through
+/// a PageReader (the query path's reader, so a chunk a query would reject
+/// fails the job). A page that overlaps no other input page is decoded
+/// once, checked and copied; only runs of overlapping pages go through a
+/// streaming loser-tree k-way merge, deduplicated last-write-wins across
+/// sequence/unsequence inputs (higher window position = newer wins).
+/// Output is written page by page, so job memory is bounded by fan-in ×
+/// page size — never by dataset size (each input's page directory is
+/// derived on open from one transient read of its chunk, and only the
+/// directory is kept). The output is
 /// written to "<name>.tmp", fsync'd, and atomically renamed (with a
 /// directory fsync) BEFORE the swap can unlink the durable inputs; on
 /// any error the temporary is removed and nothing else has changed. The
@@ -216,14 +223,20 @@ class CompactionJob {
     ChunkLocator locator;
   };
 
-  /// One streaming merge pass over a sensor's runs. With `writer` null it
-  /// only counts LWW survivors (the page-count pass); non-null it emits
-  /// pages into the open streaming chunk. Both passes execute the exact
-  /// same merge, so the counted layout is the written layout.
+  /// Writes one sensor's chunk. Its input pages are swept in time order
+  /// by their directories' [min_t, max_t]; equal timestamps overlap. A
+  /// page that overlaps no other page keeps its boundaries: it is decoded
+  /// once and, if its encodings are the output's, it fits an output page
+  /// and its times strictly increase past the last point written, its
+  /// buffers are copied under a header rebuilt from its points. Every run
+  /// of overlapping pages (and any page that fails those checks) is
+  /// merged last-write-wins and re-encoded. The chunk's page count is
+  /// known before its first page: one per copied page, and a counting
+  /// pass for overlapping runs only.
   Status MergeSensor(const CompactionPlan& plan,
                      const std::vector<SensorSource>& sources,
                      const std::string& sensor, TsFileWriter* writer,
-                     uint64_t* survivors, CompactionStats* stats);
+                     CompactionStats* stats);
 
   CompactionConfig config_;
   ChunkCache* cache_;

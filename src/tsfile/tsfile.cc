@@ -194,6 +194,33 @@ Status ParseIndexBlock(const uint8_t* block, size_t size,
 
 namespace {
 
+/// Serializes the header of the page holding points [begin, end) of the
+/// columns, built from their fold, and folds the same points into the
+/// chunk's stats. The chunk folds them one by one too, so its sum is the
+/// sequential sum a decode computes, not a sum of page sums. An all-NaN
+/// page stores min = +inf, max = -inf, sum = 0.
+template <typename V>
+void PutPageHeader(const std::vector<Timestamp>& ts,
+                   const std::vector<V>& values, size_t begin, size_t end,
+                   ByteBuffer* out, RangeStats* chunk) {
+  // Folding into locals keeps both aggregates in registers: through
+  // `chunk` the compiler would have to assume the columns alias it.
+  RangeStats page;
+  RangeStats folded = *chunk;
+  for (size_t i = begin; i < end; ++i) {
+    const double v = static_cast<double>(values[i]);
+    page.Fold(ts[i], v);
+    folded.Fold(ts[i], v);
+  }
+  *chunk = folded;
+  out->PutVarint64(page.count);
+  out->PutVarintSigned64(page.first_time);
+  out->PutVarintSigned64(page.last_time);
+  out->PutFixed64(DoubleBits(page.min));
+  out->PutFixed64(DoubleBits(page.max));
+  out->PutFixed64(DoubleBits(page.sum));
+}
+
 /// Serializes one page — stats header plus the encoded time/value buffers
 /// — covering points [begin, end) of the columns. The single definition
 /// of page bytes: the whole-chunk path and the streaming chunk path both
@@ -203,22 +230,7 @@ Status EncodePage(const std::vector<Timestamp>& ts,
                   const std::vector<V>& values, size_t begin, size_t end,
                   Encoding time_enc, Encoding value_enc, ByteBuffer* out,
                   RangeStats* chunk) {
-  // The page header's stats and the chunk's footer stats fold the same
-  // points. The chunk folds them one by one too, so its sum is the
-  // sequential sum a decode computes, not a sum of page sums. An all-NaN
-  // page stores min = +inf, max = -inf, sum = 0.
-  RangeStats page;
-  for (size_t i = begin; i < end; ++i) {
-    const double v = static_cast<double>(values[i]);
-    page.Fold(ts[i], v);
-    chunk->Fold(ts[i], v);
-  }
-  out->PutVarint64(page.count);
-  out->PutVarintSigned64(page.first_time);
-  out->PutVarintSigned64(page.last_time);
-  out->PutFixed64(DoubleBits(page.min));
-  out->PutFixed64(DoubleBits(page.max));
-  out->PutFixed64(DoubleBits(page.sum));
+  PutPageHeader(ts, values, begin, end, out, chunk);
 
   std::vector<Timestamp> page_ts(ts.begin() + static_cast<ptrdiff_t>(begin),
                                  ts.begin() + static_cast<ptrdiff_t>(end));
@@ -402,8 +414,8 @@ Status TsFileWriter::BeginChunkF64(std::string_view sensor,
   return Status::OK();
 }
 
-Status TsFileWriter::AppendPageF64(const std::vector<Timestamp>& ts,
-                                   const std::vector<double>& values) {
+Status TsFileWriter::CheckNextPage(const std::vector<Timestamp>& ts,
+                                   const std::vector<double>& values) const {
   if (!chunk_open_) return Status::InvalidArgument("no streaming chunk open");
   if (chunk_appended_pages_ == chunk_declared_pages_) {
     return Status::InvalidArgument("more pages than declared");
@@ -417,8 +429,27 @@ Status TsFileWriter::AppendPageF64(const std::vector<Timestamp>& ts,
   if (chunk_stats_.count > 0 && ts.front() < chunk_stats_.last_time) {
     return Status::InvalidArgument("pages must be appended in time order");
   }
+  return Status::OK();
+}
+
+Status TsFileWriter::AppendPageF64(const std::vector<Timestamp>& ts,
+                                   const std::vector<double>& values) {
+  RETURN_NOT_OK(CheckNextPage(ts, values));
   RETURN_NOT_OK(EncodePage(ts, values, 0, ts.size(), chunk_time_enc_,
                            chunk_value_enc_, &buffer_, &chunk_stats_));
+  ++chunk_appended_pages_;
+  return MaybeSpill();
+}
+
+Status TsFileWriter::AppendEncodedPageF64(
+    const std::vector<Timestamp>& ts, const std::vector<double>& values,
+    std::span<const uint8_t> time_bytes, std::span<const uint8_t> value_bytes) {
+  RETURN_NOT_OK(CheckNextPage(ts, values));
+  PutPageHeader(ts, values, 0, ts.size(), &buffer_, &chunk_stats_);
+  buffer_.PutVarint64(time_bytes.size());
+  buffer_.PutBytes(time_bytes.data(), time_bytes.size());
+  buffer_.PutVarint64(value_bytes.size());
+  buffer_.PutBytes(value_bytes.data(), value_bytes.size());
   ++chunk_appended_pages_;
   return MaybeSpill();
 }
@@ -759,8 +790,19 @@ Status PageReader::Decode(size_t p) {
       ts_.front() != e.min_t || ts_.back() != e.max_t) {
     return Status::Corruption("page decode disagrees with its header");
   }
+  decoded_page_ = p;
   ++pages_decoded_;
   return Status::OK();
+}
+
+std::span<const uint8_t> PageReader::page_time_bytes() const {
+  const PageEntry& e = dir_->pages[decoded_page_];
+  return {span_ + (e.time_offset - span_base_), e.time_size};
+}
+
+std::span<const uint8_t> PageReader::page_value_bytes() const {
+  const PageEntry& e = dir_->pages[decoded_page_];
+  return {span_ + (e.value_offset - span_base_), e.value_size};
 }
 
 Status PageReader::DecodePage(size_t p) {
