@@ -148,6 +148,15 @@ void LoadStages(const Set<LatencyHistogram>& live,
   CELL(Counter, compaction_output_bytes,                                      \
        "backsort_engine_compaction_output_bytes_total",                       \
        "Bytes written into compaction output files (post-merge sizes).", 1)   \
+  CELL(Counter, compaction_pages_copied,                                      \
+       "backsort_engine_compaction_pages_copied_total",                       \
+       "Input pages completed compactions copied under a rebuilt header.",   \
+       1)                                                                     \
+  CELL(Counter, compaction_pages_merged,                                      \
+       "backsort_engine_compaction_pages_merged_total",                       \
+       "Input pages completed compactions decoded into the last-write-wins "  \
+       "merge.",                                                              \
+       1)                                                                     \
   CELL(Counter, batch_writes, "backsort_engine_batch_writes_total",           \
        "Batched write calls applied via the group-commit ingest path.", 1)    \
   CELL(Counter, batch_points, "backsort_engine_batch_points_total",           \

@@ -123,13 +123,14 @@ class CompactionPlanner {
   CompactionPlan PlanTiered(const std::vector<SealedFileRef>& files,
                             const std::vector<uint64_t>& sizes) const;
 
-  /// Plans one step of a full compaction: the oldest min(max_fanin, n,
-  /// limit) files regardless of tiers. Repeated to a fixpoint this
-  /// reduces the list to one file — the explicit Compact() behavior.
-  /// `limit` caps the window so a full compaction started over N files
-  /// never chases files flushed after it began.
+  /// Plans one window of a full compaction: the files [begin, begin +
+  /// min(max_fanin, limit - begin)), regardless of tiers; empty when that
+  /// is fewer than two. Compact() steps such windows across the list,
+  /// then starts the next level at 0, until one file is left. `limit`
+  /// caps the windows so a full compaction started over N files never
+  /// chases files flushed after it began.
   CompactionPlan PlanFull(const std::vector<SealedFileRef>& files,
-                          const std::vector<uint64_t>& sizes,
+                          const std::vector<uint64_t>& sizes, size_t begin = 0,
                           size_t limit = static_cast<size_t>(-1)) const;
 
  private:
@@ -176,9 +177,9 @@ struct CompactionStats {
   /// Points surviving last-write-wins dedup across all sensors.
   size_t output_points = 0;
   size_t sensors = 0;
-  /// Peak decoded points resident at any instant of the merge: the open
-  /// run cursors' current pages + the output page being built + the
-  /// lookahead point (or the one page being copied). The streaming bound
+  /// Peak decoded points resident at any instant of the merge: the
+  /// cursors' decoded pages + the output page being built + the
+  /// lookahead point (+ the one page being copied). The streaming bound
   /// — independent of input size.
   size_t max_resident_points = 0;
   /// Input pages written out byte for byte under a fresh header, and
@@ -190,18 +191,18 @@ struct CompactionStats {
 /// Merges one plan's input files into a single fresh sealed file, one
 /// sensor chunk at a time. Every input chunk is read page by page through
 /// a PageReader (the query path's reader, so a chunk a query would reject
-/// fails the job). A page that overlaps no other input page is decoded
-/// once, checked and copied; only runs of overlapping pages go through a
-/// streaming loser-tree k-way merge, deduplicated last-write-wins across
-/// sequence/unsequence inputs (higher window position = newer wins).
-/// Output is written page by page, so job memory is bounded by fan-in ×
-/// page size — never by dataset size (each input's page directory is
-/// derived on open from one transient read of its chunk, and only the
-/// directory is kept). The output is
-/// written to "<name>.tmp", fsync'd, and atomically renamed (with a
-/// directory fsync) BEFORE the swap can unlink the durable inputs; on
-/// any error the temporary is removed and nothing else has changed. The
-/// output name derives from the window's first input
+/// fails the job), in one streaming loser-tree k-way merge per sensor,
+/// deduplicated last-write-wins across sequence/unsequence inputs (higher
+/// window position = newer wins). A page that no point of any other page
+/// falls inside is copied rather than merged (see MergeSensor), so late
+/// points cost only the pages they land in. Output is written page by
+/// page, so job memory is bounded by fan-in × page size — never by
+/// dataset size (each input's page directory is derived on open from one
+/// transient read of its chunk, and only the directory is kept). The
+/// output is written to "<name>.tmp", fsync'd, and atomically renamed
+/// (with a directory fsync) BEFORE the swap can unlink the durable
+/// inputs; on any error the temporary is removed and nothing else has
+/// changed. The output name derives from the window's first input
 /// (CompactionOutputName), so recovery's name sort keeps it at the
 /// window's list position.
 class CompactionJob {
@@ -223,16 +224,19 @@ class CompactionJob {
     ChunkLocator locator;
   };
 
-  /// Writes one sensor's chunk. Its input pages are swept in time order
-  /// by their directories' [min_t, max_t]; equal timestamps overlap. A
-  /// page that overlaps no other page keeps its boundaries: it is decoded
-  /// once and, if its encodings are the output's, it fits an output page
-  /// and its times strictly increase past the last point written, its
-  /// buffers are copied under a header rebuilt from its points. Every run
-  /// of overlapping pages (and any page that fails those checks) is
-  /// merged last-write-wins and re-encoded. The chunk's page count is
-  /// known before its first page: one per copied page, and a counting
-  /// pass for overlapping runs only.
+  /// Writes one sensor's chunk with one merge over all its sources. An
+  /// unread page is keyed by its directory min_t and decoded only when
+  /// one of its points is consumed. When such a page reaches the front of
+  /// the merge with its encodings the output's, at most points_per_page
+  /// points, its max_t below every other cursor's key (and its own next
+  /// page's min_t) and its min_t above the pending point, no other point
+  /// can fall inside it: it is decoded once, checked, and its buffers are
+  /// copied under a header rebuilt from its points (a repeated timestamp
+  /// inside it makes it one merged page instead). Every other point is
+  /// merged and re-encoded. The chunk's page count is known before its
+  /// first page: a counting pass takes the same decisions from the
+  /// directories alone, and the write pass must reproduce its pages and
+  /// survivors.
   Status MergeSensor(const CompactionPlan& plan,
                      const std::vector<SensorSource>& sources,
                      const std::string& sensor, TsFileWriter* writer,

@@ -468,6 +468,10 @@ Status StorageEngine::RunCompactionPlan(const CompactionPlan& plan,
                                            std::memory_order_relaxed);
   shared_.compaction_output_bytes.fetch_add(cstats.output_bytes,
                                             std::memory_order_relaxed);
+  shared_.compaction_pages_copied.fetch_add(cstats.pages_copied,
+                                            std::memory_order_relaxed);
+  shared_.compaction_pages_merged.fetch_add(cstats.pages_merged,
+                                            std::memory_order_relaxed);
   if (performed != nullptr) *performed = true;
   return Status::OK();
 }
@@ -497,18 +501,27 @@ Status StorageEngine::Compact() {
     std::unique_lock<std::mutex> lock(shared_.files_mu);
     remaining = shared_.all_files.size();
   }
+  // Level by level: windows of max_fanin files across [0, remaining),
+  // each output at its window's position, then the next level from 0.
+  // Each point is rewritten once per level, not once per window.
   const CompactionPlanner planner(compaction_config_);
+  size_t begin = 0;
   while (remaining >= 2) {
     std::vector<SealedFileRef> files;
     std::vector<uint64_t> sizes;
     const int64_t plan_start = shared_.NowNs();
     SnapshotFiles(&files, &sizes);
-    CompactionPlan plan = planner.PlanFull(files, sizes, remaining);
+    CompactionPlan plan = planner.PlanFull(files, sizes, begin, remaining);
     shared_.compaction_stages.plan.Record(
         static_cast<uint64_t>(shared_.NowNs() - plan_start));
-    if (plan.empty()) break;
+    if (plan.empty()) {
+      if (begin == 0) break;
+      begin = 0;  // a lone file (or none) ends the level
+      continue;
+    }
     RETURN_NOT_OK(RunCompactionPlan(plan, nullptr));
     remaining = remaining - plan.inputs.size() + 1;
+    begin = plan.begin + 1;
   }
   return Status::OK();
 }

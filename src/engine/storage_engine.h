@@ -171,10 +171,11 @@ class StorageEngine {
   size_t shard_count() const { return shards_.size(); }
   size_t flush_worker_count() const { return flush_workers_; }
 
-  /// Full compaction to a fixpoint: repeatedly merges the oldest
-  /// max-fan-in window of the sealed-file list (streaming, bounded
-  /// memory; see engine/compaction.h) until the files present when the
-  /// call began are one sequence file. Files flushed while it runs are
+  /// Full compaction to a fixpoint, level by level: merges consecutive
+  /// max-fan-in windows across the sealed-file list (streaming, bounded
+  /// memory; see engine/compaction.h), each output at its window's
+  /// position, then starts the next level, until the files present when
+  /// the call began are one sequence file. Files flushed while it runs are
   /// left alone. Blocks writes for each window's registry swap only;
   /// serialized against CompactStep and the background scheduler.
   Status Compact();

@@ -660,6 +660,9 @@ int CmdCompact(int argc, char** argv) {
               static_cast<unsigned long long>(snap.compaction_jobs),
               static_cast<unsigned long long>(snap.compaction_input_files),
               static_cast<unsigned long long>(snap.compaction_output_bytes));
+  std::printf("  input pages: %llu copied, %llu merged\n",
+              static_cast<unsigned long long>(snap.compaction_pages_copied),
+              static_cast<unsigned long long>(snap.compaction_pages_merged));
   std::printf("  tuning: fan-in %zu, tier ratio %.1f, trigger %zu; "
               "stable-file bound %zu\n",
               engine.compaction_config().max_fanin,

@@ -45,6 +45,7 @@
 #      ingest throughput >= 0.75x of the compaction-off side (noise
 #      margin; full scale measures ~1x, committed at bench/baselines/),
 #      and a bstool compact smoke reducing an ingested dir to one file
+#      with at least one input page copied rather than merged
 #   9. aggregation: the statistics-plan differential suite under
 #      ThreadSanitizer (stats plan vs brute-force decode, bit-compared),
 #      then a scaled-down bench/system_agg run gated on the metadata-only
@@ -343,7 +344,8 @@ awk -v r="$soak_throughput_ratio_on_over_off" \
   exit 1
 }
 # Operator surface: offline bstool compact over a fresh ingest dir must
-# converge the registry to a single sequence file.
+# converge the registry to a single sequence file, copying at least one
+# input page (pages no late point lands in are not re-encoded).
 ./build/tools/bstool ingest "$smoke_dir/compact" 40000 absnormal:1,5 \
   --shards=2 --metrics-interval=0 > /dev/null
 ./build/tools/bstool compact "$smoke_dir/compact" > "$smoke_dir/compact.log"
@@ -357,7 +359,13 @@ grep -q '^compacted ' "$smoke_dir/compact.log" || {
   echo "compact smoke FAILED: bstool compact printed no summary"
   exit 1
 }
-echo "compaction smoke passed (soak ratio ${soak_throughput_ratio_on_over_off}, 1 file after offline compact)"
+pages_copied=$(sed -n 's/^  input pages: \([0-9]*\) copied.*/\1/p' "$smoke_dir/compact.log")
+if [ -z "$pages_copied" ] || [ "$pages_copied" -eq 0 ]; then
+  echo "compact smoke FAILED: expected copied input pages > 0"
+  cat "$smoke_dir/compact.log"
+  exit 1
+fi
+echo "compaction smoke passed (soak ratio ${soak_throughput_ratio_on_over_off}, 1 file after offline compact, ${pages_copied} pages copied)"
 
 echo "=== [9/12] aggregation: differential suite under TSan + stats-plan gate ==="
 # The statistics plan must be an optimization, never an approximation:
