@@ -793,6 +793,8 @@ EngineMetricsSnapshot HandBuiltEngineSnapshot() {
   snap.compaction_failures = 30;
   snap.compaction_input_files = 31;
   snap.compaction_output_bytes = 32;
+  snap.compaction_pages_copied = 33;
+  snap.compaction_pages_merged = 34;
   return snap;
 }
 
@@ -838,8 +840,8 @@ TEST_F(MetricsExpositionTest, ExpositionBytesMatchGolden) {
   ExportNetMetrics(HandBuiltNetSnapshot(), base, &registry);
   ExportClusterMetrics(HandBuiltClusterSnapshot(), base, &registry);
   const std::string text = registry.RenderPrometheus();
-  EXPECT_EQ(text.size(), 28907u);
-  EXPECT_EQ(Fnv1a(text), 10081883890349280021ull) << text;
+  EXPECT_EQ(text.size(), 29408u);
+  EXPECT_EQ(Fnv1a(text), 5407837623510197070ull) << text;
 }
 
 TEST(MetricsRegistryFormat, LabelEscapingAndEmptySummaries) {
