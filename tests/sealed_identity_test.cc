@@ -226,7 +226,7 @@ TEST(SealedIdentity, CompactedBytesMatchGolden) {
   opt.async_flush = false;
   opt.memtable_flush_threshold = 3'000;
   opt.footer_stats = true;
-  opt.compaction_max_fanin = 8;  // 12 files: an 8-way job, then a 5-way one
+  opt.compaction_max_fanin = 8;  // 12 files: 8-way, 4-way, then 2-way
 
   SealedDigest d;
   {
@@ -238,7 +238,9 @@ TEST(SealedIdentity, CompactedBytesMatchGolden) {
   }
   fs::remove_all(dir);
 
-  constexpr uint64_t kGoldenFileBytes = 0xe74bf81872200544ull;
+  // Some pages overlap another page's interval but hold no timestamp of
+  // it, so the merge copies them: their page boundaries are kept.
+  constexpr uint64_t kGoldenFileBytes = 0x571c955fc55de214ull;
   constexpr uint64_t kGoldenQueries = 0xa683a956a590e3e7ull;
 
   EXPECT_EQ(d.points, size_t{257 * 40});
