@@ -459,12 +459,23 @@ Status EngineShard::FlushTable(const FlushJob& job) {
         SortArrivals(options, &points, copy_out);
         sort_ns = sort_timer.ElapsedNanos();
       }
+      // Ties sit in arrival order, so the last of each timestamp is its
+      // last write: keep only that one, as a query would (last-write-wins),
+      // so page and footer statistics count each timestamp once.
       ts.resize(points.size());
       values.resize(points.size());
+      size_t kept = 0;
       for (size_t k = 0; k < points.size(); ++k) {
-        ts[k] = points[k].t;
-        values[k] = points[k].v;
+        if (kept > 0 && ts[kept - 1] == points[k].t) {
+          values[kept - 1] = points[k].v;
+          continue;
+        }
+        ts[kept] = points[k].t;
+        values[kept] = points[k].v;
+        ++kept;
       }
+      ts.resize(kept);
+      values.resize(kept);
       TsFileWriter::EncodedChunk encoded;
       write_status = TsFileWriter::EncodeChunkF64(
           chunk->sensor, ts, values, Encoding::kTs2Diff, Encoding::kGorilla,

@@ -313,6 +313,45 @@ TEST_F(AggregateTest, FastPathHitsFooterOnlyOverTheWholeCompactedChunk) {
   }
 }
 
+// A timestamp written twice into one sequence memtable is flushed once,
+// with its last value: the footer (tier 1) and page (tier 2) statistics
+// count the point Query returns, not both writes.
+TEST_F(AggregateTest, FastPathCountsARewriteInOneMemtableOnce) {
+  EngineOptions opt;
+  opt.data_dir = (dir_ / "defaults").string();
+  opt.async_flush = false;
+  StorageEngine engine(opt);
+  ASSERT_TRUE(engine.Open().ok());
+  ASSERT_TRUE(engine.Write("s", 5, 1.0).ok());
+  ASSERT_TRUE(engine.Write("s", 6, 10.0).ok());
+  ASSERT_TRUE(engine.Write("s", 5, 2.0).ok());
+  ASSERT_TRUE(engine.FlushAll().ok());
+
+  std::vector<TvPairDouble> points;
+  ASSERT_TRUE(engine.Query("s", 0, 10, &points).ok());
+  ASSERT_EQ(points.size(), 2u);
+  EXPECT_EQ(points[0].v, 2.0);
+
+  auto hits = [&engine] { return engine.GetMetricsSnapshot().agg_stats_hits; };
+  const uint64_t hits_before = hits();
+  TsFileReader::RangeStats whole;
+  bool used_fast = false;
+  ASSERT_TRUE(engine.AggregateFast("s", 0, 10, &whole, &used_fast).ok());
+  EXPECT_TRUE(used_fast);
+  EXPECT_EQ(hits() - hits_before, 1u);  // tier 1: footer statistics
+  EXPECT_EQ(whole.count, 2u);
+  EXPECT_EQ(whole.sum, 12.0);
+  EXPECT_EQ(whole.min, 2.0);
+  EXPECT_EQ(whole.first, 2.0);
+
+  TsFileReader::RangeStats one;
+  ASSERT_TRUE(engine.AggregateFast("s", 5, 5, &one, &used_fast).ok());
+  EXPECT_TRUE(used_fast);
+  EXPECT_EQ(hits() - hits_before, 1u);  // tier 2: a page decode
+  EXPECT_EQ(one.count, 1u);
+  EXPECT_EQ(one.sum, 2.0);
+}
+
 TEST_F(AggregateTest, FastPathRefusedWhenUnsequenceDataExists) {
   for (int i = 0; i < 12'000; ++i) {
     ASSERT_TRUE(engine_->Write("s", i, 1.0 * i).ok());
