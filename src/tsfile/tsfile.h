@@ -114,9 +114,9 @@ class TsFileWriter {
                             const EncodedChunk& chunk);
 
   /// Streaming chunk construction, for writers that produce pages
-  /// incrementally and know the page count up front (compaction: one page
-  /// per copied page, plus a counting pass over each run of overlapping
-  /// pages): BeginChunkF64 emits the chunk header for exactly `page_count`
+  /// incrementally and know the page count up front (compaction counts its
+  /// pages with a pass that decodes only the pages it merges):
+  /// BeginChunkF64 emits the chunk header for exactly `page_count`
   /// pages, each AppendPageF64 (or AppendEncodedPageF64) appends one page,
   /// EndChunk validates the count and records the index entry.
   /// Page bytes are identical to WriteChunkF64 splitting the same points
