@@ -228,9 +228,9 @@ void LoserTree::Replay() {
 
 namespace {
 
-/// Output chunks spill to disk once this much encoded data is buffered,
-/// keeping writer memory independent of output size (Finish produces the
-/// same bytes regardless).
+/// Finished output chunks spill to disk once this much encoded data is
+/// buffered, so writer memory is about the open chunk plus this much,
+/// not the output file (Finish produces the same bytes regardless).
 constexpr size_t kCompactionSpillBytes = 1u << 20;  // 1 MiB
 
 /// One input chunk of a sensor's merge, walked page by page through its
@@ -296,35 +296,22 @@ class MergeCursor {
   bool decoded_ = false;
 };
 
-/// What one pass of MergeRun produced: output pages, and the points the
-/// merge emitted outside copied pages.
-struct MergeTally {
-  uint64_t pages = 0;
-  uint64_t survivors = 0;
-};
-
-/// The streaming last-write-wins merge of one sensor's input chunks;
-/// `readers` is in window order. A page is copied when it reaches the
-/// front of the merge undecoded and no point of any other page can fall
-/// inside its [min_t, max_t]: its encodings are the output's, it fits an
-/// output page, its max_t is below every other unfinished cursor's key
-/// and its own next page's min_t, and its min_t is above the pending
-/// point. Every other point is merged into pages of `points_per_page`;
-/// the partial page is written out before each copy.
-///
-/// With `writer` null this is the counting pass: it takes the copy
-/// decisions from the directories alone, so copied pages are never
-/// decoded, and counts one page each. Non-null, it decodes each copied
-/// page, checks it and writes its buffers under a rebuilt header; a page
-/// with a repeated timestamp is merged alone into one page instead. Both
-/// passes take the same decisions, so the counted layout is the written
-/// one, which MergeSensor checks.
+/// The streaming last-write-wins merge of one sensor's input chunks into
+/// `writer`'s open chunk; `readers` is in window order. A page is copied
+/// when it reaches the front of the merge undecoded and no point of any
+/// other page can fall inside its [min_t, max_t]: its encodings are the
+/// output's, it fits an output page, its max_t is below every other
+/// unfinished cursor's key and its own next page's min_t, and its min_t
+/// is above the pending point. It is decoded, checked and its buffers
+/// written under a rebuilt header; a page with a repeated timestamp is
+/// merged alone into one page instead. Every other point is merged into
+/// pages of `points_per_page`; the partial page is written out before
+/// each copy. Each input page is read and decoded once.
 Status MergeRun(const std::vector<PageReader*>& readers,
                 size_t points_per_page, TsFileWriter* writer,
-                MergeTally* tally, CompactionStats* stats) {
+                CompactionStats* stats) {
   constexpr auto kOutTime = static_cast<uint8_t>(Encoding::kTs2Diff);
   constexpr auto kOutValue = static_cast<uint8_t>(Encoding::kGorilla);
-  *tally = MergeTally{};
   const size_t k = readers.size();
   std::vector<MergeCursor> cursors;
   std::vector<bool> copy_encodings;
@@ -350,13 +337,11 @@ Status MergeRun(const std::vector<PageReader*>& readers,
     return a < b;
   });
 
+  // The output page being built.
   std::vector<Timestamp> page_ts;
   std::vector<double> page_vals;
-  size_t buffered = 0;  // points of the output page being built
-  if (writer != nullptr) {
-    page_ts.reserve(points_per_page);
-    page_vals.reserve(points_per_page);
-  }
+  page_ts.reserve(points_per_page);
+  page_vals.reserve(points_per_page);
 
   // Streaming LWW: hold back one point; a successor with the same
   // timestamp (necessarily from an equal-or-newer input, per the pop
@@ -367,31 +352,24 @@ Status MergeRun(const std::vector<PageReader*>& readers,
 
   size_t cursor_resident = 0;  // decoded points across all cursors
   auto note_resident = [&](size_t extra) {
-    stats->max_resident_points =
-        std::max(stats->max_resident_points,
-                 cursor_resident + buffered + (have_pending ? 1 : 0) + extra);
+    stats->max_resident_points = std::max(
+        stats->max_resident_points,
+        cursor_resident + page_ts.size() + (have_pending ? 1 : 0) + extra);
   };
 
   auto flush_page = [&]() -> Status {
-    if (buffered == 0) return Status::OK();
-    ++tally->pages;
-    if (writer != nullptr) {
-      note_resident(0);
-      RETURN_NOT_OK(writer->AppendPageF64(page_ts, page_vals));
-      page_ts.clear();
-      page_vals.clear();
-    }
-    buffered = 0;
+    if (page_ts.empty()) return Status::OK();
+    note_resident(0);
+    RETURN_NOT_OK(writer->AppendPageF64(page_ts, page_vals));
+    page_ts.clear();
+    page_vals.clear();
     return Status::OK();
   };
   auto emit = [&](Timestamp t, double v) -> Status {
-    ++tally->survivors;
-    ++buffered;
-    if (writer != nullptr) {
-      page_ts.push_back(t);
-      page_vals.push_back(v);
-    }
-    return buffered == points_per_page ? flush_page() : Status::OK();
+    ++stats->output_points;
+    page_ts.push_back(t);
+    page_vals.push_back(v);
+    return page_ts.size() == points_per_page ? flush_page() : Status::OK();
   };
 
   auto copyable = [&](size_t w) {
@@ -433,10 +411,7 @@ Status MergeRun(const std::vector<PageReader*>& readers,
       }
     }
     stats->output_points += page_ts.size();
-    RETURN_NOT_OK(writer->AppendPageF64(page_ts, page_vals));
-    page_ts.clear();
-    page_vals.clear();
-    return Status::OK();
+    return flush_page();
   };
 
   for (;;) {
@@ -448,15 +423,14 @@ Status MergeRun(const std::vector<PageReader*>& readers,
         if (have_pending) RETURN_NOT_OK(emit(pending_t, pending_v));
         have_pending = false;
         RETURN_NOT_OK(flush_page());
-        ++tally->pages;
-        if (writer != nullptr) RETURN_NOT_OK(write_copy(c));
+        RETURN_NOT_OK(write_copy(c));
         c.NextPage();
         tree.Replay();
         continue;
       }
       // The decoded first time equals the key, so the tree stays valid.
       RETURN_NOT_OK(c.Decode());
-      if (writer != nullptr) ++stats->pages_merged;
+      ++stats->pages_merged;
       cursor_resident += c.page_points();
       note_resident(0);
     }
@@ -498,22 +472,8 @@ Status CompactionJob::MergeSensor(const CompactionPlan& plan,
     run.push_back(&*readers[i]);
   }
 
-  // The chunk header records its page count, so count the pages before
-  // the first one is written.
-  MergeTally counted;
-  RETURN_NOT_OK(MergeRun(run, points_per_page, nullptr, &counted, stats));
-  if (counted.pages == 0) return Status::OK();
-
-  RETURN_NOT_OK(writer->BeginChunkF64(sensor, counted.pages));
-  MergeTally written;
-  RETURN_NOT_OK(MergeRun(run, points_per_page, writer, &written, stats));
-  if (written.pages != counted.pages ||
-      written.survivors != counted.survivors) {
-    return Status::Corruption("compaction input changed between merge "
-                              "passes: " +
-                              sensor);
-  }
-  stats->output_points += written.survivors;
+  RETURN_NOT_OK(writer->BeginChunkF64(sensor));
+  RETURN_NOT_OK(MergeRun(run, points_per_page, writer, stats));
   return writer->EndChunk();
 }
 

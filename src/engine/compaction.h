@@ -21,8 +21,8 @@ class FlushPool;
 class StorageEngine;
 
 /// Resolved tiered-compaction tuning. StorageEngine builds one from
-/// EngineOptions (applying the env-var auto resolution documented there)
-/// and hands it to the planner, jobs and scheduler.
+/// EngineOptions, where each nonzero compaction option overrides the
+/// default below, and hands it to the planner, jobs and scheduler.
 struct CompactionConfig {
   static constexpr size_t kDefaultMaxFanin = 8;
   static constexpr double kDefaultTierRatio = 4.0;
@@ -195,10 +195,12 @@ struct CompactionStats {
 /// deduplicated last-write-wins across sequence/unsequence inputs (higher
 /// window position = newer wins). A page that no point of any other page
 /// falls inside is copied rather than merged (see MergeSensor), so late
-/// points cost only the pages they land in. Output is written page by
-/// page, so job memory is bounded by fan-in × page size — never by
-/// dataset size (each input's page directory is derived on open from one
-/// transient read of its chunk, and only the directory is kept). The
+/// points cost only the pages they land in. The merge holds fan-in + 1
+/// decoded pages; the writer holds the open output chunk's encoded pages
+/// until the chunk ends, and each input's page directory (derived on open
+/// from one transient read of its chunk) for the sensor's merge. Job
+/// memory is so bounded by the largest sensor chunk, never by the output
+/// file or the dataset. The
 /// output is written to "<name>.tmp", fsync'd, and atomically renamed
 /// (with a directory fsync) BEFORE the swap can unlink the durable
 /// inputs; on any error the temporary is removed and nothing else has
@@ -233,10 +235,8 @@ class CompactionJob {
   /// can fall inside it: it is decoded once, checked, and its buffers are
   /// copied under a header rebuilt from its points (a repeated timestamp
   /// inside it makes it one merged page instead). Every other point is
-  /// merged and re-encoded. The chunk's page count is known before its
-  /// first page: a counting pass takes the same decisions from the
-  /// directories alone, and the write pass must reproduce its pages and
-  /// survivors.
+  /// merged and re-encoded. One pass writes the chunk: the writer buffers
+  /// its pages and writes the header with their count at EndChunk.
   Status MergeSensor(const CompactionPlan& plan,
                      const std::vector<SensorSource>& sources,
                      const std::string& sensor, TsFileWriter* writer,

@@ -252,6 +252,17 @@ Status EncodePage(const std::vector<Timestamp>& ts,
   return Status::OK();
 }
 
+/// Serializes a chunk header: sensor, data type, encodings, page count.
+void PutChunkHeader(std::string_view sensor, DataType type,
+                    Encoding time_enc, Encoding value_enc,
+                    uint64_t page_count, ByteBuffer* out) {
+  out->PutLengthPrefixedString(sensor);
+  out->PutU8(static_cast<uint8_t>(type));
+  out->PutU8(static_cast<uint8_t>(time_enc));
+  out->PutU8(static_cast<uint8_t>(value_enc));
+  out->PutVarint64(page_count);
+}
+
 /// Serializes one chunk body (header + pages) into a standalone buffer.
 /// Every byte WriteChunkImpl used to append to the file buffer lands here
 /// in the same order, so encode-then-append is bit-identical to the
@@ -274,15 +285,11 @@ Status EncodeChunkBody(std::string_view sensor,
     points_per_page = TsFileWriter::kDefaultPointsPerPage;
   }
 
-  out->PutLengthPrefixedString(sensor);
-  out->PutU8(static_cast<uint8_t>(type));
-  out->PutU8(static_cast<uint8_t>(time_enc));
-  out->PutU8(static_cast<uint8_t>(value_enc));
   const size_t page_count = ts.empty()
                                 ? 0
                                 : (ts.size() + points_per_page - 1) /
                                       points_per_page;
-  out->PutVarint64(page_count);
+  PutChunkHeader(sensor, type, time_enc, value_enc, page_count, out);
 
   for (size_t p = 0; p < page_count; ++p) {
     const size_t begin = p * points_per_page;
@@ -389,27 +396,16 @@ Status TsFileWriter::MaybeSpill() {
 }
 
 Status TsFileWriter::BeginChunkF64(std::string_view sensor,
-                                   uint64_t page_count, Encoding time_enc,
-                                   Encoding value_enc) {
+                                   Encoding time_enc, Encoding value_enc) {
   if (finished_) return Status::InvalidArgument("writer already finished");
   if (chunk_open_) {
     return Status::InvalidArgument("streaming chunk still open");
   }
-  if (FileOffset() == 0) {
-    buffer_.PutBytes(magic(), kMagicLen);
-  }
-  chunk_offset_ = FileOffset();
-  buffer_.PutLengthPrefixedString(sensor);
-  buffer_.PutU8(static_cast<uint8_t>(DataType::kDouble));
-  buffer_.PutU8(static_cast<uint8_t>(time_enc));
-  buffer_.PutU8(static_cast<uint8_t>(value_enc));
-  buffer_.PutVarint64(page_count);
   chunk_open_ = true;
   chunk_sensor_ = sensor;
   chunk_time_enc_ = time_enc;
   chunk_value_enc_ = value_enc;
-  chunk_declared_pages_ = page_count;
-  chunk_appended_pages_ = 0;
+  chunk_page_count_ = 0;
   chunk_stats_ = RangeStats{};
   return Status::OK();
 }
@@ -417,9 +413,6 @@ Status TsFileWriter::BeginChunkF64(std::string_view sensor,
 Status TsFileWriter::CheckNextPage(const std::vector<Timestamp>& ts,
                                    const std::vector<double>& values) const {
   if (!chunk_open_) return Status::InvalidArgument("no streaming chunk open");
-  if (chunk_appended_pages_ == chunk_declared_pages_) {
-    return Status::InvalidArgument("more pages than declared");
-  }
   if (ts.empty() || ts.size() != values.size()) {
     return Status::InvalidArgument("bad page columns");
   }
@@ -436,33 +429,37 @@ Status TsFileWriter::AppendPageF64(const std::vector<Timestamp>& ts,
                                    const std::vector<double>& values) {
   RETURN_NOT_OK(CheckNextPage(ts, values));
   RETURN_NOT_OK(EncodePage(ts, values, 0, ts.size(), chunk_time_enc_,
-                           chunk_value_enc_, &buffer_, &chunk_stats_));
-  ++chunk_appended_pages_;
-  return MaybeSpill();
+                           chunk_value_enc_, &chunk_pages_, &chunk_stats_));
+  ++chunk_page_count_;
+  return Status::OK();
 }
 
 Status TsFileWriter::AppendEncodedPageF64(
     const std::vector<Timestamp>& ts, const std::vector<double>& values,
     std::span<const uint8_t> time_bytes, std::span<const uint8_t> value_bytes) {
   RETURN_NOT_OK(CheckNextPage(ts, values));
-  PutPageHeader(ts, values, 0, ts.size(), &buffer_, &chunk_stats_);
-  buffer_.PutVarint64(time_bytes.size());
-  buffer_.PutBytes(time_bytes.data(), time_bytes.size());
-  buffer_.PutVarint64(value_bytes.size());
-  buffer_.PutBytes(value_bytes.data(), value_bytes.size());
-  ++chunk_appended_pages_;
-  return MaybeSpill();
+  PutPageHeader(ts, values, 0, ts.size(), &chunk_pages_, &chunk_stats_);
+  chunk_pages_.PutVarint64(time_bytes.size());
+  chunk_pages_.PutBytes(time_bytes.data(), time_bytes.size());
+  chunk_pages_.PutVarint64(value_bytes.size());
+  chunk_pages_.PutBytes(value_bytes.data(), value_bytes.size());
+  ++chunk_page_count_;
+  return Status::OK();
 }
 
 Status TsFileWriter::EndChunk() {
   if (!chunk_open_) return Status::InvalidArgument("no streaming chunk open");
-  if (chunk_appended_pages_ != chunk_declared_pages_) {
-    return Status::InvalidArgument("fewer pages appended than declared");
+  chunk_open_ = false;
+  if (FileOffset() == 0) {
+    buffer_.PutBytes(magic(), kMagicLen);
   }
   index_.push_back(
-      {chunk_sensor_, chunk_offset_, DataType::kDouble, chunk_stats_});
-  chunk_open_ = false;
-  return Status::OK();
+      {chunk_sensor_, FileOffset(), DataType::kDouble, chunk_stats_});
+  PutChunkHeader(chunk_sensor_, DataType::kDouble, chunk_time_enc_,
+                 chunk_value_enc_, chunk_page_count_, &buffer_);
+  buffer_.Append(chunk_pages_);
+  chunk_pages_.Clear();
+  return MaybeSpill();
 }
 
 Status TsFileWriter::Finish() {

@@ -113,15 +113,17 @@ class TsFileWriter {
   Status AppendEncodedChunk(std::string_view sensor,
                             const EncodedChunk& chunk);
 
-  /// Streaming chunk construction, for writers that produce pages
-  /// incrementally and know the page count up front (compaction counts its
-  /// pages with a pass that decodes only the pages it merges):
-  /// BeginChunkF64 emits the chunk header for exactly `page_count`
-  /// pages, each AppendPageF64 (or AppendEncodedPageF64) appends one page,
-  /// EndChunk validates the count and records the index entry.
-  /// Page bytes are identical to WriteChunkF64 splitting the same points
-  /// at the same boundaries. Cannot interleave with WriteChunk*.
-  Status BeginChunkF64(std::string_view sensor, uint64_t page_count,
+  /// Streaming chunk construction, for writers that produce pages one at a
+  /// time without knowing how many there will be (compaction's merge):
+  /// BeginChunkF64 opens a chunk, each AppendPageF64 (or
+  /// AppendEncodedPageF64) adds one page to it, and EndChunk writes the
+  /// chunk header with the real page count, then the pages, and records
+  /// the index entry. The open chunk's pages stay in memory until
+  /// EndChunk — the spill threshold bounds only finished chunks — so a
+  /// streaming writer holds one whole encoded chunk at its peak. File
+  /// bytes are identical to WriteChunkF64 splitting the same points at the
+  /// same boundaries. Cannot interleave with WriteChunk*.
+  Status BeginChunkF64(std::string_view sensor,
                        Encoding time_enc = Encoding::kTs2Diff,
                        Encoding value_enc = Encoding::kGorilla);
 
@@ -150,12 +152,13 @@ class TsFileWriter {
   /// first chunk is written — the head magic commits the version.
   void set_footer_stats(bool enabled) { footer_stats_ = enabled; }
 
-  /// Bounds the in-memory build buffer: once it exceeds `bytes`, buffered
-  /// content is appended to the file on disk and the buffer reset
-  /// (Finish still produces the complete file — same bytes either way).
-  /// 0 (the default) keeps the whole file in memory until Finish, which
-  /// is the flush path's behavior. Compaction sets a small threshold so
-  /// job memory stays bounded by open pages, not output size.
+  /// Bounds the in-memory build buffer: once a finished chunk takes it
+  /// past `bytes`, buffered content is appended to the file on disk and
+  /// the buffer reset (Finish still produces the complete file — same
+  /// bytes either way). 0 (the default) keeps the whole file in memory
+  /// until Finish, which is the flush path's behavior. Compaction sets a
+  /// small threshold so job memory stays bounded by its largest output
+  /// chunk, not by the output file.
   void set_spill_threshold(size_t bytes) { spill_threshold_ = bytes; }
 
   /// Writes index + footer and flushes the file to disk.
@@ -214,14 +217,14 @@ class TsFileWriter {
   uint64_t spilled_bytes_ = 0;
   std::ofstream spill_out_;  // opened lazily by SpillBuffer
 
-  // Streaming chunk state (BeginChunkF64 .. EndChunk).
+  // Streaming chunk state (BeginChunkF64 .. EndChunk): the open chunk's
+  // pages, which EndChunk writes after the header.
   bool chunk_open_ = false;
   std::string chunk_sensor_;
   Encoding chunk_time_enc_ = Encoding::kTs2Diff;
   Encoding chunk_value_enc_ = Encoding::kGorilla;
-  uint64_t chunk_offset_ = 0;
-  uint64_t chunk_declared_pages_ = 0;
-  uint64_t chunk_appended_pages_ = 0;
+  ByteBuffer chunk_pages_;
+  uint64_t chunk_page_count_ = 0;
   RangeStats chunk_stats_;
 };
 

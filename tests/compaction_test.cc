@@ -814,12 +814,32 @@ TEST_F(CompactionTest, StreamingWriterByteIdenticalToMonolithic) {
     vals.push_back(std::sin(static_cast<double>(t)));
   }
   const size_t page = 100;
+  // A second non-empty chunk and an empty one follow, so each header the
+  // streaming writer places at EndChunk lands after spilled chunks.
+  std::vector<Timestamp> ts2;
+  std::vector<double> vals2;
+  for (Timestamp t = 0; t < 150; ++t) {
+    ts2.push_back(1'000 + t * 5);
+    vals2.push_back(std::cos(static_cast<double>(t)));
+  }
+  struct Input {
+    const char* sensor;
+    const std::vector<Timestamp>& ts;
+    const std::vector<double>& vals;
+  };
+  const std::vector<Timestamp> no_ts;
+  const std::vector<double> no_vals;
+  const Input inputs[] = {{"s", ts, vals}, {"t", ts2, vals2},
+                          {"u", no_ts, no_vals}};
 
   const std::string mono_path = (dir_ / "mono.bstf").string();
   TsFileWriter mono(mono_path);
-  ASSERT_TRUE(mono.WriteChunkF64("s", ts, vals, Encoding::kTs2Diff,
-                                 Encoding::kGorilla, page)
-                  .ok());
+  for (const Input& in : inputs) {
+    ASSERT_TRUE(mono.WriteChunkF64(in.sensor, in.ts, in.vals,
+                                   Encoding::kTs2Diff, Encoding::kGorilla,
+                                   page)
+                    .ok());
+  }
   ASSERT_TRUE(mono.Finish().ok());
 
   // Same points, page-at-a-time, with an aggressive spill threshold so the
@@ -827,15 +847,17 @@ TEST_F(CompactionTest, StreamingWriterByteIdenticalToMonolithic) {
   const std::string stream_path = (dir_ / "stream.bstf").string();
   TsFileWriter stream(stream_path);
   stream.set_spill_threshold(64);
-  const uint64_t pages = (ts.size() + page - 1) / page;
-  ASSERT_TRUE(stream.BeginChunkF64("s", pages).ok());
-  for (size_t begin = 0; begin < ts.size(); begin += page) {
-    const size_t end = std::min(begin + page, ts.size());
-    std::vector<Timestamp> pts(ts.begin() + begin, ts.begin() + end);
-    std::vector<double> pvs(vals.begin() + begin, vals.begin() + end);
-    ASSERT_TRUE(stream.AppendPageF64(pts, pvs).ok());
+  for (const Input& in : inputs) {
+    ASSERT_TRUE(stream.BeginChunkF64(in.sensor).ok());
+    for (size_t begin = 0; begin < in.ts.size(); begin += page) {
+      const size_t end = std::min(begin + page, in.ts.size());
+      std::vector<Timestamp> pts(in.ts.begin() + begin, in.ts.begin() + end);
+      std::vector<double> pvs(in.vals.begin() + begin,
+                              in.vals.begin() + end);
+      ASSERT_TRUE(stream.AppendPageF64(pts, pvs).ok());
+    }
+    ASSERT_TRUE(stream.EndChunk().ok());
   }
-  ASSERT_TRUE(stream.EndChunk().ok());
   ASSERT_TRUE(stream.Finish().ok());
 
   auto slurp = [](const std::string& p) {
@@ -881,7 +903,7 @@ TEST_F(CompactionTest, EncodedPageAppendByteIdenticalToAppendPage) {
                   .ok());
   const std::string copy_path = (dir_ / "copy.bstf").string();
   TsFileWriter copy(copy_path);
-  ASSERT_TRUE(copy.BeginChunkF64("s", pages->page_count()).ok());
+  ASSERT_TRUE(copy.BeginChunkF64("s").ok());
   for (size_t p = 0; p < pages->page_count(); ++p) {
     ASSERT_TRUE(pages->DecodePage(p).ok());
     ASSERT_TRUE(copy.AppendEncodedPageF64(pages->page_times(),
@@ -895,16 +917,19 @@ TEST_F(CompactionTest, EncodedPageAppendByteIdenticalToAppendPage) {
   EXPECT_EQ(Slurp(copy_path), Slurp(mono_path));
 }
 
-TEST_F(CompactionTest, StreamingWriterValidatesPageOrderAndCount) {
+TEST_F(CompactionTest, StreamingWriterValidatesPageOrderAndState) {
   TsFileWriter writer((dir_ / "bad.bstf").string());
-  ASSERT_TRUE(writer.BeginChunkF64("s", 2).ok());
+  // A page needs an open chunk.
+  EXPECT_FALSE(writer.AppendPageF64({1}, {0.5}).ok());
+  ASSERT_TRUE(writer.BeginChunkF64("s").ok());
   ASSERT_TRUE(writer.AppendPageF64({10, 11}, {1.0, 2.0}).ok());
   // Page starting before the previous page's last timestamp.
   EXPECT_FALSE(writer.AppendPageF64({5, 6}, {3.0, 4.0}).ok());
   ASSERT_TRUE(writer.AppendPageF64({12}, {5.0}).ok());
-  // Declared 2 pages, appended 2 — a third must fail.
-  EXPECT_FALSE(writer.AppendPageF64({13}, {6.0}).ok());
+  // The file cannot be finished with a chunk open.
+  EXPECT_FALSE(writer.Finish().ok());
   EXPECT_TRUE(writer.EndChunk().ok());
+  EXPECT_TRUE(writer.Finish().ok());
 }
 
 // --- LoserTree -------------------------------------------------------------

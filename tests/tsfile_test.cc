@@ -415,8 +415,7 @@ uint64_t WriteNaNGoldenFile(const std::string& path, bool footer_stats,
       return writer.WriteChunkF64(sensor, ts, vs, Encoding::kTs2Diff,
                                   Encoding::kGorilla, kPage);
     }
-    const size_t pages = (ts.size() + kPage - 1) / kPage;
-    RETURN_NOT_OK(writer.BeginChunkF64(sensor, pages));
+    RETURN_NOT_OK(writer.BeginChunkF64(sensor));
     for (size_t lo = 0; lo < ts.size(); lo += kPage) {
       const size_t hi = std::min(ts.size(), lo + kPage);
       RETURN_NOT_OK(writer.AppendPageF64({ts.begin() + lo, ts.begin() + hi},

@@ -2,7 +2,8 @@
 // workload files.
 //
 //   bstool inspect <file.bstf>
-//       List sensors, data types, point counts and time ranges of a TsFile.
+//       List sensors, data types, point counts, chunk byte lengths and time
+//       ranges of a TsFile.
 //   bstool dump <file.bstf> <sensor> [limit]
 //       Print a sensor's points as CSV (up to `limit` rows, default all).
 //   bstool gen <out.csv> <points> <dist> [seed]
@@ -206,8 +207,8 @@ int CmdInspect(int argc, char** argv) {
   if (argc < 1) return Usage();
   TsFileReader reader(argv[0]);
   if (Status st = reader.Open(); !st.ok()) return Fail(st);
-  std::printf("%-32s %-8s %10s %14s %14s\n", "sensor", "type", "points",
-              "min time", "max time");
+  std::printf("%-32s %-8s %10s %10s %14s %14s\n", "sensor", "type",
+              "points", "bytes", "min time", "max time");
   for (const std::string& sensor : reader.Sensors()) {
     DataType type;
     if (Status st = reader.GetDataType(sensor, &type); !st.ok()) {
@@ -232,8 +233,12 @@ int CmdInspect(int argc, char** argv) {
       t_min = ts.front();
       t_max = ts.back();
     }
-    std::printf("%-32s %-8s %10zu %14lld %14lld\n", sensor.c_str(),
+    // The chunk's length in the file: a streaming writer holds the whole
+    // encoded chunk until it ends, so this bounds the writer's memory.
+    std::printf("%-32s %-8s %10zu %10llu %14lld %14lld\n", sensor.c_str(),
                 type == DataType::kDouble ? "double" : "int64", count,
+                static_cast<unsigned long long>(
+                    reader.Locators().at(sensor).length),
                 static_cast<long long>(t_min), static_cast<long long>(t_max));
   }
   return 0;

@@ -74,7 +74,10 @@
 #      ASan rather than pass silently), the read-path and chunk-cache
 #      suites (page-directory derivation and page decode run a seeded
 #      mutation loop over real chunk bytes), the compaction suite (its
-#      mutation oracle damages real merge inputs), the engine-model suite
+#      mutation oracle damages real merge inputs), the TsFile suite (the
+#      streaming writer places each chunk header in front of buffered
+#      pages, and its golden and byte-identity tests drive that path),
+#      the engine-model suite
 #      (the flush copies sealed TVLists out into reused flat buffers), then a
 #      scaled 100k-sensor bench/system_cardinality run gated on idle heap
 #      staying <= 600 bytes/sensor (full scale measures ~191 vs ~1676 on the
@@ -535,7 +538,7 @@ scale2=$(grep '"scale_out_2v1"' "$smoke_dir/BENCH_system_cluster.json" \
   | awk -F': ' '{print $2}' | tr -d ',')
 echo "cluster bench passed (2-node/1-node write ratio ${scale2} on this host)"
 
-echo "=== [11/12] ASan: interner/arena/WAL/read-path/wire suites + 100k-sensor smoke ==="
+echo "=== [11/12] ASan: interner/arena/WAL/read-path/TsFile/wire suites + 100k-sensor smoke ==="
 # The interner and arenas trade allocator nodes for raw pointer lifetimes
 # (string_views into a bump arena, TVList blocks freed wholesale at seal);
 # run their suites under AddressSanitizer to keep those lifetimes honest.
@@ -545,7 +548,7 @@ echo "=== [11/12] ASan: interner/arena/WAL/read-path/wire suites + 100k-sensor s
 cmake -B build-asan -S . -DBACKSORT_SANITIZE=address
 cmake --build build-asan -j --target interner_test tvlist_test wal_test \
   wal_tailer_test read_path_test chunk_cache_test encoding_test \
-  engine_model_test compaction_test net_protocol_test
+  engine_model_test compaction_test tsfile_test net_protocol_test
 ./build-asan/tests/interner_test
 ./build-asan/tests/tvlist_test
 ./build-asan/tests/wal_test
@@ -558,6 +561,9 @@ cmake --build build-asan -j --target interner_test tvlist_test wal_test \
 # mutation oracle damages real job inputs and must fail cleanly in bounds
 # or produce the exact last-write-wins merge.
 ./build-asan/tests/compaction_test
+# The streaming chunk writer buffers an open chunk's pages and writes its
+# header in front of them at EndChunk; the TsFile goldens drive that path.
+./build-asan/tests/tsfile_test
 # The bit readers load 8 bytes at a time near the end of a page: the
 # encoding suite's truncation and bit-flip differentials must stay in
 # bounds.
