@@ -127,13 +127,12 @@ void LoadStages(const Set<LatencyHistogram>& live,
   CELL(Counter, agg_requests, "backsort_agg_requests_total",                  \
        "AggregateFast calls served since the engine opened.", 1)              \
   CELL(Counter, agg_stats_hits, "backsort_agg_stats_hits_total",              \
-       "Chunks answered from footer statistics alone (tier 1, no decode).",   \
-       1)                                                                     \
+       "Chunks answered from footer statistics alone, no page read.", 1)      \
   CELL(Counter, agg_stats_misses, "backsort_agg_stats_misses_total",          \
-       "Aggregation sources that needed a decoding tier: partially covered "  \
-       "or stat-less chunks (tier 2) plus calls routed through the exact "    \
-       "merge fallback (tier 3).",                                            \
-       1)                                                                     \
+       "Chunks aggregations merged page by page: partially covered, "         \
+       "stat-less or overlapped by another source.", 1)                       \
+  CELL(Counter, agg_pages_folded, "backsort_agg_pages_folded_total",          \
+       "Sealed pages aggregations folded from page headers, undecoded.", 1)   \
   STAGES(compaction_stages, CompactionStages,                                 \
          "backsort_compaction_stage_duration_seconds", "Compaction",          \
          "; only publish holds shard locks")                                  \

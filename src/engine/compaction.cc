@@ -182,48 +182,6 @@ CompactionPlan CompactionPlanner::PlanFull(
   return WindowPlan(files, sizes, begin, count);
 }
 
-// --- loser tree -------------------------------------------------------------
-
-void LoserTree::Init(size_t players, std::function<bool(size_t, size_t)> less) {
-  players_ = players;
-  less_ = std::move(less);
-  tree_.assign(std::max<size_t>(players, 1), kNone);
-  if (players <= 1) {
-    tree_[0] = 0;
-    return;
-  }
-  // Seat each leaf: walk toward the root, playing a match at every
-  // occupied node (winner moves up, loser stays) and parking at the first
-  // empty one. After all K leaves, tree_[0] holds the champion and every
-  // internal node the loser of its match.
-  for (size_t s = 0; s < players_; ++s) {
-    size_t candidate = s;
-    size_t node = (s + players_) / 2;
-    while (node > 0 && tree_[node] != kNone) {
-      if (less_(tree_[node], candidate)) {
-        std::swap(tree_[node], candidate);
-      }
-      node /= 2;
-    }
-    if (node == 0) {
-      tree_[0] = candidate;
-    } else {
-      tree_[node] = candidate;
-    }
-  }
-}
-
-void LoserTree::Replay() {
-  if (players_ <= 1) return;
-  size_t candidate = tree_[0];
-  for (size_t node = (candidate + players_) / 2; node > 0; node /= 2) {
-    if (less_(tree_[node], candidate)) {
-      std::swap(tree_[node], candidate);
-    }
-  }
-  tree_[0] = candidate;
-}
-
 // --- job --------------------------------------------------------------------
 
 namespace {
@@ -233,166 +191,33 @@ namespace {
 /// not the output file (Finish produces the same bytes regardless).
 constexpr size_t kCompactionSpillBytes = 1u << 20;  // 1 MiB
 
-/// One input chunk of a sensor's merge, walked page by page through its
-/// PageReader, so the merge accepts exactly the chunks a query accepts. A
-/// cursor at the start of a page is keyed by the directory's min_t and
-/// decodes the page only when one of its points is consumed (DecodePage
-/// checks that first time against the data, so a lying header still
-/// fails the job). It holds at most one decoded page.
-class MergeCursor {
- public:
-  explicit MergeCursor(PageReader* reader) : reader_(reader) {}
+/// The merge's writer sink: one sensor's merged points go into `writer`'s
+/// open chunk in pages of `points_per_page` (see MergeSensor for the
+/// clean pages it copies). Each input page is read and decoded once.
+struct ChunkWriterSink {
+  const std::vector<MergeCursor>& cursors;
+  size_t points_per_page;
+  TsFileWriter* writer;
+  CompactionStats* stats;
+  std::vector<Timestamp> page_ts = {};  // the output page being built
+  std::vector<double> page_vals = {};
 
-  bool done() const { return page_ == reader_->page_count(); }
-  bool at_page_start() const { return !decoded_; }
-  const PageEntry& entry() const { return reader_->directory()->pages[page_]; }
-  /// The next point's timestamp, or the page's min_t before its decode.
-  Timestamp key() const {
-    return decoded_ ? reader_->page_times()[row_] : entry().min_t;
-  }
-  double value() const { return reader_->page_values()[row_]; }
-  /// The min_t of the page after this one; the Timestamp maximum at the
-  /// last page.
-  Timestamp next_page_min() const {
-    return page_ + 1 < reader_->page_count()
-               ? reader_->directory()->pages[page_ + 1].min_t
-               : std::numeric_limits<Timestamp>::max();
-  }
-  /// Decoded points held: the current page once decoded, else 0.
-  size_t page_points() const {
-    return decoded_ ? reader_->page_times().size() : 0;
+  bool Whole(size_t w) const {
+    const PageDirectory& dir = *cursors[w].reader().directory();
+    return dir.time_encoding == static_cast<uint8_t>(Encoding::kTs2Diff) &&
+           dir.value_encoding == static_cast<uint8_t>(Encoding::kGorilla) &&
+           cursors[w].entry().points <= points_per_page;
   }
 
-  /// Decodes the current page into reader()'s page buffers; the merge
-  /// then needs its times in order.
-  Status Decode() {
-    RETURN_NOT_OK(reader_->DecodePage(page_));
-    const std::vector<Timestamp>& times = reader_->page_times();
-    if (!std::is_sorted(times.begin(), times.end())) {
-      return Status::Corruption("page times go backwards");
-    }
-    decoded_ = true;
-    row_ = 0;
-    return Status::OK();
-  }
-
-  /// Consumes the current point of a decoded page.
-  void Advance() {
-    if (++row_ == reader_->page_times().size()) NextPage();
-  }
-  /// Moves past the current page without consuming its points.
-  void NextPage() {
-    ++page_;
-    decoded_ = false;
-    row_ = 0;
-  }
-
-  PageReader& reader() { return *reader_; }
-
- private:
-  PageReader* reader_;
-  size_t page_ = 0;
-  size_t row_ = 0;
-  bool decoded_ = false;
-};
-
-/// The streaming last-write-wins merge of one sensor's input chunks into
-/// `writer`'s open chunk; `readers` is in window order. A page is copied
-/// when it reaches the front of the merge undecoded and no point of any
-/// other page can fall inside its [min_t, max_t]: its encodings are the
-/// output's, it fits an output page, its max_t is below every other
-/// unfinished cursor's key and its own next page's min_t, and its min_t
-/// is above the pending point. It is decoded, checked and its buffers
-/// written under a rebuilt header; a page with a repeated timestamp is
-/// merged alone into one page instead. Every other point is merged into
-/// pages of `points_per_page`; the partial page is written out before
-/// each copy. Each input page is read and decoded once.
-Status MergeRun(const std::vector<PageReader*>& readers,
-                size_t points_per_page, TsFileWriter* writer,
-                CompactionStats* stats) {
-  constexpr auto kOutTime = static_cast<uint8_t>(Encoding::kTs2Diff);
-  constexpr auto kOutValue = static_cast<uint8_t>(Encoding::kGorilla);
-  const size_t k = readers.size();
-  std::vector<MergeCursor> cursors;
-  std::vector<bool> copy_encodings;
-  cursors.reserve(k);
-  for (PageReader* reader : readers) {
-    cursors.emplace_back(reader);
-    const PageDirectory& dir = *reader->directory();
-    copy_encodings.push_back(dir.time_encoding == kOutTime &&
-                             dir.value_encoding == kOutValue);
-  }
-
-  // Exhausted cursors order last; equal timestamps order by window
-  // position so the newest input pops LAST and overwrites the pending
-  // point — the same last-write-wins rule MergeRuns applies at query
-  // time.
-  LoserTree tree;
-  tree.Init(k, [&cursors](size_t a, size_t b) {
-    const bool da = cursors[a].done(), db = cursors[b].done();
-    if (da != db) return !da;
-    if (da) return a < b;
-    const Timestamp ta = cursors[a].key(), tb = cursors[b].key();
-    if (ta != tb) return ta < tb;
-    return a < b;
-  });
-
-  // The output page being built.
-  std::vector<Timestamp> page_ts;
-  std::vector<double> page_vals;
-  page_ts.reserve(points_per_page);
-  page_vals.reserve(points_per_page);
-
-  // Streaming LWW: hold back one point; a successor with the same
-  // timestamp (necessarily from an equal-or-newer input, per the pop
-  // order) replaces it, anything else flushes it out.
-  bool have_pending = false;
-  Timestamp pending_t = 0;
-  double pending_v = 0.0;
-
-  size_t cursor_resident = 0;  // decoded points across all cursors
-  auto note_resident = [&](size_t extra) {
-    stats->max_resident_points = std::max(
-        stats->max_resident_points,
-        cursor_resident + page_ts.size() + (have_pending ? 1 : 0) + extra);
-  };
-
-  auto flush_page = [&]() -> Status {
-    if (page_ts.empty()) return Status::OK();
-    note_resident(0);
-    RETURN_NOT_OK(writer->AppendPageF64(page_ts, page_vals));
-    page_ts.clear();
-    page_vals.clear();
-    return Status::OK();
-  };
-  auto emit = [&](Timestamp t, double v) -> Status {
-    ++stats->output_points;
-    page_ts.push_back(t);
-    page_vals.push_back(v);
-    return page_ts.size() == points_per_page ? flush_page() : Status::OK();
-  };
-
-  auto copyable = [&](size_t w) {
-    const PageEntry& e = cursors[w].entry();
-    if (!copy_encodings[w] || e.points > points_per_page) return false;
-    if (have_pending && pending_t >= e.min_t) return false;
-    if (cursors[w].next_page_min() <= e.max_t) return false;
-    for (size_t i = 0; i < k; ++i) {
-      if (i != w && !cursors[i].done() && cursors[i].key() <= e.max_t) {
-        return false;
-      }
-    }
-    return true;
-  };
-
-  // Writes the winner's clean page: its buffers verbatim when its times
-  // strictly increase, else its last-write-wins survivors as one page.
-  auto write_copy = [&](MergeCursor& c) -> Status {
+  /// Writes the clean page: its buffers verbatim when its times strictly
+  /// increase, else its last-write-wins survivors as one page.
+  Status Page(MergeCursor& c, bool) {
+    RETURN_NOT_OK(FlushPage());
     RETURN_NOT_OK(c.Decode());
+    NoteResident();
     PageReader& reader = c.reader();
     const std::vector<Timestamp>& times = reader.page_times();
     const std::vector<double>& values = reader.page_values();
-    note_resident(times.size());
     if (std::adjacent_find(times.begin(), times.end(),
                            std::greater_equal<Timestamp>()) == times.end()) {
       ++stats->pages_copied;
@@ -403,55 +228,44 @@ Status MergeRun(const std::vector<PageReader*>& readers,
     }
     ++stats->pages_merged;
     for (size_t i = 0; i < times.size(); ++i) {
-      if (!page_ts.empty() && page_ts.back() == times[i]) {
-        page_vals.back() = values[i];
-      } else {
-        page_ts.push_back(times[i]);
-        page_vals.push_back(values[i]);
+      if (i + 1 == times.size() || times[i + 1] != times[i]) {
+        RETURN_NOT_OK(Point(times[i], values[i]));
       }
     }
-    stats->output_points += page_ts.size();
-    return flush_page();
-  };
-
-  for (;;) {
-    const size_t w = tree.winner();
-    MergeCursor& c = cursors[w];
-    if (c.done()) break;
-    if (c.at_page_start()) {
-      if (copyable(w)) {
-        if (have_pending) RETURN_NOT_OK(emit(pending_t, pending_v));
-        have_pending = false;
-        RETURN_NOT_OK(flush_page());
-        RETURN_NOT_OK(write_copy(c));
-        c.NextPage();
-        tree.Replay();
-        continue;
-      }
-      // The decoded first time equals the key, so the tree stays valid.
-      RETURN_NOT_OK(c.Decode());
-      ++stats->pages_merged;
-      cursor_resident += c.page_points();
-      note_resident(0);
-    }
-    const Timestamp t = c.key();
-    const double v = c.value();
-    if (have_pending && pending_t == t) {
-      pending_v = v;  // newer input (or later duplicate) shadows it
-    } else {
-      if (have_pending) RETURN_NOT_OK(emit(pending_t, pending_v));
-      pending_t = t;
-      pending_v = v;
-      have_pending = true;
-    }
-    const size_t before = c.page_points();
-    c.Advance();
-    cursor_resident -= before - c.page_points();
-    tree.Replay();
+    return FlushPage();
   }
-  if (have_pending) RETURN_NOT_OK(emit(pending_t, pending_v));
-  return flush_page();
-}
+
+  Status Point(Timestamp t, double v) {
+    ++stats->output_points;
+    page_ts.push_back(t);
+    page_vals.push_back(v);
+    return page_ts.size() == points_per_page ? FlushPage() : Status::OK();
+  }
+
+  void Decoded(const MergeCursor&) {
+    ++stats->pages_merged;
+    NoteResident();
+  }
+
+  /// Writes the partial output page.
+  Status FlushPage() {
+    if (page_ts.empty()) return Status::OK();
+    NoteResident();
+    RETURN_NOT_OK(writer->AppendPageF64(page_ts, page_vals));
+    page_ts.clear();
+    page_vals.clear();
+    return Status::OK();
+  }
+
+  /// Decoded points now resident: the cursors' pages, the output page and
+  /// the merge's pending point.
+  void NoteResident() {
+    size_t resident = page_ts.size() + 1;
+    for (const MergeCursor& c : cursors) resident += c.page_points();
+    stats->max_resident_points =
+        std::max(stats->max_resident_points, resident);
+  }
+};
 
 }  // namespace
 
@@ -464,16 +278,19 @@ Status CompactionJob::MergeSensor(const CompactionPlan& plan,
                                      ? TsFileWriter::kDefaultPointsPerPage
                                      : config_.points_per_page;
   std::vector<std::optional<PageReader>> readers(sources.size());
-  std::vector<PageReader*> run;
+  std::vector<MergeCursor> cursors;
+  cursors.reserve(sources.size());
   for (size_t i = 0; i < sources.size(); ++i) {
     RETURN_NOT_OK(OpenPageReader(plan.inputs[sources[i].input]->path(),
                                  sensor, sources[i].locator, nullptr,
                                  &readers[i]));
-    run.push_back(&*readers[i]);
+    cursors.emplace_back(&*readers[i]);
   }
 
   RETURN_NOT_OK(writer->BeginChunkF64(sensor));
-  RETURN_NOT_OK(MergeRun(run, points_per_page, writer, stats));
+  ChunkWriterSink sink{cursors, points_per_page, writer, stats};
+  RETURN_NOT_OK(MergeSources(cursors, sink));
+  RETURN_NOT_OK(sink.FlushPage());
   return writer->EndChunk();
 }
 

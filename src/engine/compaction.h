@@ -13,6 +13,7 @@
 #include "common/chunk_cache.h"
 #include "common/status.h"
 #include "engine/file_registry.h"
+#include "engine/lww_merge.h"
 #include "tsfile/tsfile.h"
 
 namespace backsort {
@@ -141,34 +142,6 @@ class CompactionPlanner {
   CompactionConfig config_;
 };
 
-/// Tournament loser tree selecting the minimum of K sorted cursors in
-/// O(log K) comparisons per pop (vs the binary heap's pop+push pair).
-/// Players are cursor indices; `less(a, b)` orders player a's current key
-/// before player b's. tree_[0] holds the overall winner, tree_[1..K-1]
-/// hold the losers of their subtree matches; after the winner's cursor
-/// advances, Replay re-runs only the matches on its leaf-to-root path.
-class LoserTree {
- public:
-  /// Builds the tree over `players` cursors. `less` must totally order
-  /// the players (exhausted cursors compare last).
-  void Init(size_t players, std::function<bool(size_t, size_t)> less);
-
-  size_t winner() const { return tree_[0]; }
-
-  /// Re-seats the current winner after its key changed (advance or
-  /// exhaustion).
-  void Replay();
-
- private:
-  static constexpr size_t kNone = static_cast<size_t>(-1);
-
-  size_t players_ = 0;
-  std::function<bool(size_t, size_t)> less_;
-  /// tree_[0] = winner; tree_[1..players-1] = internal loser nodes. Leaf
-  /// s enters at node (s + players) / 2.
-  std::vector<size_t> tree_;
-};
-
 /// Per-job outcome, for metrics and the streaming-memory tests.
 struct CompactionStats {
   size_t input_files = 0;
@@ -226,17 +199,12 @@ class CompactionJob {
     ChunkLocator locator;
   };
 
-  /// Writes one sensor's chunk with one merge over all its sources. An
-  /// unread page is keyed by its directory min_t and decoded only when
-  /// one of its points is consumed. When such a page reaches the front of
-  /// the merge with its encodings the output's, at most points_per_page
-  /// points, its max_t below every other cursor's key (and its own next
-  /// page's min_t) and its min_t above the pending point, no other point
-  /// can fall inside it: it is decoded once, checked, and its buffers are
-  /// copied under a header rebuilt from its points (a repeated timestamp
-  /// inside it makes it one merged page instead). Every other point is
-  /// merged and re-encoded. One pass writes the chunk: the writer buffers
-  /// its pages and writes the header with their count at EndChunk.
+  /// Writes one sensor's chunk with one read-side merge (lww_merge.h)
+  /// over all its sources. A clean page whose encodings are the output's
+  /// and that fits an output page is decoded once, checked, and its
+  /// buffers copied under a header rebuilt from its points (a repeated
+  /// timestamp inside it makes it one merged page instead). Every other
+  /// point is merged and re-encoded.
   Status MergeSensor(const CompactionPlan& plan,
                      const std::vector<SensorSource>& sources,
                      const std::string& sensor, TsFileWriter* writer,

@@ -230,26 +230,21 @@ class EngineShard {
     bool working_unseq_sorted = true;
     std::vector<TvPairDouble> working_seq;
     bool working_seq_sorted = true;
-    /// Either working table's chunk bounds overlap [t_min, t_max] — the
-    /// (conservative) aggregation fast-path disqualifier.
-    bool working_in_range = false;
     bool have_last = false;
     TvPairDouble last{};
   };
 
   /// Takes the consistent read snapshot under mu_ — the only part of a
   /// query that holds the shard lock. `want_points` = false skips copying
-  /// working-memtable points (GetLatest / aggregation probing).
+  /// working-memtable points (GetLatest).
   void TakeSnapshot(const std::string& sensor, Timestamp t_min,
                     Timestamp t_max, bool want_points, ReadSnapshot* snap);
 
-  /// Appends `sensor`'s points in [t_min, t_max] from one sealed file to
-  /// `out`: a PageReader over the chunk decodes only the overlapping
-  /// pages. NotFound when the file has no chunk for the sensor. Runs
-  /// without any engine lock.
-  Status ReadFileRange(const SealedFileMeta& file, const std::string& sensor,
-                       Timestamp t_min, Timestamp t_max,
-                       std::vector<TvPairDouble>* out);
+  /// Sorted runs of the snapshot's in-memory points in [t_min, t_max],
+  /// none empty, in last-write-wins priority order: flushing tables, then
+  /// the working unsequence and sequence copies.
+  void CollectRuns(ReadSnapshot* snap, Timestamp t_min, Timestamp t_max,
+                   std::vector<std::vector<TvPairDouble>>* runs);
 
   /// Seals one working memtable into the flush queue. Caller holds mu_.
   void SealLocked(bool sequence);

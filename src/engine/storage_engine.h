@@ -103,7 +103,9 @@ class StorageEngine {
   /// while a query reads. Files are pruned by footer time range before
   /// being opened; a surviving file's chunk is read page by page through
   /// its page directory (cached in the shared ChunkCache), so only the
-  /// pages overlapping the range are read and decoded.
+  /// pages overlapping the range are read and decoded, and one
+  /// last-write-wins merge (engine/lww_merge.h) combines them with the
+  /// memtables' points.
   Status Query(const std::string& sensor, Timestamp t_min, Timestamp t_max,
                std::vector<TvPairDouble>* out);
 
@@ -114,22 +116,14 @@ class StorageEngine {
   Status GetLatest(const std::string& sensor, TvPairDouble* out);
 
   /// Aggregation with statistics pushdown (count/sum/min/max/first/last
-  /// over [t_min, t_max]), planned in three tiers per chunk. Tier 1:
-  /// sequence chunks fully inside the range whose footers carry value
-  /// statistics (BSTF2) answer from metadata alone — no chunk byte is
-  /// read. Tier 2: partially covered (or stat-less BSTF1) chunks fold
-  /// interior pages from their cached page directory and read and decode
-  /// only the two boundary pages. Both
-  /// tiers are only sound when no data source can shadow another
-  /// (duplicate timestamps are resolved last-write-wins by Query), so any
-  /// in-memory points or overlapping unsequence file in range drops the
-  /// whole call to tier 3 — the exact Query-based computation.
-  /// `used_fast_path` reports true when no tier-3 source existed; results
-  /// are identical either way (sums may differ in floating-point
-  /// rounding, matching per-chunk fold order). An empty range (t_max <
-  /// t_min, or no source overlapping) returns count == 0 without
-  /// scanning. NaN values are excluded from min/max/sum but counted and
-  /// eligible as first/last (docs/DESIGN.md §16).
+  /// over [t_min, t_max]): a chunk inside the range that no other source
+  /// overlaps answers from its footer, and Query's merge folds every page
+  /// no other source's point falls inside from its page header
+  /// (docs/DESIGN.md §16). `used_fast_path` reports true when no point was
+  /// merged with another source's; results are identical either way (sums
+  /// may differ in floating-point rounding). An empty range returns
+  /// count == 0 without scanning. NaN values are excluded from
+  /// min/max/sum but counted and eligible as first/last.
   Status AggregateFast(const std::string& sensor, Timestamp t_min,
                        Timestamp t_max, RangeStats* stats,
                        bool* used_fast_path = nullptr);

@@ -616,22 +616,15 @@ Status TsFileReader::QueryRangeF64(const std::string& sensor, Timestamp t_min,
 
 Status TsFileReader::AggregateRangeF64(const std::string& sensor,
                                        Timestamp t_min, Timestamp t_max,
-                                       RangeStats* stats,
-                                       size_t* pages_skipped) const {
+                                       RangeStats* stats) const {
   *stats = RangeStats{};
-  if (pages_skipped != nullptr) *pages_skipped = 0;
-  auto it = locators_.find(sensor);
-  if (it == locators_.end()) return Status::NotFound("sensor: " + sensor);
-  const ChunkLocator& locator = it->second;
-  if (static_cast<DataType>(locator.raw_type) != DataType::kDouble) {
-    return Status::InvalidArgument("data type mismatch for " + sensor);
+  std::vector<Timestamp> ts;
+  std::vector<double> values;
+  RETURN_NOT_OK(QueryRangeF64(sensor, t_min, t_max, &ts, &values));
+  for (size_t i = 0; i < ts.size(); ++i) {
+    if (i + 1 == ts.size() || ts[i + 1] != ts[i]) stats->Fold(ts[i], values[i]);
   }
-  const uint8_t* chunk = data_.data() + locator.offset;
-  auto directory = std::make_shared<PageDirectory>();
-  RETURN_NOT_OK(ParsePageDirectory(chunk, locator.length, sensor, locator,
-                                   directory.get()));
-  return PageReader(chunk, std::move(directory))
-      .Aggregate(t_min, t_max, stats, pages_skipped);
+  return Status::OK();
 }
 
 // --- page directory + page reader -------------------------------------------
@@ -729,10 +722,10 @@ Status ReadPageDirectory(int fd, const std::string& sensor,
   return ParsePageDirectory(chunk.data(), chunk.size(), sensor, locator, out);
 }
 
-PageReader::PageReader(int fd, uint64_t chunk_offset,
+PageReader::PageReader(std::string path, uint64_t chunk_offset,
                        std::shared_ptr<const PageDirectory> directory,
                        uint64_t bytes_read)
-    : fd_(fd),
+    : path_(std::move(path)),
       chunk_offset_(chunk_offset),
       dir_(std::move(directory)),
       bytes_read_(bytes_read) {}
@@ -741,8 +734,11 @@ PageReader::PageReader(const uint8_t* chunk,
                        std::shared_ptr<const PageDirectory> directory)
     : image_(chunk), dir_(std::move(directory)) {}
 
-PageReader::~PageReader() {
+PageReader::~PageReader() { CloseFile(); }
+
+void PageReader::CloseFile() {
   if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
 }
 
 std::pair<size_t, size_t> PageReader::Overlap(Timestamp t_min,
@@ -765,13 +761,22 @@ Status PageReader::Load(size_t first, size_t last) {
   span_base_ = dir_->pages[first].offset;
   const size_t len = static_cast<size_t>(tail.offset + tail.length - span_base_);
   bytes_read_ += len;
+  span_first_ = first;
+  span_last_ = first;  // nothing is loaded until the read succeeds
   if (image_ != nullptr) {
     span_ = image_ + span_base_;
-    return Status::OK();
+  } else {
+    if (fd_ < 0) {
+      fd_ = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
+      if (fd_ < 0) return Status::IOError("cannot open for read: " + path_);
+    }
+    buf_.resize(len);
+    span_ = buf_.data();
+    RETURN_NOT_OK(
+        PreadExact(fd_, chunk_offset_ + span_base_, len, buf_.data()));
   }
-  buf_.resize(len);
-  span_ = buf_.data();
-  return PreadExact(fd_, chunk_offset_ + span_base_, len, buf_.data());
+  span_last_ = last;
+  return Status::OK();
 }
 
 Status PageReader::Decode(size_t p) {
@@ -803,8 +808,15 @@ std::span<const uint8_t> PageReader::page_value_bytes() const {
 }
 
 Status PageReader::DecodePage(size_t p) {
-  RETURN_NOT_OK(Load(p, p + 1));
+  if (p < span_first_ || p >= span_last_) RETURN_NOT_OK(Load(p, p + 1));
   return Decode(p);
+}
+
+Status PageReader::Prefetch(Timestamp t_min, Timestamp t_max) {
+  const auto [first, last] = Overlap(t_min, t_max);
+  const Status st = first < last ? Load(first, last) : Status::OK();
+  CloseFile();
+  return st;
 }
 
 Status PageReader::Query(Timestamp t_min, Timestamp t_max,
@@ -828,49 +840,22 @@ Status PageReader::Query(Timestamp t_min, Timestamp t_max,
   return Status::OK();
 }
 
-Status PageReader::Aggregate(Timestamp t_min, Timestamp t_max,
-                             RangeStats* stats, size_t* pages_skipped) {
-  *stats = RangeStats{};
-  if (pages_skipped != nullptr) *pages_skipped = 0;
-  const auto [first, last] = Overlap(t_min, t_max);
-  // The first and last overlapping pages are always decoded, so first/last
-  // are exact. With two or more pages in the span, the first page's max_t
-  // lies in range (Decode checks it against the data), so stats->count is
-  // already non-zero when an interior page folds its stats.
-  for (size_t p = first; p < last; ++p) {
-    const PageEntry& e = dir_->pages[p];
-    const bool inside = e.min_t >= t_min && e.max_t <= t_max;
-    if (inside && p != first && p + 1 != last && e.stats_usable()) {
-      stats->MergePage(e);
-      if (pages_skipped != nullptr) ++(*pages_skipped);
-      continue;
-    }
-    RETURN_NOT_OK(DecodePage(p));
-    for (size_t i = 0; i < ts_.size(); ++i) {
-      if (ts_[i] >= t_min && ts_[i] <= t_max) stats->Fold(ts_[i], vals_[i]);
-    }
-  }
-  return Status::OK();
-}
-
 Status OpenPageReader(const std::string& path, const std::string& sensor,
                       const ChunkLocator& locator,
                       std::shared_ptr<const PageDirectory> directory,
                       std::optional<PageReader>* out) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return Status::IOError("cannot open for read: " + path);
   uint64_t derived_bytes = 0;
   if (directory == nullptr) {
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) return Status::IOError("cannot open for read: " + path);
     auto fresh = std::make_shared<PageDirectory>();
     const Status st = ReadPageDirectory(fd, sensor, locator, fresh.get());
-    if (!st.ok()) {
-      ::close(fd);
-      return st;
-    }
+    ::close(fd);
+    RETURN_NOT_OK(st);
     derived_bytes = locator.length;
     directory = std::move(fresh);
   }
-  out->emplace(fd, locator.offset, std::move(directory), derived_bytes);
+  out->emplace(path, locator.offset, std::move(directory), derived_bytes);
   return Status::OK();
 }
 

@@ -257,13 +257,12 @@ class TsFileReader {
   /// benchmarks still use.
   using RangeStats = backsort::RangeStats;
 
-  /// Aggregation with statistics pushdown: pages fully inside [t_min,
-  /// t_max] contribute their stored count/sum/min/max without being
-  /// decoded; boundary pages are decoded and filtered. `pages_skipped`
-  /// (optional) reports how many pages were served from statistics.
+  /// The aggregate of [t_min, t_max] by a full decode of the chunk: every
+  /// point in range folded in time order, equal timestamps collapsed to
+  /// the later one. No page statistic is used, so it is the independent
+  /// reference for the engine's page-statistics fold.
   Status AggregateRangeF64(const std::string& sensor, Timestamp t_min,
-                           Timestamp t_max, RangeStats* stats,
-                           size_t* pages_skipped = nullptr) const;
+                           Timestamp t_max, RangeStats* stats) const;
 
   /// The parsed index block: per-sensor chunk offset/length, point count
   /// and time range — the pruning metadata the engine registers at seal
@@ -306,19 +305,20 @@ Status ReadPageDirectory(int fd, const std::string& sensor,
                          const ChunkLocator& locator, PageDirectory* out);
 
 /// Reads one F64 chunk page by page through its PageDirectory — the
-/// engine's only reader of sealed bytes (queries, compaction, recovery),
-/// and TsFileReader's page-stats aggregation. A range call binary-searches
-/// the directory for the pages overlapping its range, fetches their bytes
-/// with one pread (or from an in-memory chunk) and decodes only those
-/// pages into reused scratch columns, checking each against its header;
-/// nothing decoded outlives the call.
+/// engine's only reader of sealed bytes (queries, aggregations,
+/// compaction, recovery). A range call binary-searches the directory for
+/// the pages overlapping its range, fetches their bytes with one pread
+/// (or from an in-memory chunk) and decodes only those pages into reused
+/// scratch columns, checking each against its header; nothing decoded
+/// outlives the call.
 class PageReader {
  public:
-  /// Reads with pread from `fd`, where the chunk starts at `chunk_offset`.
-  /// The reader owns `fd` and closes it on destruction. `bytes_read` seeds
-  /// the amplification counter with what it cost to get `directory` (the
-  /// chunk length when it was just derived, 0 when it came from a cache).
-  PageReader(int fd, uint64_t chunk_offset,
+  /// Reads with pread from the file at `path`, where the chunk starts at
+  /// `chunk_offset`; the file is open from a read until CloseFile().
+  /// `bytes_read` seeds the amplification counter with what it cost to
+  /// get `directory` (the chunk length when it was just derived, 0 when
+  /// it came from a cache).
+  PageReader(std::string path, uint64_t chunk_offset,
              std::shared_ptr<const PageDirectory> directory,
              uint64_t bytes_read);
   /// Reads from the chunk's bytes already in memory.
@@ -334,19 +334,22 @@ class PageReader {
   Status Query(Timestamp t_min, Timestamp t_max,
                std::vector<TvPairDouble>* out);
 
-  /// Aggregates [t_min, t_max] with page-statistics pushdown: interior
-  /// pages fold from the directory's stats, and only the first and last
-  /// overlapping pages (plus any page whose stats are NaN) are read and
-  /// decoded. Same NaN contract and reset-on-entry behavior as
-  /// TsFileReader::AggregateRangeF64; count == 0 means nothing matched.
-  /// Partials from several chunks combine with RangeStats::Merge.
-  Status Aggregate(Timestamp t_min, Timestamp t_max, RangeStats* stats,
-                   size_t* pages_skipped = nullptr);
+  /// Loads the bytes of the pages overlapping [t_min, t_max] with one
+  /// pread, so that DecodePage of any of them reads nothing more, and
+  /// closes the file.
+  Status Prefetch(Timestamp t_min, Timestamp t_max);
 
-  /// Page-indexed walk (compaction): DecodePage(p) reads and decodes page
-  /// `p` < page_count() alone, with Query's header check; its points stay
-  /// in page_times()/page_values(), and its encoded time and value
-  /// buffers in page_time_bytes()/page_value_bytes(), until the next call.
+  /// Closes the file until the next read needs it.
+  void CloseFile();
+
+  /// Pages [first, last) whose time range overlaps [t_min, t_max].
+  std::pair<size_t, size_t> Overlap(Timestamp t_min, Timestamp t_max) const;
+
+  /// Page-indexed walk (the merge): DecodePage(p) decodes page `p` <
+  /// page_count(), reading it alone unless a Prefetch loaded it, with
+  /// Query's header check; its points stay in page_times()/page_values(),
+  /// and its encoded time and value buffers in
+  /// page_time_bytes()/page_value_bytes(), until the next call.
   size_t page_count() const { return dir_->pages.size(); }
   Status DecodePage(size_t p);
   const std::vector<Timestamp>& page_times() const { return ts_; }
@@ -364,20 +367,21 @@ class PageReader {
   uint64_t pages_decoded() const { return pages_decoded_; }
 
  private:
-  /// Pages [first, last) whose time range overlaps [t_min, t_max].
-  std::pair<size_t, size_t> Overlap(Timestamp t_min, Timestamp t_max) const;
   /// Makes the bytes of pages [first, last) addressable (one pread).
   Status Load(size_t first, size_t last);
   /// Decodes page `p`, which must lie in the loaded span, into ts_/vals_.
   Status Decode(size_t p);
 
-  int fd_ = -1;
+  std::string path_;
+  int fd_ = -1;  // open between a read and CloseFile()
   uint64_t chunk_offset_ = 0;
   const uint8_t* image_ = nullptr;  // in-memory chunk, instead of fd_
   std::shared_ptr<const PageDirectory> dir_;
   std::vector<uint8_t> buf_;       // pread target
   const uint8_t* span_ = nullptr;  // loaded bytes, from chunk offset span_base_
   uint64_t span_base_ = 0;
+  size_t span_first_ = 0;  // the loaded pages, [span_first_, span_last_)
+  size_t span_last_ = 0;
   std::vector<Timestamp> ts_;      // one decoded page
   std::vector<double> vals_;
   size_t decoded_page_ = 0;  // page whose points ts_/vals_ hold
@@ -386,9 +390,9 @@ class PageReader {
 };
 
 /// The one way to open a sealed chunk: a PageReader over `sensor`'s chunk
-/// (`locator`) that owns a fresh read-only fd of `path`. A null
-/// `directory` is derived with ReadPageDirectory, and the reader's
-/// bytes_read() then starts at `locator.length`.
+/// (`locator`) in the file at `path`. A null `directory` is derived with
+/// ReadPageDirectory, and the reader's bytes_read() then starts at
+/// `locator.length`.
 Status OpenPageReader(const std::string& path, const std::string& sensor,
                       const ChunkLocator& locator,
                       std::shared_ptr<const PageDirectory> directory,

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <map>
@@ -97,10 +98,11 @@ class AggregateDifferentialTest : public ::testing::Test {
   }
 
   // Ingests a disordered stream, then checks AggregateFast against the
-  // brute-force reference over a sweep of ranges: full coverage (tier 1
-  // when stats are on), random partial ranges (tier 2 page decode), and
-  // degenerate/out-of-range probes. `leave_tail_in_memory` keeps the last
-  // points unflushed so the exact merge fallback (tier 3) is diffed too.
+  // brute-force reference over a sweep of ranges: full coverage (footer
+  // statistics when stats are on), random partial ranges (page folds and
+  // boundary decodes), and degenerate/out-of-range probes.
+  // `leave_tail_in_memory` keeps the last points unflushed, so the merge
+  // of working-table runs with sealed pages is diffed too.
   // `rewrites` writes about one in eight points a second time, inside the
   // memtable that holds the first write (the workload then flushes every
   // 2,500 arrivals itself, and only then), and requires every probe on
@@ -142,7 +144,7 @@ class AggregateDifferentialTest : public ::testing::Test {
     }
     if (leave_tail_in_memory) {
       // Do not flush: disordered working memtables shadow the files, so
-      // every probe routes through the tier-3 exact merge.
+      // the probes merge their points with the sealed pages.
     } else {
       ASSERT_TRUE(engine->FlushAll().ok());
     }
@@ -184,6 +186,127 @@ class AggregateDifferentialTest : public ::testing::Test {
       ExpectSameValue(got.last, want.last, what + " last");
     }
     if (rewrites) EXPECT_EQ(fast_probes, ranges.size()) << tag;
+  }
+
+  // A seeded shape with every kind of source: sequence files of strided
+  // timestamps, a sparse unsequence file of late points (rewrites and
+  // fresh timestamps), a flushing table (a flush made to fail keeps it
+  // there) and a working table, each holding late points and points past
+  // the files. With `interleaved`, a second file instead fills every gap
+  // of the first, so no page is free of another source's points. Query
+  // is checked against a brute-force last-write-wins merge, and
+  // AggregateFast against the brute-force fold of it. Returns the pages
+  // the probes folded from page statistics.
+  uint64_t RunMixedSources(const std::string& tag, uint64_t seed,
+                           bool interleaved) {
+    Rng rng(seed);
+    const Timestamp n = 60'000;  // the files hold even timestamps below n
+    EngineOptions opt;
+    opt.data_dir = (std::filesystem::temp_directory_path() /
+                    ("agg_diff_" + std::to_string(::getpid()) + "_" + tag))
+                       .string();
+    dir_ = opt.data_dir;
+    std::filesystem::remove_all(dir_);
+    opt.shard_count = 1;  // flush temporaries are named flush-0-<seq>
+    opt.memtable_flush_threshold = 1'000'000;  // flushes only by hand
+    opt.async_flush = false;
+    StorageEngine engine(opt);
+    EXPECT_TRUE(engine.Open().ok());
+
+    std::map<Timestamp, double> last_write;
+    auto write = [&](Timestamp t) {
+      const double v = t % 997 == 0
+                           ? std::nan("")
+                           : static_cast<double>(rng.NextBelow(1000)) - 500.0;
+      EXPECT_TRUE(engine.Write("s", t, v).ok());
+      last_write[t] = v;
+    };
+    for (Timestamp t = 0; t < n; t += 2) {
+      write(t);
+      if ((t / 2 + 1) % 10'000 == 0) EXPECT_TRUE(engine.FlushAll().ok());
+    }
+    // Late points below the watermark land in unsequence tables.
+    auto late = [&](size_t count) {
+      for (size_t i = 0; i < count; ++i) {
+        write(static_cast<Timestamp>(rng.NextBelow(static_cast<uint64_t>(n))));
+      }
+    };
+    if (interleaved) {
+      for (Timestamp t = 1; t < n; t += 2) write(t);
+    } else {
+      late(8);
+    }
+    EXPECT_TRUE(engine.FlushAll().ok());
+
+    // The flushing table: late points plus points past the files. Every
+    // flush temporary name the next flush could use is taken by a
+    // directory, so the flush fails and leaves both tables flushing.
+    late(4);
+    for (Timestamp t = n; t < n + 300; ++t) write(t);
+    std::vector<std::filesystem::path> blockers;
+    for (int seq = 0; seq < 64; ++seq) {
+      blockers.push_back(std::filesystem::path(dir_) /
+                         ("flush-0-" + std::to_string(seq) + ".bstf.tmp"));
+      std::filesystem::create_directory(blockers.back());
+    }
+    EXPECT_FALSE(engine.FlushAll().ok());
+    for (const auto& b : blockers) std::filesystem::remove(b);
+    EXPECT_GT(engine.GetMetricsSnapshot().shards[0].flushing_tables, 0u);
+
+    // The working tables.
+    late(4);
+    for (Timestamp t = n + 300; t < n + 500; ++t) write(t);
+
+    std::vector<std::pair<Timestamp, Timestamp>> ranges = {
+        {0, n + 600}, {-5, n - 1}, {100, n + 350}, {n + 10, n + 20}};
+    for (int i = 0; i < 16; ++i) {
+      const Timestamp a = static_cast<Timestamp>(rng.NextBelow(n + 500));
+      const Timestamp b = static_cast<Timestamp>(rng.NextBelow(n + 500));
+      ranges.emplace_back(std::min(a, b), std::max(a, b));
+    }
+    const uint64_t folded_before = engine.GetMetricsSnapshot().agg_pages_folded;
+    for (const auto& [t_min, t_max] : ranges) {
+      const std::string what = tag + " [" + std::to_string(t_min) + "," +
+                               std::to_string(t_max) + "]";
+      std::vector<TvPairDouble> got;
+      EXPECT_TRUE(engine.Query("s", t_min, t_max, &got).ok()) << what;
+      std::vector<Timestamp> ts;
+      std::vector<double> vs;
+      for (auto it = last_write.lower_bound(t_min);
+           it != last_write.end() && it->first <= t_max; ++it) {
+        ts.push_back(it->first);
+        vs.push_back(it->second);
+      }
+      EXPECT_EQ(got.size(), ts.size()) << what;
+      for (size_t i = 0; i < std::min(got.size(), ts.size()); ++i) {
+        if (got[i].t != ts[i] ||
+            std::memcmp(&got[i].v, &vs[i], sizeof(double)) != 0) {
+          ADD_FAILURE() << what << ": first mismatch at t=" << ts[i];
+          break;
+        }
+      }
+
+      const RefAgg want = BruteForce(ts, vs, t_min, t_max);
+      TsFileReader::RangeStats agg;
+      bool used_fast = true;
+      EXPECT_TRUE(
+          engine.AggregateFast("s", t_min, t_max, &agg, &used_fast).ok())
+          << what;
+      EXPECT_EQ(agg.count, want.count) << what;
+      if (t_min == 0 && t_max == n + 600) {
+        EXPECT_FALSE(used_fast) << what << ": late points are merged";
+      }
+      if (want.count == 0) continue;
+      ExpectSameValue(agg.min, want.min, what + " min");
+      ExpectSameValue(agg.max, want.max, what + " max");
+      EXPECT_NEAR(agg.sum, want.sum, 1e-9 * std::max(1.0, std::abs(want.sum)))
+          << what;
+      EXPECT_EQ(agg.first_time, want.first_time) << what;
+      EXPECT_EQ(agg.last_time, want.last_time) << what;
+      ExpectSameValue(agg.first, want.first, what + " first");
+      ExpectSameValue(agg.last, want.last, what + " last");
+    }
+    return engine.GetMetricsSnapshot().agg_pages_folded - folded_before;
   }
 
   std::filesystem::path dir_;
@@ -245,6 +368,19 @@ TEST_F(AggregateDifferentialTest, RewritesInsideOneMemtableStatsOff) {
   ConstantDelay delay(0.0);
   RunWorkload("rewrites_off", delay, /*footer_stats=*/false,
               /*leave_tail_in_memory=*/false, 9, /*rewrites=*/true);
+}
+
+// Sealed files, a sparse unsequence file, a flushing table and a working
+// table: the merge folds the pages no late point lands in from their
+// headers and merges the rest, with exact answers.
+TEST_F(AggregateDifferentialTest, MixedSourcesFoldCleanPagesFromStats) {
+  EXPECT_GE(RunMixedSources("mixed", 21, /*interleaved=*/false), 1u);
+}
+
+// When every page has another source's points inside it, no page may
+// fold from its header.
+TEST_F(AggregateDifferentialTest, InterleavedSourcesFoldNoPageFromStats) {
+  EXPECT_EQ(RunMixedSources("interleaved", 22, /*interleaved=*/true), 0u);
 }
 
 // A workload flushed without footer statistics (the seed BSTF1 format) and

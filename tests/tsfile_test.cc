@@ -7,16 +7,38 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "benchkit/digest.h"
 #include "common/rng.h"
+#include "engine/lww_merge.h"
 #include "tsfile/tsfile.h"
 
 namespace backsort {
 namespace {
+
+/// The engine's stats sink (lww_merge.h) over `sensor`'s chunk in `path`:
+/// the aggregate of [t_min, t_max], the pages it folded from their
+/// headers, and the pages it decoded.
+void FoldPages(const std::string& path, const std::string& sensor,
+               Timestamp t_min, Timestamp t_max, RangeStats* stats,
+               size_t* folded, uint64_t* decoded = nullptr) {
+  FooterMap footer;
+  ASSERT_TRUE(ReadTsFileFooter(path, &footer).ok());
+  std::optional<PageReader> reader;
+  ASSERT_TRUE(
+      OpenPageReader(path, sensor, footer.at(sensor), nullptr, &reader).ok());
+  std::vector<MergeCursor> cursors;
+  cursors.emplace_back(&*reader, t_min, t_max);
+  FoldTally tally;
+  ASSERT_TRUE(MergeStats(cursors, t_min, t_max, stats, &tally).ok());
+  EXPECT_FALSE(tally.merged) << "one chunk has no other source to merge";
+  *folded = tally.pages_folded;
+  if (decoded != nullptr) *decoded = reader->pages_decoded();
+}
 
 class TsFileTest : public ::testing::Test {
  protected:
@@ -154,10 +176,13 @@ TEST_F(TsFileTest, AggregateRangeUsesPageStats) {
   TsFileReader reader(path);
   ASSERT_TRUE(reader.Open().ok());
 
+  // The page-statistics fold is the merge's stats sink; the reader's
+  // full-decode aggregate is its reference.
   TsFileReader::RangeStats stats;
   size_t skipped = 0;
-  ASSERT_TRUE(
-      reader.AggregateRangeF64("s", 1'234, 44'321, &stats, &skipped).ok());
+  FoldPages(path, "s", 1'234, 44'321, &stats, &skipped);
+  TsFileReader::RangeStats decoded;
+  ASSERT_TRUE(reader.AggregateRangeF64("s", 1'234, 44'321, &decoded).ok());
   // Ground truth by brute force.
   size_t count = 0;
   double sum = 0, min_v = 0, max_v = 0;
@@ -184,6 +209,15 @@ TEST_F(TsFileTest, AggregateRangeUsesPageStats) {
   // ~86 pages in range; all but the boundary + first/last ones fold from
   // statistics.
   EXPECT_GT(skipped, 70u);
+  // The full decode sums in point order, like the brute force.
+  EXPECT_EQ(decoded.count, count);
+  EXPECT_EQ(decoded.min, min_v);
+  EXPECT_EQ(decoded.max, max_v);
+  EXPECT_EQ(decoded.sum, sum);
+  EXPECT_EQ(decoded.first_time, 1'234);
+  EXPECT_EQ(decoded.first, values[1'234]);
+  EXPECT_EQ(decoded.last_time, 44'321);
+  EXPECT_EQ(decoded.last, values[44'321]);
 }
 
 TEST_F(TsFileTest, AggregateRangeEmptyAndSinglePage) {
@@ -330,17 +364,21 @@ TEST_F(TsFileTest, ChunkAggregateFromLocatorMatchesReader) {
   TsFileReader reader(path);
   ASSERT_TRUE(reader.Open().ok());
   const ChunkLocator& loc = reader.Locators().at("s");
-  // The fd-based page reader (the engine's tier-2 path: directory derived
-  // with one pread, boundary pages read on demand, no open TsFileReader)
-  // agrees with the reader-based one.
+  // The stats sink over the fd-based page reader (the engine's path:
+  // directory derived with one pread, boundary pages read on demand, no
+  // open TsFileReader) agrees with the reader's full decode.
   const int fd = ::open(path.c_str(), O_RDONLY);
   ASSERT_GE(fd, 0);
   auto directory = std::make_shared<PageDirectory>();
   ASSERT_TRUE(ReadPageDirectory(fd, "s", loc, directory.get()).ok());
+  ::close(fd);
   EXPECT_EQ(directory->pages.size(), (20'000u + 511) / 512);
-  PageReader pages(fd, loc.offset, directory, /*bytes_read=*/0);  // owns fd
+  PageReader pages(path, loc.offset, directory, /*bytes_read=*/0);
   TsFileReader::RangeStats via_loc, via_reader;
-  ASSERT_TRUE(pages.Aggregate(1'001, 30'000, &via_loc).ok());
+  std::vector<MergeCursor> cursors;
+  cursors.emplace_back(&pages, 1'001, 30'000);
+  FoldTally tally;
+  ASSERT_TRUE(MergeStats(cursors, 1'001, 30'000, &via_loc, &tally).ok());
   // Only the two boundary pages were read and decoded.
   EXPECT_EQ(pages.pages_decoded(), 2u);
   ASSERT_TRUE(reader.AggregateRangeF64("s", 1'001, 30'000, &via_reader).ok());
@@ -464,8 +502,6 @@ TEST_F(TsFileTest, NaNAndEmptyChunkBytesMatchGolden) {
 TEST_F(TsFileTest, InteriorPageStatsLeaveFirstAndLastToBoundaryPages) {
   const std::string path = Path("interior.bstf");
   ASSERT_NE(WriteNaNGoldenFile(path, true, false), 0u);
-  TsFileReader reader(path);
-  ASSERT_TRUE(reader.Open().ok());
   std::vector<Timestamp> ts;
   std::vector<double> vs;
   NaNGoldenMixed(&ts, &vs);
@@ -475,9 +511,7 @@ TEST_F(TsFileTest, InteriorPageStatsLeaveFirstAndLastToBoundaryPages) {
     const size_t hi = vs.size() - 1 - lo;
     TsFileReader::RangeStats stats;
     size_t skipped = 0;
-    ASSERT_TRUE(
-        reader.AggregateRangeF64("a.mixed", ts[lo], ts[hi], &stats, &skipped)
-            .ok());
+    FoldPages(path, "a.mixed", ts[lo], ts[hi], &stats, &skipped);
     EXPECT_EQ(skipped, 1u);
     EXPECT_EQ(stats.count, hi - lo + 1);
     EXPECT_EQ(stats.first_time, ts[lo]);
@@ -485,6 +519,67 @@ TEST_F(TsFileTest, InteriorPageStatsLeaveFirstAndLastToBoundaryPages) {
     EXPECT_EQ(std::memcmp(&stats.first, &vs[lo], sizeof(double)), 0);
     EXPECT_EQ(stats.last_time, ts[hi]);
     EXPECT_EQ(std::memcmp(&stats.last, &vs[hi], sizeof(double)), 0);
+  }
+}
+
+// Page statistics the writer never emits — a NaN min, max or sum, as a
+// hand-crafted file could carry — are not trusted: the stats sink decodes
+// that page and folds its points instead.
+TEST_F(TsFileTest, NaNPageStatsForceADecode) {
+  const std::string path = Path("nanstats.bstf");
+  std::vector<Timestamp> ts;
+  std::vector<double> values;
+  for (int i = 0; i < 10'000; ++i) {
+    ts.push_back(i);
+    values.push_back(i % 13);
+  }
+  {
+    TsFileWriter writer(path);
+    ASSERT_TRUE(writer
+                    .WriteChunkF64("s", ts, values, Encoding::kTs2Diff,
+                                   Encoding::kGorilla, /*points_per_page=*/1000)
+                    .ok());
+    ASSERT_TRUE(writer.Finish().ok());
+  }
+  TsFileReader reader(path);
+  ASSERT_TRUE(reader.Open().ok());
+  const ChunkLocator& loc = reader.Locators().at("s");
+  std::vector<uint8_t> chunk(static_cast<size_t>(loc.length));
+  {
+    std::ifstream in(path, std::ios::binary);
+    in.seekg(static_cast<std::streamoff>(loc.offset));
+    in.read(reinterpret_cast<char*>(chunk.data()),
+            static_cast<std::streamsize>(chunk.size()));
+    ASSERT_TRUE(in.good());
+  }
+  TsFileReader::RangeStats want;
+  ASSERT_TRUE(reader.AggregateRangeF64("s", 0, 9'999, &want).ok());
+  for (const int poisoned : {-1, 0, 1, 2}) {
+    auto directory = std::make_shared<PageDirectory>();
+    ASSERT_TRUE(ParsePageDirectory(chunk.data(), chunk.size(), "s", loc,
+                                   directory.get())
+                    .ok());
+    ASSERT_EQ(directory->pages.size(), 10u);
+    PageEntry& page = directory->pages[4];
+    if (poisoned == 0) page.min_v = std::nan("");
+    if (poisoned == 1) page.max_v = std::nan("");
+    if (poisoned == 2) page.sum_v = std::nan("");
+    PageReader pages(chunk.data(), directory);
+    std::vector<MergeCursor> cursors;
+    cursors.emplace_back(&pages, 0, 9'999);
+    TsFileReader::RangeStats got;
+    FoldTally tally;
+    ASSERT_TRUE(MergeStats(cursors, 0, 9'999, &got, &tally).ok());
+    // Pages 1..8 fold from their headers, except a poisoned page 4.
+    EXPECT_EQ(tally.pages_folded, poisoned < 0 ? 8u : 7u) << poisoned;
+    EXPECT_EQ(pages.pages_decoded(), poisoned < 0 ? 2u : 3u) << poisoned;
+    EXPECT_EQ(got.count, want.count);
+    EXPECT_EQ(got.min, want.min);
+    EXPECT_EQ(got.max, want.max);
+    EXPECT_EQ(got.sum, want.sum);  // integer values: every sum is exact
+    EXPECT_EQ(got.first_time, want.first_time);
+    EXPECT_EQ(got.last_time, want.last_time);
+    EXPECT_EQ(got.last, want.last);
   }
 }
 

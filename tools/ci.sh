@@ -78,7 +78,9 @@
 #      streaming writer places each chunk header in front of buffered
 #      pages, and its golden and byte-identity tests drive that path),
 #      the engine-model suite
-#      (the flush copies sealed TVLists out into reused flat buffers), then a
+#      (the flush copies sealed TVLists out into reused flat buffers), the
+#      merge and aggregation suites (the read-side merge walks page cursors
+#      clipped to a range and folds pages from their headers), then a
 #      scaled 100k-sensor bench/system_cardinality run gated on idle heap
 #      staying <= 600 bytes/sensor (full scale measures ~191 vs ~1676 on the
 #      pre-interning string path, bench/baselines/
@@ -90,7 +92,7 @@
 #      shared GetPoints codec, and NetMalformedTest feeds it hostile
 #      frames)
 #  12. UBSan: the encoding, WAL, WAL-tailer, wire-protocol, read-path,
-#      compaction, TsFile and aggregation suites under
+#      compaction, TsFile, merge and aggregation suites under
 #      UndefinedBehaviorSanitizer with halt_on_error, so any report fails
 #      the step (the WAL-tailer suite drives the shared point-run codec
 #      through shipped frames) — shift-by-64 in the
@@ -538,7 +540,7 @@ scale2=$(grep '"scale_out_2v1"' "$smoke_dir/BENCH_system_cluster.json" \
   | awk -F': ' '{print $2}' | tr -d ',')
 echo "cluster bench passed (2-node/1-node write ratio ${scale2} on this host)"
 
-echo "=== [11/12] ASan: interner/arena/WAL/read-path/TsFile/wire suites + 100k-sensor smoke ==="
+echo "=== [11/12] ASan: interner/arena/WAL/read-path/TsFile/wire/merge/aggregation suites + 100k-sensor smoke ==="
 # The interner and arenas trade allocator nodes for raw pointer lifetimes
 # (string_views into a bump arena, TVList blocks freed wholesale at seal);
 # run their suites under AddressSanitizer to keep those lifetimes honest.
@@ -548,7 +550,8 @@ echo "=== [11/12] ASan: interner/arena/WAL/read-path/TsFile/wire suites + 100k-s
 cmake -B build-asan -S . -DBACKSORT_SANITIZE=address
 cmake --build build-asan -j --target interner_test tvlist_test wal_test \
   wal_tailer_test read_path_test chunk_cache_test encoding_test \
-  engine_model_test compaction_test tsfile_test net_protocol_test
+  engine_model_test compaction_test tsfile_test net_protocol_test \
+  merge_runs_test aggregate_test aggregate_differential_test
 ./build-asan/tests/interner_test
 ./build-asan/tests/tvlist_test
 ./build-asan/tests/wal_test
@@ -574,6 +577,12 @@ cmake --build build-asan -j --target interner_test tvlist_test wal_test \
 # WAL replay and every BSN1 point decoder share one point-run codec
 # (GetPoints): the wire suite's hostile frames must stay in bounds too.
 ./build-asan/tests/net_protocol_test
+# Query, AggregateFast and compaction share one merge over page cursors
+# (clipped to the read's range, each holding one decoded page) and sorted
+# in-memory runs; its sinks slice and fold those pages in place.
+./build-asan/tests/merge_runs_test
+./build-asan/tests/aggregate_test
+./build-asan/tests/aggregate_differential_test
 # Scaled cardinality smoke: 100k sensors, one rep, disorder panels off.
 # Two gates against the flat JSON: idle heap per sensor (absolute budget —
 # full scale measures ~191 B/sensor; 600 leaves 3x noise headroom while
@@ -602,15 +611,15 @@ awk -v p="$card_pps" -v b="$base_pps" 'BEGIN { exit (p >= 0.5 * b) ? 0 : 1 }' ||
 }
 echo "cardinality smoke passed (idle ${card_idle} B/sensor, 100k ingest ${card_pps} pts/s vs baseline ${base_pps})"
 
-echo "=== [12/12] UBSan: encoding/WAL/WAL-tailer/wire/read-path/compaction/TsFile/aggregation suites ==="
+echo "=== [12/12] UBSan: encoding/WAL/WAL-tailer/wire/read-path/compaction/TsFile/merge/aggregation suites ==="
 # halt_on_error turns every UBSan report into a failing exit status.
 cmake -B build-ubsan -S . -DBACKSORT_SANITIZE=undefined
 cmake --build build-ubsan -j --target encoding_test wal_test \
   wal_tailer_test net_protocol_test read_path_test compaction_test \
-  tsfile_test aggregate_test aggregate_differential_test
+  tsfile_test merge_runs_test aggregate_test aggregate_differential_test
 for t in encoding_test wal_test wal_tailer_test net_protocol_test \
-    read_path_test compaction_test tsfile_test aggregate_test \
-    aggregate_differential_test; do
+    read_path_test compaction_test tsfile_test merge_runs_test \
+    aggregate_test aggregate_differential_test; do
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 ./build-ubsan/tests/$t
 done
 
