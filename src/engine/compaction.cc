@@ -1,16 +1,20 @@
 #include "engine/compaction.h"
 
 #include <algorithm>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <limits>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <system_error>
+#include <thread>
 #include <utility>
 
+#include "common/heap_trim.h"
 #include "engine/flush_pool.h"
 #include "engine/storage_engine.h"
 
@@ -162,11 +166,33 @@ CompactionPlan CompactionPlanner::PlanTiered(
       run_tier = tier;
     }
   }
-  if (!have_best) return none;
-  CompactionPlan plan =
-      WindowPlan(files, sizes, best_begin, std::min(best_len, fanin));
-  plan.tier = best_tier;
-  return plan;
+  if (have_best) {
+    CompactionPlan plan =
+        WindowPlan(files, sizes, best_begin, std::min(best_len, fanin));
+    plan.tier = best_tier;
+    return plan;
+  }
+  // No run triggers, yet the list can still sit above the stable bound:
+  // merges of a few files land on either side of a tier boundary and
+  // leave alternating tiers no run of which ever grows long enough. Then
+  // merge the contiguous fan-in window holding the fewest bytes.
+  uint64_t total = 0;
+  for (uint64_t b : sizes) total += b;
+  if (files.size() <= StableFileBound(total)) return none;
+  const size_t count = std::min(fanin, files.size());
+  uint64_t window = 0;
+  for (size_t i = 0; i < count; ++i) window += sizes[i];
+  uint64_t fewest = window;
+  size_t fewest_begin = 0;
+  for (size_t begin = 1; begin + count <= files.size(); ++begin) {
+    window += sizes[begin + count - 1];
+    window -= sizes[begin - 1];
+    if (window < fewest) {
+      fewest = window;
+      fewest_begin = begin;
+    }
+  }
+  return WindowPlan(files, sizes, fewest_begin, count);
 }
 
 CompactionPlan CompactionPlanner::PlanFull(
@@ -187,17 +213,17 @@ CompactionPlan CompactionPlanner::PlanFull(
 namespace {
 
 /// Finished output chunks spill to disk once this much encoded data is
-/// buffered, so writer memory is about the open chunk plus this much,
-/// not the output file (Finish produces the same bytes regardless).
+/// buffered, so writer memory is this much, not the output file (Finish
+/// produces the same bytes regardless).
 constexpr size_t kCompactionSpillBytes = 1u << 20;  // 1 MiB
 
-/// The merge's writer sink: one sensor's merged points go into `writer`'s
-/// open chunk in pages of `points_per_page` (see MergeSensor for the
-/// clean pages it copies). Each input page is read and decoded once.
-struct ChunkWriterSink {
+/// The merge's chunk sink: one sensor's merged points go into `chunk` in
+/// pages of `points_per_page` (see MergeSensor for the clean pages it
+/// copies). Each input page is read and decoded once.
+struct ChunkSink {
   const std::vector<MergeCursor>& cursors;
   size_t points_per_page;
-  TsFileWriter* writer;
+  ChunkBuilder* chunk;
   CompactionStats* stats;
   std::vector<Timestamp> page_ts = {};  // the output page being built
   std::vector<double> page_vals = {};
@@ -222,9 +248,9 @@ struct ChunkWriterSink {
                            std::greater_equal<Timestamp>()) == times.end()) {
       ++stats->pages_copied;
       stats->output_points += times.size();
-      return writer->AppendEncodedPageF64(times, values,
-                                          reader.page_time_bytes(),
-                                          reader.page_value_bytes());
+      return chunk->AppendEncodedPageF64(times, values,
+                                         reader.page_time_bytes(),
+                                         reader.page_value_bytes());
     }
     ++stats->pages_merged;
     for (size_t i = 0; i < times.size(); ++i) {
@@ -251,7 +277,7 @@ struct ChunkWriterSink {
   Status FlushPage() {
     if (page_ts.empty()) return Status::OK();
     NoteResident();
-    RETURN_NOT_OK(writer->AppendPageF64(page_ts, page_vals));
+    RETURN_NOT_OK(chunk->AppendPageF64(page_ts, page_vals));
     page_ts.clear();
     page_vals.clear();
     return Status::OK();
@@ -269,11 +295,18 @@ struct ChunkWriterSink {
 
 }  // namespace
 
+CompactionJob::CompactionJob(const CompactionConfig& config,
+                             ChunkCache* cache, const FlushPool* pool)
+    : config_(config),
+      cache_(cache),
+      pool_(pool),
+      workers_(std::max(1u, std::thread::hardware_concurrency())) {}
+
 Status CompactionJob::MergeSensor(const CompactionPlan& plan,
                                   const std::vector<SensorSource>& sources,
                                   const std::string& sensor,
-                                  TsFileWriter* writer,
-                                  CompactionStats* stats) {
+                                  ChunkBuilder* chunk,
+                                  CompactionStats* stats) const {
   const size_t points_per_page = config_.points_per_page == 0
                                      ? TsFileWriter::kDefaultPointsPerPage
                                      : config_.points_per_page;
@@ -287,11 +320,9 @@ Status CompactionJob::MergeSensor(const CompactionPlan& plan,
     cursors.emplace_back(&*readers[i]);
   }
 
-  RETURN_NOT_OK(writer->BeginChunkF64(sensor));
-  ChunkWriterSink sink{cursors, points_per_page, writer, stats};
+  ChunkSink sink{cursors, points_per_page, chunk, stats};
   RETURN_NOT_OK(MergeSources(cursors, sink));
-  RETURN_NOT_OK(sink.FlushPage());
-  return writer->EndChunk();
+  return sink.FlushPage();
 }
 
 Status CompactionJob::Run(const CompactionPlan& plan, SealedFileRef* out_meta,
@@ -320,6 +351,11 @@ Status CompactionJob::Run(const CompactionPlan& plan, SealedFileRef* out_meta,
     }
   }
   stats->sensors = sensors.size();
+  // The file's chunk order: sensor names, lexicographic.
+  std::vector<const std::pair<const std::string, std::vector<SensorSource>>*>
+      order;
+  order.reserve(sensors.size());
+  for (const auto& entry : sensors) order.push_back(&entry);
 
   // The output takes the window's list position, so its name must sort
   // there too — recovery rebuilds query priority by sorting names (see
@@ -341,10 +377,63 @@ Status CompactionJob::Run(const CompactionPlan& plan, SealedFileRef* out_meta,
   TsFileWriter writer(tmp_path);
   writer.set_footer_stats(config_.footer_stats);
   writer.set_spill_threshold(kCompactionSpillBytes);
-  for (const auto& [sensor, sources] : sensors) {
-    Status st = MergeSensor(plan, sources, sensor, &writer, stats);
-    if (!st.ok()) return fail(st);
+
+  // Claims go in name order and each chunk waits for `next_append` to
+  // reach it, so the writer sees exactly the serial loop's chunk order.
+  std::mutex mu;
+  std::condition_variable turn;
+  size_t next_claim = 0;
+  size_t next_append = 0;
+  Status failure;  // the first failure; stops all claiming
+  auto work = [&](bool caller) {
+    std::unique_lock<std::mutex> lock(mu);
+    while (failure.ok() && next_claim < order.size()) {
+      // Flushes preempt maintenance: a helper leaves the job while one is
+      // queued, and the caller, which never yields, finishes it.
+      if (!caller && pool_ != nullptr && pool_->queue_depth() > 0) break;
+      const size_t i = next_claim++;
+      lock.unlock();
+      const auto& [sensor, sources] = *order[i];
+      ChunkBuilder chunk(sensor);
+      CompactionStats merge;
+      Status st = MergeSensor(plan, sources, sensor, &chunk, &merge);
+      lock.lock();
+      if (st.ok()) {
+        turn.wait(lock, [&] { return next_append == i || !failure.ok(); });
+        if (!failure.ok()) break;
+        // The turn is this worker's alone until next_append moves on.
+        lock.unlock();
+        st = writer.AppendChunk(chunk);
+        lock.lock();
+        ++next_append;
+        stats->output_points += merge.output_points;
+        stats->pages_copied += merge.pages_copied;
+        stats->pages_merged += merge.pages_merged;
+        stats->max_resident_points =
+            std::max(stats->max_resident_points, merge.max_resident_points);
+      }
+      if (!st.ok() && failure.ok()) failure = st;
+      turn.notify_all();
+    }
+  };
+  std::vector<std::thread> helpers;
+  const size_t workers = std::min(workers_, std::max<size_t>(1, order.size()));
+  helpers.reserve(workers - 1);
+  for (size_t w = 1; w < workers; ++w) {
+    try {
+      helpers.emplace_back(work, false);
+    } catch (const std::system_error&) {
+      break;  // no thread to spare: the workers already running finish
+    }
   }
+  stats->workers = helpers.size() + 1;
+  work(true);
+  for (std::thread& helper : helpers) helper.join();
+  // The merges rebuilt about the inputs' bytes in chunks and pages that
+  // are all freed now, partly in the helpers' arenas.
+  MaybeTrimHeap(stats->input_bytes);
+  if (!failure.ok()) return fail(failure);
+
   Status st = writer.Finish();
   if (!st.ok()) return fail(st);
   // The swap retires (and eventually unlinks) the inputs, which ARE

@@ -86,7 +86,8 @@ struct CompactionPlan {
   /// Stable until the swap because compaction runs serialized and
   /// concurrent flushes only append.
   size_t begin = 0;
-  /// Size tier the inputs share (informational; PlanFull leaves it 0).
+  /// Size tier the inputs share (informational; PlanFull and PlanTiered's
+  /// fewest-bytes window leave it 0).
   size_t tier = 0;
   /// Whether the output may carry the "seq-" name (and so stay eligible
   /// for the aggregation statistics fast path): all inputs are sequence
@@ -119,8 +120,9 @@ class CompactionPlanner {
   /// parallel, on-disk bytes): finds runs of consecutive same-tier files,
   /// and when some tier has a run of at least `trigger_files`, returns
   /// its oldest `max_fanin` files (smallest tier wins ties — that is
-  /// where churn concentrates). Returns an empty plan when nothing is
-  /// triggered.
+  /// where churn concentrates). When no run triggers but the list holds
+  /// more than StableFileBound files, returns the contiguous `max_fanin`
+  /// window with the fewest bytes. Otherwise returns an empty plan.
   CompactionPlan PlanTiered(const std::vector<SealedFileRef>& files,
                             const std::vector<uint64_t>& sizes) const;
 
@@ -150,31 +152,45 @@ struct CompactionStats {
   /// Points surviving last-write-wins dedup across all sensors.
   size_t output_points = 0;
   size_t sensors = 0;
-  /// Peak decoded points resident at any instant of the merge: the
-  /// cursors' decoded pages + the output page being built + the
-  /// lookahead point (+ the one page being copied). The streaming bound
-  /// — independent of input size.
+  /// Peak decoded points resident at any instant of one sensor's merge,
+  /// over the job's merges: the cursors' decoded pages + the output page
+  /// being built + the lookahead point (+ the one page being copied). The
+  /// streaming bound — independent of input size. A job runs at most
+  /// `workers` merges at once, so its decoded points stay within workers
+  /// times this.
   size_t max_resident_points = 0;
   /// Input pages written out byte for byte under a fresh header, and
   /// input pages that went through the last-write-wins merge.
   size_t pages_copied = 0;
   size_t pages_merged = 0;
+  /// Merges that ran at the same time: the job's worker count.
+  size_t workers = 0;
 };
 
 /// Merges one plan's input files into a single fresh sealed file, one
-/// sensor chunk at a time. Every input chunk is read page by page through
+/// sensor chunk per merge. Every input chunk is read page by page through
 /// a PageReader (the query path's reader, so a chunk a query would reject
 /// fails the job), in one streaming loser-tree k-way merge per sensor,
 /// deduplicated last-write-wins across sequence/unsequence inputs (higher
 /// window position = newer wins). A page that no point of any other page
 /// falls inside is copied rather than merged (see MergeSensor), so late
-/// points cost only the pages they land in. The merge holds fan-in + 1
-/// decoded pages; the writer holds the open output chunk's encoded pages
-/// until the chunk ends, and each input's page directory (derived on open
-/// from one transient read of its chunk) for the sensor's merge. Job
-/// memory is so bounded by the largest sensor chunk, never by the output
-/// file or the dataset. The
-/// output is written to "<name>.tmp", fsync'd, and atomically renamed
+/// points cost only the pages they land in.
+///
+/// The sensors merge in parallel on one worker per hardware thread, the
+/// calling thread among them. A worker claims the next sensor in name
+/// order, merges it into its own ChunkBuilder, and waits for its turn to
+/// append: the writer takes the chunks in name order, so the file bytes
+/// do not depend on the worker count. Each worker holds one chunk at a
+/// time, so a job holds at most `workers` encoded chunks plus
+/// workers x (fan-in + 1) decoded pages, and each input's page directory
+/// (derived on open from one transient read of its chunk) for the merges
+/// in flight: bounded by the largest sensor chunks, never by the output
+/// file or the dataset. Flushes go first: while one is queued on `pool`,
+/// the helper workers stop claiming and the calling thread finishes the
+/// job alone, as on a one-core host. The first failure stops all
+/// claiming.
+///
+/// The output is written to "<name>.tmp", fsync'd, and atomically renamed
 /// (with a directory fsync) BEFORE the swap can unlink the durable
 /// inputs; on any error the temporary is removed and nothing else has
 /// changed. The output name derives from the window's first input
@@ -183,8 +199,9 @@ struct CompactionStats {
 class CompactionJob {
  public:
   /// `cache` (nullable) is warmed with the output's footer on success.
-  CompactionJob(const CompactionConfig& config, ChunkCache* cache)
-      : config_(config), cache_(cache) {}
+  /// `pool` (nullable) is the flush queue the helper workers yield to.
+  CompactionJob(const CompactionConfig& config, ChunkCache* cache,
+                const FlushPool* pool = nullptr);
 
   /// Runs the merge. On success `*out_meta` is the new sealed file
   /// (registered nowhere yet — the engine swaps it in). On failure the
@@ -194,24 +211,31 @@ class CompactionJob {
              CompactionStats* stats);
 
  private:
+  friend struct CompactionJobTestPeer;  // pins workers_ in tests
+
   struct SensorSource {
     size_t input;  // index into plan.inputs = LWW priority (higher wins)
     ChunkLocator locator;
   };
 
-  /// Writes one sensor's chunk with one read-side merge (lww_merge.h)
+  /// Builds one sensor's chunk with one read-side merge (lww_merge.h)
   /// over all its sources. A clean page whose encodings are the output's
   /// and that fits an output page is decoded once, checked, and its
   /// buffers copied under a header rebuilt from its points (a repeated
   /// timestamp inside it makes it one merged page instead). Every other
-  /// point is merged and re-encoded.
+  /// point is merged and re-encoded. Touches nothing shared, so merges of
+  /// different sensors run at the same time.
   Status MergeSensor(const CompactionPlan& plan,
                      const std::vector<SensorSource>& sources,
-                     const std::string& sensor, TsFileWriter* writer,
-                     CompactionStats* stats);
+                     const std::string& sensor, ChunkBuilder* chunk,
+                     CompactionStats* stats) const;
 
   CompactionConfig config_;
   ChunkCache* cache_;
+  const FlushPool* pool_;
+  /// Merge workers, the calling thread included: the host's hardware
+  /// threads.
+  size_t workers_;
 };
 
 /// Background thread that keeps the registry tiered: wakes every

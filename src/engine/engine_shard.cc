@@ -7,10 +7,7 @@
 #include <limits>
 #include <optional>
 
-#if defined(__GLIBC__)
-#include <malloc.h>
-#endif
-
+#include "common/heap_trim.h"
 #include "common/timer.h"
 #include "engine/flush_pool.h"
 #include "engine/lww_merge.h"
@@ -20,24 +17,6 @@
 namespace backsort {
 
 namespace {
-
-/// Returns freed heap pages to the OS after a large sealed memtable dies.
-/// The memtable's point storage is arena blocks (munmapped wholesale), but
-/// the seal pipeline's per-sensor transients — encoded chunk bodies,
-/// chain-pointer vectors, writer index entries — land in glibc's bins,
-/// where they would stay resident forever at high cardinality (~hundreds
-/// of bytes per idle sensor). malloc_trim(0) madvises whole free pages
-/// away, costing ~a millisecond against a multi-hundred-millisecond seal;
-/// the 4 MiB floor keeps small frequent flushes (deep per-sensor backfill)
-/// off that cost entirely.
-void MaybeTrimHeap(size_t freed_bytes) {
-#if defined(__GLIBC__)
-  constexpr size_t kTrimFloorBytes = 4u << 20;
-  if (freed_bytes >= kTrimFloorBytes) ::malloc_trim(0);
-#else
-  (void)freed_bytes;
-#endif
-}
 
 /// A shard's ship-log segment is rotated once it exceeds this many bytes.
 /// Smaller segments bound replication replay and purge granularity;
@@ -432,11 +411,13 @@ Status EngineShard::SealAndDrainSync() {
   return DrainQueueSyncLocked(lock);
 }
 
-void EngineShard::WaitFlushed() {
+Status EngineShard::WaitFlushed() {
   std::unique_lock<std::mutex> lock(mu_);
-  flush_done_cv_.wait(lock, [this] {
-    return flush_queue_.empty() && flushing_.empty();
-  });
+  flush_done_cv_.wait(lock,
+                      [this] { return flushes_attempted_ == next_flush_seq_; });
+  Status st = std::move(flush_error_);
+  flush_error_ = Status::OK();
+  return st;
 }
 
 void EngineShard::ExecuteOneFlush() {
@@ -450,9 +431,19 @@ void EngineShard::ExecuteOneFlush() {
   const size_t freed_bytes =
       job.table != nullptr ? job.table->ApproxMemoryBytes() : 0;
   Status st = FlushTable(job);
-  (void)st;  // IO failures surface via FlushAll in tests; keep draining.
   job.table.reset();
   MaybeTrimHeap(freed_bytes);
+  {
+    // A failed flush is not retried: its table would publish after files
+    // sealed later and outrank their newer points (last-write-wins
+    // follows publication order). It stays in `flushing_` and its WAL
+    // segment stays, so its points remain queryable and recoverable; the
+    // next FlushAll reports the failure.
+    std::lock_guard<std::mutex> lock(mu_);
+    ++flushes_attempted_;
+    if (!st.ok() && flush_error_.ok()) flush_error_ = st;
+  }
+  flush_done_cv_.notify_all();
 }
 
 Status EngineShard::FlushTable(const FlushJob& job) {
@@ -649,7 +640,6 @@ Status EngineShard::FlushTable(const FlushJob& job) {
     std::error_code ec;
     std::filesystem::remove(job.wal_path, ec);
   }
-  flush_done_cv_.notify_all();
   return Status::OK();
 }
 

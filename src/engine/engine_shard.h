@@ -158,9 +158,11 @@ class EngineShard {
   /// Sync-mode FlushAll step: seal both tables and drain the queue inline.
   Status SealAndDrainSync();
 
-  /// Blocks until the flush queue is empty and no sealed table is still in
-  /// flight. Async mode only.
-  void WaitFlushed();
+  /// Blocks until every flush sealed so far has been attempted, then
+  /// returns the first failure since the last WaitFlushed (OK if none). A
+  /// failed table stays queryable in `flushing_` with its WAL segment, and
+  /// it is not flushed again (see ExecuteOneFlush). Async mode only.
+  Status WaitFlushed();
 
   /// Pops and executes one job from this shard's flush queue; called by
   /// pool workers (one call per Submit ticket).
@@ -344,6 +346,10 @@ class EngineShard {
   std::vector<SensorId> ids_unseq_;
 
   std::deque<FlushJob> flush_queue_;
+  /// Pool flushes finished, failed ones included (ExecuteOneFlush), and the
+  /// first failure among them that no WaitFlushed has returned yet.
+  uint64_t flushes_attempted_ = 0;
+  Status flush_error_;
   std::condition_variable flush_done_cv_;
 
   /// Publication sequencing: jobs are numbered at seal; FlushTable waits

@@ -318,10 +318,15 @@ Status StorageEngine::FlushAll() {
     }
     return Status::OK();
   }
-  // Seal every shard first so the pool overlaps their flushes, then wait.
+  // Seal every shard first so the pool overlaps their flushes, then wait
+  // for all of them before reporting the first failure.
   for (auto& shard : shards_) shard->SealBoth();
-  for (auto& shard : shards_) shard->WaitFlushed();
-  return Status::OK();
+  Status first = Status::OK();
+  for (auto& shard : shards_) {
+    Status st = shard->WaitFlushed();
+    if (first.ok()) first = std::move(st);
+  }
+  return first;
 }
 
 FlushMetrics StorageEngine::GetFlushMetrics() const {
@@ -441,7 +446,7 @@ Status StorageEngine::ApplyCompactionSwap(const CompactionPlan& plan,
 
 Status StorageEngine::RunCompactionPlan(const CompactionPlan& plan,
                                         bool* performed) {
-  CompactionJob job(compaction_config_, shared_.chunk_cache.get());
+  CompactionJob job(compaction_config_, shared_.chunk_cache.get(), &pool_);
   SealedFileRef out_meta;
   CompactionStats cstats;
   const int64_t merge_start = shared_.NowNs();

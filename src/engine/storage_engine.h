@@ -129,8 +129,10 @@ class StorageEngine {
                        bool* used_fast_path = nullptr);
 
   /// Seals every shard's working memtables (if non-empty) and waits until
-  /// all queued flushes hit disk. Sealing all shards first lets their
-  /// flushes overlap in the pool.
+  /// every queued flush has been attempted. Sealing all shards first lets
+  /// their flushes overlap in the pool. Returns the first flush failure
+  /// since the last FlushAll; a table that failed stays queryable in
+  /// memory and in its WAL segment, and is not flushed again.
   Status FlushAll();
 
   /// Merged flush metrics across all shards (thread-safe).

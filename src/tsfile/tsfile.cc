@@ -223,8 +223,8 @@ void PutPageHeader(const std::vector<Timestamp>& ts,
 
 /// Serializes one page — stats header plus the encoded time/value buffers
 /// — covering points [begin, end) of the columns. The single definition
-/// of page bytes: the whole-chunk path and the streaming chunk path both
-/// call it, so their output is bit-identical by construction.
+/// of page bytes: the whole-chunk path and ChunkBuilder both call it, so
+/// their output is bit-identical by construction.
 template <typename V>
 Status EncodePage(const std::vector<Timestamp>& ts,
                   const std::vector<V>& values, size_t begin, size_t end,
@@ -310,17 +310,11 @@ Status TsFileWriter::WriteChunkImpl(std::string_view sensor,
                                     Encoding value_enc,
                                     size_t points_per_page) {
   if (finished_) return Status::InvalidArgument("writer already finished");
-  if (chunk_open_) {
-    return Status::InvalidArgument("streaming chunk still open");
-  }
   ByteBuffer body;
   RangeStats stats;
   RETURN_NOT_OK(EncodeChunkBody(sensor, ts, values, type, time_enc,
                                 value_enc, points_per_page, &body, &stats));
-  if (FileOffset() == 0) {
-    buffer_.PutBytes(magic(), kMagicLen);
-  }
-  index_.push_back({std::string(sensor), FileOffset(), type, stats});
+  BeginAppend(sensor, type, stats);
   buffer_.Append(body);
   return MaybeSpill();
 }
@@ -339,18 +333,28 @@ Status TsFileWriter::EncodeChunkF64(std::string_view sensor,
                          &out->stats);
 }
 
-Status TsFileWriter::AppendEncodedChunk(std::string_view sensor,
-                                        const EncodedChunk& chunk) {
-  if (finished_) return Status::InvalidArgument("writer already finished");
-  if (chunk_open_) {
-    return Status::InvalidArgument("streaming chunk still open");
-  }
+void TsFileWriter::BeginAppend(std::string_view sensor, DataType type,
+                               const RangeStats& stats) {
   if (FileOffset() == 0) {
     buffer_.PutBytes(magic(), kMagicLen);
   }
-  index_.push_back({std::string(sensor), FileOffset(), chunk.type,
-                    chunk.stats});
+  index_.push_back({std::string(sensor), FileOffset(), type, stats});
+}
+
+Status TsFileWriter::AppendEncodedChunk(std::string_view sensor,
+                                        const EncodedChunk& chunk) {
+  if (finished_) return Status::InvalidArgument("writer already finished");
+  BeginAppend(sensor, chunk.type, chunk.stats);
   buffer_.Append(chunk.body);
+  return MaybeSpill();
+}
+
+Status TsFileWriter::AppendChunk(const ChunkBuilder& chunk) {
+  if (finished_) return Status::InvalidArgument("writer already finished");
+  BeginAppend(chunk.sensor_, DataType::kDouble, chunk.stats_);
+  PutChunkHeader(chunk.sensor_, DataType::kDouble, chunk.time_enc_,
+                 chunk.value_enc_, chunk.page_count_, &buffer_);
+  buffer_.Append(chunk.pages_);
   return MaybeSpill();
 }
 
@@ -395,78 +399,44 @@ Status TsFileWriter::MaybeSpill() {
   return SpillBuffer();
 }
 
-Status TsFileWriter::BeginChunkF64(std::string_view sensor,
-                                   Encoding time_enc, Encoding value_enc) {
-  if (finished_) return Status::InvalidArgument("writer already finished");
-  if (chunk_open_) {
-    return Status::InvalidArgument("streaming chunk still open");
-  }
-  chunk_open_ = true;
-  chunk_sensor_ = sensor;
-  chunk_time_enc_ = time_enc;
-  chunk_value_enc_ = value_enc;
-  chunk_page_count_ = 0;
-  chunk_stats_ = RangeStats{};
-  return Status::OK();
-}
-
-Status TsFileWriter::CheckNextPage(const std::vector<Timestamp>& ts,
+Status ChunkBuilder::CheckNextPage(const std::vector<Timestamp>& ts,
                                    const std::vector<double>& values) const {
-  if (!chunk_open_) return Status::InvalidArgument("no streaming chunk open");
   if (ts.empty() || ts.size() != values.size()) {
     return Status::InvalidArgument("bad page columns");
   }
   if (!std::is_sorted(ts.begin(), ts.end())) {
     return Status::InvalidArgument("page timestamps must be sorted");
   }
-  if (chunk_stats_.count > 0 && ts.front() < chunk_stats_.last_time) {
+  if (stats_.count > 0 && ts.front() < stats_.last_time) {
     return Status::InvalidArgument("pages must be appended in time order");
   }
   return Status::OK();
 }
 
-Status TsFileWriter::AppendPageF64(const std::vector<Timestamp>& ts,
+Status ChunkBuilder::AppendPageF64(const std::vector<Timestamp>& ts,
                                    const std::vector<double>& values) {
   RETURN_NOT_OK(CheckNextPage(ts, values));
-  RETURN_NOT_OK(EncodePage(ts, values, 0, ts.size(), chunk_time_enc_,
-                           chunk_value_enc_, &chunk_pages_, &chunk_stats_));
-  ++chunk_page_count_;
+  RETURN_NOT_OK(EncodePage(ts, values, 0, ts.size(), time_enc_, value_enc_,
+                           &pages_, &stats_));
+  ++page_count_;
   return Status::OK();
 }
 
-Status TsFileWriter::AppendEncodedPageF64(
+Status ChunkBuilder::AppendEncodedPageF64(
     const std::vector<Timestamp>& ts, const std::vector<double>& values,
     std::span<const uint8_t> time_bytes, std::span<const uint8_t> value_bytes) {
   RETURN_NOT_OK(CheckNextPage(ts, values));
-  PutPageHeader(ts, values, 0, ts.size(), &chunk_pages_, &chunk_stats_);
-  chunk_pages_.PutVarint64(time_bytes.size());
-  chunk_pages_.PutBytes(time_bytes.data(), time_bytes.size());
-  chunk_pages_.PutVarint64(value_bytes.size());
-  chunk_pages_.PutBytes(value_bytes.data(), value_bytes.size());
-  ++chunk_page_count_;
+  PutPageHeader(ts, values, 0, ts.size(), &pages_, &stats_);
+  pages_.PutVarint64(time_bytes.size());
+  pages_.PutBytes(time_bytes.data(), time_bytes.size());
+  pages_.PutVarint64(value_bytes.size());
+  pages_.PutBytes(value_bytes.data(), value_bytes.size());
+  ++page_count_;
   return Status::OK();
-}
-
-Status TsFileWriter::EndChunk() {
-  if (!chunk_open_) return Status::InvalidArgument("no streaming chunk open");
-  chunk_open_ = false;
-  if (FileOffset() == 0) {
-    buffer_.PutBytes(magic(), kMagicLen);
-  }
-  index_.push_back(
-      {chunk_sensor_, FileOffset(), DataType::kDouble, chunk_stats_});
-  PutChunkHeader(chunk_sensor_, DataType::kDouble, chunk_time_enc_,
-                 chunk_value_enc_, chunk_page_count_, &buffer_);
-  buffer_.Append(chunk_pages_);
-  chunk_pages_.Clear();
-  return MaybeSpill();
 }
 
 Status TsFileWriter::Finish() {
   if (finished_) return Status::InvalidArgument("writer already finished");
-  if (chunk_open_) {
-    return Status::InvalidArgument("streaming chunk still open");
-  }
   if (FileOffset() == 0) {
     buffer_.PutBytes(magic(), kMagicLen);
   }

@@ -26,6 +26,53 @@ enum class DataType : uint8_t {
   kDouble = 1,
 };
 
+/// One F64 chunk assembled page by page, for producers that do not know
+/// how many pages there will be (compaction's merge): each AppendPageF64
+/// (or AppendEncodedPageF64) adds one encoded page, and
+/// TsFileWriter::AppendChunk writes the chunk header with the real page
+/// count, then the pages. The builder owns no file, so several can fill at
+/// once on different threads while one writer appends the finished chunks
+/// in order. Its pages stay in memory until appended, so a builder holds
+/// one whole encoded chunk at its peak. File bytes are identical to
+/// WriteChunkF64 splitting the same points at the same boundaries.
+class ChunkBuilder {
+ public:
+  explicit ChunkBuilder(std::string_view sensor,
+                        Encoding time_enc = Encoding::kTs2Diff,
+                        Encoding value_enc = Encoding::kGorilla)
+      : sensor_(sensor), time_enc_(time_enc), value_enc_(value_enc) {}
+
+  /// Appends one page. Timestamps must be sorted and must not precede the
+  /// previous page's last timestamp.
+  Status AppendPageF64(const std::vector<Timestamp>& ts,
+                       const std::vector<double>& values);
+
+  /// Appends one already-encoded page: a header built from the fold of
+  /// `ts`/`values` (exactly AppendPageF64's header for the same points),
+  /// then `time_bytes` and `value_bytes` verbatim. The caller vouches that
+  /// the buffers decode, in the chunk's encodings, to exactly these
+  /// points — compaction passes a page it has just decoded and checked.
+  /// Same checks as AppendPageF64.
+  Status AppendEncodedPageF64(const std::vector<Timestamp>& ts,
+                              const std::vector<double>& values,
+                              std::span<const uint8_t> time_bytes,
+                              std::span<const uint8_t> value_bytes);
+
+ private:
+  friend class TsFileWriter;
+
+  /// Why the next page cannot be appended, or OK.
+  Status CheckNextPage(const std::vector<Timestamp>& ts,
+                       const std::vector<double>& values) const;
+
+  std::string sensor_;
+  Encoding time_enc_;
+  Encoding value_enc_;
+  ByteBuffer pages_;
+  uint64_t page_count_ = 0;
+  RangeStats stats_;  // every point, folded in page order
+};
+
 /// A simplified TsFile: the columnar, chunk-per-sensor file IoTDB flushes
 /// memtables into.
 ///
@@ -113,37 +160,10 @@ class TsFileWriter {
   Status AppendEncodedChunk(std::string_view sensor,
                             const EncodedChunk& chunk);
 
-  /// Streaming chunk construction, for writers that produce pages one at a
-  /// time without knowing how many there will be (compaction's merge):
-  /// BeginChunkF64 opens a chunk, each AppendPageF64 (or
-  /// AppendEncodedPageF64) adds one page to it, and EndChunk writes the
-  /// chunk header with the real page count, then the pages, and records
-  /// the index entry. The open chunk's pages stay in memory until
-  /// EndChunk — the spill threshold bounds only finished chunks — so a
-  /// streaming writer holds one whole encoded chunk at its peak. File
-  /// bytes are identical to WriteChunkF64 splitting the same points at the
-  /// same boundaries. Cannot interleave with WriteChunk*.
-  Status BeginChunkF64(std::string_view sensor,
-                       Encoding time_enc = Encoding::kTs2Diff,
-                       Encoding value_enc = Encoding::kGorilla);
-
-  /// Appends one page to the open streaming chunk. Timestamps must be
-  /// sorted and must not precede the previous page's last timestamp.
-  Status AppendPageF64(const std::vector<Timestamp>& ts,
-                       const std::vector<double>& values);
-
-  /// Appends one already-encoded page to the open streaming chunk: a
-  /// header built from the fold of `ts`/`values` (exactly AppendPageF64's
-  /// header for the same points), then `time_bytes` and `value_bytes`
-  /// verbatim. The caller vouches that the buffers decode, in the chunk's
-  /// encodings, to exactly these points — compaction passes a page it has
-  /// just decoded and checked. Same checks as AppendPageF64.
-  Status AppendEncodedPageF64(const std::vector<Timestamp>& ts,
-                              const std::vector<double>& values,
-                              std::span<const uint8_t> time_bytes,
-                              std::span<const uint8_t> value_bytes);
-
-  Status EndChunk();
+  /// Appends a chunk a ChunkBuilder assembled: the chunk header with its
+  /// real page count, then its pages, and the index entry. The builder is
+  /// untouched, so it may be built on another thread and handed over.
+  Status AppendChunk(const ChunkBuilder& chunk);
 
   /// Selects the footer format: true (default) writes BSTF2 with per-chunk
   /// value statistics; false writes the stat-less BSTF1 format, bit for
@@ -197,9 +217,10 @@ class TsFileWriter {
   /// in-memory-only path bit for bit.
   uint64_t FileOffset() const { return spilled_bytes_ + buffer_.size(); }
 
-  /// Why the next streaming page cannot be appended, or OK.
-  Status CheckNextPage(const std::vector<Timestamp>& ts,
-                       const std::vector<double>& values) const;
+  /// Writes the head magic before the first chunk and records `sensor`'s
+  /// index entry at the current offset.
+  void BeginAppend(std::string_view sensor, DataType type,
+                   const RangeStats& stats);
 
   /// Appends the buffer to the on-disk file (opening it on first call)
   /// and resets the buffer.
@@ -216,16 +237,6 @@ class TsFileWriter {
   size_t spill_threshold_ = 0;  // 0 = never spill before Finish
   uint64_t spilled_bytes_ = 0;
   std::ofstream spill_out_;  // opened lazily by SpillBuffer
-
-  // Streaming chunk state (BeginChunkF64 .. EndChunk): the open chunk's
-  // pages, which EndChunk writes after the header.
-  bool chunk_open_ = false;
-  std::string chunk_sensor_;
-  Encoding chunk_time_enc_ = Encoding::kTs2Diff;
-  Encoding chunk_value_enc_ = Encoding::kGorilla;
-  ByteBuffer chunk_pages_;
-  uint64_t chunk_page_count_ = 0;
-  RangeStats chunk_stats_;
 };
 
 /// Standalone read side for tools and tests: the file is slurped into

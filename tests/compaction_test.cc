@@ -1,6 +1,6 @@
 // Tests for the tiered compaction subsystem (engine/compaction.{h,cc})
-// and its tsfile substrate: the PageReader page walk, the streaming
-// page-at-a-time chunk writer (byte-identical to the monolithic path),
+// and its tsfile substrate: the PageReader page walk, the page-at-a-time
+// ChunkBuilder (byte-identical to the monolithic path),
 // the loser-tree k-way merge, the size-tier planner, the CompactionJob
 // (LWW dedup, bounded streaming memory, clean failure on corrupt input —
 // including a seeded mutation oracle — atomic .tmp + rename output), and
@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -34,7 +35,23 @@
 #include "tsfile/tsfile.h"
 
 namespace backsort {
+
+/// Pins a job's worker count: a one-worker run is the serial reference the
+/// parallel merge must reproduce.
+struct CompactionJobTestPeer {
+  static void SetWorkers(CompactionJob* job, size_t workers) {
+    job->workers_ = workers;
+  }
+};
+
 namespace {
+
+/// At least four sensors per hardware thread, so every worker of a job
+/// claims several.
+size_t ManySensors() {
+  const size_t threads = std::max(1u, std::thread::hardware_concurrency());
+  return std::max<size_t>(16, 4 * threads);
+}
 
 /// One sensor's chunk in a generated input file.
 struct InputChunk {
@@ -804,7 +821,7 @@ TEST_F(CompactionTest, PageWalkEmptyChunkHasNoPages) {
   EXPECT_EQ(pages->pages_decoded(), 0u);
 }
 
-// --- Streaming chunk writer -----------------------------------------------
+// --- ChunkBuilder ----------------------------------------------------------
 
 TEST_F(CompactionTest, StreamingWriterByteIdenticalToMonolithic) {
   std::vector<Timestamp> ts;
@@ -815,7 +832,7 @@ TEST_F(CompactionTest, StreamingWriterByteIdenticalToMonolithic) {
   }
   const size_t page = 100;
   // A second non-empty chunk and an empty one follow, so each header the
-  // streaming writer places at EndChunk lands after spilled chunks.
+  // writer places at AppendChunk lands after spilled chunks.
   std::vector<Timestamp> ts2;
   std::vector<double> vals2;
   for (Timestamp t = 0; t < 150; ++t) {
@@ -848,15 +865,15 @@ TEST_F(CompactionTest, StreamingWriterByteIdenticalToMonolithic) {
   TsFileWriter stream(stream_path);
   stream.set_spill_threshold(64);
   for (const Input& in : inputs) {
-    ASSERT_TRUE(stream.BeginChunkF64(in.sensor).ok());
+    ChunkBuilder chunk(in.sensor);
     for (size_t begin = 0; begin < in.ts.size(); begin += page) {
       const size_t end = std::min(begin + page, in.ts.size());
       std::vector<Timestamp> pts(in.ts.begin() + begin, in.ts.begin() + end);
       std::vector<double> pvs(in.vals.begin() + begin,
                               in.vals.begin() + end);
-      ASSERT_TRUE(stream.AppendPageF64(pts, pvs).ok());
+      ASSERT_TRUE(chunk.AppendPageF64(pts, pvs).ok());
     }
-    ASSERT_TRUE(stream.EndChunk().ok());
+    ASSERT_TRUE(stream.AppendChunk(chunk).ok());
   }
   ASSERT_TRUE(stream.Finish().ok());
 
@@ -903,33 +920,35 @@ TEST_F(CompactionTest, EncodedPageAppendByteIdenticalToAppendPage) {
                   .ok());
   const std::string copy_path = (dir_ / "copy.bstf").string();
   TsFileWriter copy(copy_path);
-  ASSERT_TRUE(copy.BeginChunkF64("s").ok());
+  ChunkBuilder chunk("s");
   for (size_t p = 0; p < pages->page_count(); ++p) {
     ASSERT_TRUE(pages->DecodePage(p).ok());
-    ASSERT_TRUE(copy.AppendEncodedPageF64(pages->page_times(),
-                                          pages->page_values(),
-                                          pages->page_time_bytes(),
-                                          pages->page_value_bytes())
+    ASSERT_TRUE(chunk.AppendEncodedPageF64(pages->page_times(),
+                                           pages->page_values(),
+                                           pages->page_time_bytes(),
+                                           pages->page_value_bytes())
                     .ok());
   }
-  ASSERT_TRUE(copy.EndChunk().ok());
+  ASSERT_TRUE(copy.AppendChunk(chunk).ok());
   ASSERT_TRUE(copy.Finish().ok());
   EXPECT_EQ(Slurp(copy_path), Slurp(mono_path));
 }
 
 TEST_F(CompactionTest, StreamingWriterValidatesPageOrderAndState) {
   TsFileWriter writer((dir_ / "bad.bstf").string());
-  // A page needs an open chunk.
-  EXPECT_FALSE(writer.AppendPageF64({1}, {0.5}).ok());
-  ASSERT_TRUE(writer.BeginChunkF64("s").ok());
-  ASSERT_TRUE(writer.AppendPageF64({10, 11}, {1.0, 2.0}).ok());
+  ChunkBuilder chunk("s");
+  // A page needs points, one value per timestamp, in time order.
+  EXPECT_FALSE(chunk.AppendPageF64({}, {}).ok());
+  EXPECT_FALSE(chunk.AppendPageF64({1, 2}, {0.5}).ok());
+  EXPECT_FALSE(chunk.AppendPageF64({2, 1}, {0.5, 0.5}).ok());
+  ASSERT_TRUE(chunk.AppendPageF64({10, 11}, {1.0, 2.0}).ok());
   // Page starting before the previous page's last timestamp.
-  EXPECT_FALSE(writer.AppendPageF64({5, 6}, {3.0, 4.0}).ok());
-  ASSERT_TRUE(writer.AppendPageF64({12}, {5.0}).ok());
-  // The file cannot be finished with a chunk open.
-  EXPECT_FALSE(writer.Finish().ok());
-  EXPECT_TRUE(writer.EndChunk().ok());
+  EXPECT_FALSE(chunk.AppendPageF64({5, 6}, {3.0, 4.0}).ok());
+  ASSERT_TRUE(chunk.AppendPageF64({12}, {5.0}).ok());
+  EXPECT_TRUE(writer.AppendChunk(chunk).ok());
   EXPECT_TRUE(writer.Finish().ok());
+  // A finished file takes no more chunks.
+  EXPECT_FALSE(writer.AppendChunk(chunk).ok());
 }
 
 // --- LoserTree -------------------------------------------------------------
@@ -1098,6 +1117,73 @@ TEST_F(CompactionTest, PlannerFullRespectsLimitAndStableBound) {
   // trigger 4 -> at most 3 stable files per occupied tier.
   EXPECT_EQ(planner.StableFileBound(1000), 3u);
   EXPECT_EQ(planner.StableFileBound(1u << 20), 9u);  // tier 2 -> 3 tiers
+}
+
+// Property: on seeded random size lists, applying PlanTiered's plans (a
+// window becomes one file of its summed size) until it plans nothing leaves
+// at most StableFileBound files, whatever the tiers' order.
+TEST_F(CompactionTest, PlannerTieredConvergesToStableBound) {
+  auto converge = [this](const CompactionPlanner& planner,
+                         std::vector<uint64_t> sizes, const std::string& what) {
+    std::vector<SealedFileRef> files;
+    uint64_t total = 0;
+    for (size_t i = 0; i < sizes.size(); ++i) {
+      files.push_back(FakeMeta("seq-" + std::to_string(10'000'000 + i) +
+                               ".bstf"));
+      total += sizes[i];
+    }
+    const size_t start = files.size();
+    for (size_t step = 0;; ++step) {
+      const CompactionPlan plan = planner.PlanTiered(files, sizes);
+      if (plan.empty()) break;
+      ASSERT_LT(step, start) << what;  // each plan removes a file
+      uint64_t merged = 0;
+      for (uint64_t b : plan.input_bytes) merged += b;
+      const auto first = static_cast<ptrdiff_t>(plan.begin);
+      const auto last = first + static_cast<ptrdiff_t>(plan.inputs.size());
+      files.erase(files.begin() + first + 1, files.begin() + last);
+      sizes.erase(sizes.begin() + first + 1, sizes.begin() + last);
+      sizes[plan.begin] = merged;
+    }
+    EXPECT_LE(files.size(), planner.StableFileBound(total)) << what;
+  };
+
+  // The stalled list of a seed-23 ingest run, one file per tier letter
+  // (s3 s3 s1 s5 ...): no run reaches trigger_files = 4, yet 26 files sit
+  // above the bound of 21.
+  const CompactionPlanner defaults{CompactionConfig{}};
+  const int stalled[] = {3, 3, 1, 5, 3, 3, 1, 1, 1, 5, 3, 3, 3,
+                         1, 4, 4, 4, 3, 3, 3, 0, 5, 2, 2, 2, 1};
+  std::vector<uint64_t> sizes;
+  for (int tier : stalled) {
+    // Twice the lower edge of the tier: 128 KiB * 4^(tier - 1).
+    sizes.push_back(tier == 0 ? 1000 : (uint64_t{128} << 10) << (2 * (tier - 1)));
+  }
+  uint64_t total = 0;
+  for (uint64_t b : sizes) total += b;
+  std::vector<SealedFileRef> files;
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    files.push_back(FakeMeta("seq-" + std::to_string(10'000'000 + i) + ".bstf"));
+  }
+  ASSERT_GT(sizes.size(), defaults.StableFileBound(total));
+  const CompactionPlan plan = defaults.PlanTiered(files, sizes);
+  ASSERT_FALSE(plan.empty());
+  EXPECT_EQ(plan.inputs.size(), CompactionConfig::kDefaultMaxFanin);
+  converge(defaults, sizes, "stalled list");
+
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    Rng rng(seed);
+    CompactionConfig config;
+    config.trigger_files = 2 + rng.NextBelow(4);
+    config.max_fanin = 2 + rng.NextBelow(8);
+    const CompactionPlanner planner(config);
+    std::vector<uint64_t> random(2 + rng.NextBelow(60));
+    // Log-uniform from 1 KB to 64 MB, so many tiers mix.
+    for (uint64_t& b : random) {
+      b = static_cast<uint64_t>(1000.0 * std::pow(2.0, rng.NextDouble() * 16));
+    }
+    converge(planner, random, "seed " + std::to_string(seed));
+  }
 }
 
 // --- CompactionJob ---------------------------------------------------------
@@ -1603,6 +1689,145 @@ TEST_F(CompactionTest, JobStreamingMemoryIsBoundedByFaninTimesPageSize) {
 }
 
 // --- StorageEngine integration --------------------------------------------
+
+// The sensors of a job merge on several workers, but their chunks reach
+// the file in name order: a job over many uneven, partly overlapping
+// sensors writes the bytes and counts of a one-worker run at any worker
+// count.
+TEST_F(CompactionTest, ParallelJobWritesTheOneWorkerBytes) {
+  const size_t sensors = ManySensors();
+  Rng rng(27);
+  std::vector<InputFile> files(3);
+  for (size_t k = 0; k < sensors; ++k) {
+    // Zero-padded, so name order is k order.
+    const std::string sensor = "s" + std::to_string(1000 + k);
+    InputChunk base{sensor, {}, {}, 17 + rng.NextBelow(kOutputPage - 16)};
+    const size_t points = 20 + rng.NextBelow(6000);  // uneven merges
+    Timestamp t = static_cast<Timestamp>(rng.NextBelow(50));
+    for (size_t j = 0; j < points; ++j) {
+      base.ts.push_back(t);
+      base.vals.push_back(rng.NextDouble());
+      t += 1 + static_cast<Timestamp>(rng.NextBelow(3));
+    }
+    // Later files land over the base's last quarter in even sensors, and
+    // after it in odd ones; every third sensor gets a second late file
+    // over the first one, ties included.
+    const Timestamp late_start = k % 2 == 0
+                                     ? base.ts[base.ts.size() * 3 / 4]
+                                     : base.ts.back() + 5;
+    for (size_t f = 1; f < files.size(); ++f) {
+      if (f == 2 && k % 3 != 0) continue;
+      InputChunk late{sensor, {}, {}, kOutputPage};
+      Timestamp u = late_start;
+      const size_t count = 10 + rng.NextBelow(400);
+      for (size_t j = 0; j < count; ++j) {
+        late.ts.push_back(u);
+        late.vals.push_back(rng.NextDouble());
+        u += 1 + static_cast<Timestamp>(rng.NextBelow(2));
+      }
+      files[f].chunks.push_back(std::move(late));
+    }
+    files[0].chunks.push_back(std::move(base));
+  }
+  const CompactionPlan plan = WritePlan(files);
+  CompactionConfig config;
+  config.data_dir = dir_.string();
+  config.points_per_page = kOutputPage;
+
+  // 0 keeps the host's worker count.
+  auto run = [&](size_t workers, CompactionStats* stats) {
+    CompactionJob job(config, nullptr);
+    if (workers != 0) CompactionJobTestPeer::SetWorkers(&job, workers);
+    SealedFileRef out;
+    const Status st = job.Run(plan, &out, stats);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    std::vector<uint8_t> bytes;
+    if (out != nullptr) {
+      bytes = Slurp(out->path());
+      std::filesystem::remove(out->path());
+    }
+    return bytes;
+  };
+  CompactionStats serial;
+  const std::vector<uint8_t> want = run(1, &serial);
+  ASSERT_FALSE(want.empty());
+  EXPECT_EQ(serial.workers, 1u);
+  EXPECT_EQ(serial.sensors, sensors);
+  EXPECT_GT(serial.pages_copied, 0u);
+  EXPECT_GT(serial.pages_merged, 0u);
+  // Per merge: the cursors' pages (input pages hold at most kOutputPage
+  // points), the output page and the lookahead point.
+  const size_t merge_bound = (plan.inputs.size() + 1) * kOutputPage + 1;
+  EXPECT_LE(serial.max_resident_points, merge_bound);
+
+  const size_t threads = std::max(1u, std::thread::hardware_concurrency());
+  for (const size_t workers : {size_t{0}, size_t{2}, size_t{3}, sensors + 5}) {
+    const std::string label = "workers " + std::to_string(workers);
+    CompactionStats stats;
+    EXPECT_EQ(run(workers, &stats), want) << label;
+    EXPECT_EQ(stats.workers,
+              std::min(workers == 0 ? threads : workers, sensors))
+        << label;
+    EXPECT_EQ(stats.output_points, serial.output_points) << label;
+    EXPECT_EQ(stats.pages_copied, serial.pages_copied) << label;
+    EXPECT_EQ(stats.pages_merged, serial.pages_merged) << label;
+    // The per-merge peak does not depend on the worker count; with at most
+    // `stats.workers` merges at once, the job holds at most that many
+    // times merge_bound decoded points.
+    EXPECT_EQ(stats.max_resident_points, serial.max_resident_points) << label;
+    EXPECT_LE(stats.max_resident_points, merge_bound) << label;
+  }
+  EXPECT_EQ(TmpFileCount(), 0u);
+}
+
+// A corrupt chunk in a middle sensor fails a parallel job as cleanly as a
+// serial one: Corruption, no temporary left, the registry unchanged.
+TEST_F(CompactionTest, CorruptMiddleSensorFailsParallelJobCleanly) {
+  const size_t sensors = ManySensors();
+  auto name = [](size_t k) { return "s" + std::to_string(1000 + k); };
+  StorageEngine engine(Options());
+  ASSERT_TRUE(engine.Open().ok());
+  for (Timestamp gen = 0; gen < 3; ++gen) {
+    for (size_t k = 0; k < sensors; ++k) {
+      for (Timestamp t = 0; t < 2000; ++t) {
+        ASSERT_TRUE(engine.Write(name(k), gen * 2000 + t,
+                                 static_cast<double>(t))
+                        .ok());
+      }
+    }
+    ASSERT_TRUE(engine.FlushAll().ok());
+  }
+  auto sealed_names = [this] {
+    std::set<std::string> names;
+    for (const auto& e : std::filesystem::directory_iterator(dir_)) {
+      if (e.path().extension() == ".bstf") {
+        names.insert(e.path().filename().string());
+      }
+    }
+    return names;
+  };
+  const std::set<std::string> before = sealed_names();
+  ASSERT_EQ(before.size(), 3u);
+  ASSERT_EQ(engine.sealed_file_count(), 3u);
+
+  // The middle file's middle sensor: page 0 holds [2000, 3023]; claim it
+  // ends at 3000 (both zigzag varints take two bytes).
+  const std::string victim = (dir_ / *std::next(before.begin())).string();
+  RewritePageMaxTime(victim, name(sensors / 2), 0, 3023, 3000);
+
+  const Status st = engine.Compact();
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_EQ(engine.sealed_file_count(), 3u);
+  EXPECT_EQ(sealed_names(), before);
+  EXPECT_EQ(TmpFileCount(), 0u);
+  const EngineMetricsSnapshot snap = engine.GetMetricsSnapshot();
+  EXPECT_EQ(snap.compaction_failures, 1u);
+  EXPECT_EQ(snap.compaction_jobs, 0u);
+  // A sensor outside the damage still reads all its points.
+  std::vector<TvPairDouble> out;
+  ASSERT_TRUE(engine.Query(name(0), 0, 6000, &out).ok());
+  EXPECT_EQ(out.size(), 6000u);
+}
 
 TEST_F(CompactionTest, CompactPreservesQueryAndAggregate) {
   StorageEngine engine(Options());

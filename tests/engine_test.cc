@@ -1,5 +1,7 @@
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <future>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -227,6 +229,58 @@ TEST_F(EngineTest, SyncFlushMode) {
   std::vector<TvPairDouble> out;
   ASSERT_TRUE(engine.Query("s", 0, 20'000, &out).ok());
   EXPECT_EQ(out.size(), 20'000u);
+}
+
+// A pool flush that fails leaves its table in `flushing_`. FlushAll must
+// still return once every queued flush has been attempted, with the
+// failure, and keep the table queryable and its WAL segment on disk.
+TEST_F(EngineTest, AsyncFlushAllReturnsFlushFailure) {
+  EngineOptions opt = Options(SorterId::kBackward);
+  opt.shard_count = 1;  // flush temporaries are named flush-0-<seq>
+  opt.memtable_flush_threshold = 1'000'000;  // flushes only by hand
+  auto engine = std::make_unique<StorageEngine>(opt);
+  ASSERT_TRUE(engine->Open().ok());
+  for (Timestamp t = 0; t < 1000; ++t) {
+    ASSERT_TRUE(engine->Write("s", t, static_cast<double>(t)).ok());
+  }
+  std::vector<std::filesystem::path> blockers;
+  for (int seq = 0; seq < 4; ++seq) {
+    blockers.push_back(dir_ / ("flush-0-" + std::to_string(seq) + ".bstf.tmp"));
+    std::filesystem::create_directory(blockers.back());
+  }
+  StorageEngine* raw = engine.get();
+  auto flushed = std::make_unique<std::future<Status>>(
+      std::async(std::launch::async, [raw] { return raw->FlushAll(); }));
+  if (flushed->wait_for(std::chrono::seconds(5)) !=
+      std::future_status::ready) {
+    // The blocked waiter would hang both destructors: leak them.
+    (void)flushed.release();
+    (void)engine.release();
+    FAIL() << "FlushAll still blocked after 5 s";
+  }
+  EXPECT_FALSE(flushed->get().ok());
+  for (const auto& b : blockers) std::filesystem::remove(b);
+
+  EXPECT_EQ(engine->GetMetricsSnapshot().shards[0].flushing_tables, 1u);
+  EXPECT_EQ(engine->sealed_file_count(), 0u);
+  size_t wal_segments = 0;
+  for (const auto& e : std::filesystem::directory_iterator(dir_)) {
+    if (e.path().filename().string().rfind("wal-", 0) == 0) ++wal_segments;
+  }
+  EXPECT_GE(wal_segments, 1u);
+  std::vector<TvPairDouble> out;
+  ASSERT_TRUE(engine->Query("s", 0, 2000, &out).ok());
+  EXPECT_EQ(out.size(), 1000u);
+
+  // The failure is reported once; later tables flush normally.
+  for (Timestamp t = 1000; t < 2000; ++t) {
+    ASSERT_TRUE(engine->Write("s", t, static_cast<double>(t)).ok());
+  }
+  ASSERT_TRUE(engine->FlushAll().ok());
+  EXPECT_EQ(engine->sealed_file_count(), 1u);
+  out.clear();
+  ASSERT_TRUE(engine->Query("s", 0, 2000, &out).ok());
+  EXPECT_EQ(out.size(), 2000u);
 }
 
 TEST_F(EngineTest, ConcurrentQueriesDuringIngest) {

@@ -433,8 +433,8 @@ void NaNGoldenMixed(std::vector<Timestamp>* ts, std::vector<double>* values) {
 
 /// Writes the golden file — chunk "a.mixed", chunk "b.allnan" (100 NaN
 /// points) and chunk "c.empty" (0 points) — through the whole-chunk
-/// writer, or through the streaming Begin/AppendPage/EndChunk writer when
-/// `streaming`, and returns the file's FNV-1a digest.
+/// writer, or page by page through a ChunkBuilder when `streaming`, and
+/// returns the file's FNV-1a digest.
 uint64_t WriteNaNGoldenFile(const std::string& path, bool footer_stats,
                             bool streaming) {
   std::vector<Timestamp> mixed_ts;
@@ -453,13 +453,13 @@ uint64_t WriteNaNGoldenFile(const std::string& path, bool footer_stats,
       return writer.WriteChunkF64(sensor, ts, vs, Encoding::kTs2Diff,
                                   Encoding::kGorilla, kPage);
     }
-    RETURN_NOT_OK(writer.BeginChunkF64(sensor));
+    ChunkBuilder chunk(sensor);
     for (size_t lo = 0; lo < ts.size(); lo += kPage) {
       const size_t hi = std::min(ts.size(), lo + kPage);
-      RETURN_NOT_OK(writer.AppendPageF64({ts.begin() + lo, ts.begin() + hi},
-                                         {vs.begin() + lo, vs.begin() + hi}));
+      RETURN_NOT_OK(chunk.AppendPageF64({ts.begin() + lo, ts.begin() + hi},
+                                        {vs.begin() + lo, vs.begin() + hi}));
     }
-    return writer.EndChunk();
+    return writer.AppendChunk(chunk);
   };
   if (!write("a.mixed", mixed_ts, mixed_vs).ok() ||
       !write("b.allnan", nan_ts, nan_vs).ok() ||

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # CI for the backsort repo:
 #   1. tier-1 verify line (ROADMAP.md): configure, build, run full ctest
-#   2. re-run the engine-facing suites against a sharded engine
-#      (BACKSORT_SHARDS=4 BACKSORT_FLUSH_WORKERS=2) to catch facade
-#      regressions the default single-shard config would hide
+#   2. re-run the engine-facing suites, compaction's included, against a
+#      sharded engine (BACKSORT_SHARDS=4 BACKSORT_FLUSH_WORKERS=2) to catch
+#      facade regressions the default single-shard config would hide
 #   3. build the concurrency, histogram, chunk-cache, read-path and
 #      engine-model tests under ThreadSanitizer and run them (the
 #      histogram's relaxed-atomic recording is TSan-clean by design; keep it
@@ -113,7 +113,7 @@ cmake --build build -j
 
 echo "=== [2/12] engine suites at 4 shards / 2 flush workers ==="
 (cd build && BACKSORT_SHARDS=4 BACKSORT_FLUSH_WORKERS=2 \
-  ctest --output-on-failure -R 'Engine|Wal|Workload|Aggregate|ReadPath' -j)
+  ctest --output-on-failure -R 'Engine|Wal|Workload|Aggregate|ReadPath|Compaction' -j)
 
 echo "=== [3/12] concurrency + read-path + engine-model tests under ThreadSanitizer ==="
 cmake -B build-tsan -S . -DBACKSORT_SANITIZE=thread
