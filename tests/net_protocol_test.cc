@@ -4,11 +4,15 @@
 // a clean per-connection failure (connection closed, protocol-error
 // counter bumped) and never a crash, a hang, or a partially applied
 // request; the server must keep serving well-formed peers afterwards.
+// A seeded mutation oracle drives every payload decoder directly.
 
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <cstdint>
 #include <filesystem>
+#include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -17,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "benchkit/digest.h"
+#include "common/rng.h"
 #include "net/client.h"
 #include "net/protocol.h"
 #include "net/server.h"
@@ -400,6 +405,359 @@ TEST(NetProtocol, ReplicationSourceIdValidation) {
                     .IsInvalidArgument())
         << "ack source id \"" << hostile << '"';
   }
+}
+
+// --- seeded mutation oracle over the payload decoders -------------------------
+//
+// Each valid seed payload is damaged by random byte flips, truncations and
+// overwrites aimed at its varint and length fields. A decode must return
+// OK or a clean error (Corruption / InvalidArgument), never crash, and
+// never size an output beyond what the payload bytes could describe. An
+// OK value must re-encode to bytes that decode to the same value.
+
+/// A valid payload plus the offsets of its varint and length fields.
+struct MutationSeed {
+  std::vector<uint8_t> bytes;
+  std::vector<size_t> fields;
+};
+
+/// Decodes `size` bytes and returns the status. On OK it re-encodes the
+/// value, decodes that again and records any difference as a failure.
+using DecodeOracle = std::function<Status(const uint8_t* data, size_t size)>;
+
+MutationSeed SeedOf(const ByteBuffer& bytes, std::vector<size_t> fields) {
+  return {bytes.data(), std::move(fields)};
+}
+
+std::vector<uint8_t> Mutate(const MutationSeed& seed, Rng& rng) {
+  std::vector<uint8_t> b = seed.bytes;
+  const size_t field = seed.fields[rng.NextBelow(seed.fields.size())];
+  switch (rng.NextBelow(4)) {
+    case 0:  // one to three random byte flips anywhere
+      for (uint64_t n = 1 + rng.NextBelow(3); n > 0; --n) {
+        b[rng.NextBelow(b.size())] ^=
+            static_cast<uint8_t>(1 + rng.NextBelow(255));
+      }
+      break;
+    case 1:  // a strict prefix
+      b.resize(rng.NextBelow(b.size()));
+      break;
+    case 2: {  // overwrite the first byte of a varint or length field
+      static constexpr uint8_t kEdges[] = {0x00, 0x01, 0x7f, 0x80, 0xff};
+      b[field] = rng.NextBelow(2) == 0
+                     ? kEdges[rng.NextBelow(std::size(kEdges))]
+                     : static_cast<uint8_t>(rng.NextU64());
+      break;
+    }
+    default: {  // splice a huge or overlong varint over a one-byte field
+      ByteBuffer huge;
+      static constexpr uint64_t kHuge[] = {uint64_t{1} << 32,
+                                           uint64_t{1} << 60, UINT64_MAX};
+      const uint64_t pick = rng.NextBelow(std::size(kHuge) + 1);
+      if (pick < std::size(kHuge)) {
+        huge.PutVarint64(kHuge[pick]);
+      } else {
+        for (int i = 0; i < 10; ++i) huge.PutU8(0xff);  // 11-byte varint
+        huge.PutU8(0x01);
+      }
+      b.erase(b.begin() + static_cast<std::ptrdiff_t>(field));
+      b.insert(b.begin() + static_cast<std::ptrdiff_t>(field),
+               huge.data().begin(), huge.data().end());
+      break;
+    }
+  }
+  return b;
+}
+
+void RunMutationOracle(const char* name,
+                       const std::vector<MutationSeed>& seeds,
+                       const DecodeOracle& oracle, uint64_t rng_seed) {
+  for (const MutationSeed& seed : seeds) {
+    ASSERT_TRUE(oracle(seed.bytes.data(), seed.bytes.size()).ok()) << name;
+  }
+  Rng rng(rng_seed);
+  size_t ok = 0, rejected = 0;
+  for (int i = 0; i < 4'000; ++i) {
+    const std::vector<uint8_t> bytes =
+        Mutate(seeds[rng.NextBelow(seeds.size())], rng);
+    const Status st = oracle(bytes.data(), bytes.size());
+    if (st.ok()) {
+      ++ok;
+    } else {
+      ++rejected;
+      EXPECT_TRUE(st.IsCorruption() || st.IsInvalidArgument())
+          << name << " mutation " << i << ": " << st.ToString();
+    }
+  }
+  // Both outcomes occur, so the error paths and the re-encode check run.
+  EXPECT_GT(ok, 0u) << name;
+  EXPECT_GT(rejected, 0u) << name;
+}
+
+bool SamePointBits(const TvPairDouble* a, const TvPairDouble* b, size_t n) {
+  return n == 0 || std::memcmp(a, b, n * sizeof(TvPairDouble)) == 0;
+}
+
+bool SamePoints(const std::vector<TvPairDouble>& a,
+                const std::vector<TvPairDouble>& b) {
+  return a.size() == b.size() && SamePointBits(a.data(), b.data(), a.size());
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+const std::vector<TvPairDouble> kSeedPoints = {
+    {1, 0.5}, {-7, std::nan("")}, {INT64_MAX, -1e300}};
+
+TEST(NetProtocolMutation, WriteBatchView) {
+  std::vector<MutationSeed> seeds;
+  // A 6-byte sensor puts the points at offset 8: the aligned zero-copy
+  // path. A 1-byte sensor takes the scratch copy.
+  for (const std::string sensor : {"s", "sensor"}) {
+    ByteBuffer buf;
+    EncodeWriteBatchRequest(sensor, kSeedPoints.data(), kSeedPoints.size(),
+                            &buf);
+    seeds.push_back(SeedOf(buf, {0, 1 + sensor.size()}));
+  }
+  RunMutationOracle(
+      "write_batch", seeds,
+      [](const uint8_t* data, size_t size) {
+        std::vector<TvPairDouble> scratch;
+        WriteBatchView view;
+        const Status st = DecodeWriteBatchView(data, size, &scratch, &view);
+        EXPECT_LE(view.sensor.size(), size);
+        EXPECT_LE(scratch.capacity(), size);
+        if (!st.ok()) return st;
+        ByteBuffer again;
+        EncodeWriteBatchRequest(view.sensor, view.points, view.count, &again);
+        std::vector<TvPairDouble> scratch2;
+        WriteBatchView view2;
+        EXPECT_TRUE(DecodeWriteBatchView(again.data().data(), again.size(),
+                                         &scratch2, &view2)
+                        .ok());
+        EXPECT_EQ(view2.sensor, view.sensor);
+        EXPECT_EQ(view2.count, view.count);
+        EXPECT_TRUE(view2.count != view.count ||
+                    SamePointBits(view2.points, view.points, view.count));
+        return st;
+      },
+      101);
+}
+
+TEST(NetProtocolMutation, RangeRequest) {
+  ByteBuffer buf;
+  EncodeRangeRequest(RangeRequest{"sensor.x", -100, 1'000'000}, &buf);
+  RunMutationOracle(
+      "range", {SeedOf(buf, {0})},
+      [](const uint8_t* data, size_t size) {
+        RangeRequest req;
+        const Status st = DecodeRangeRequest(data, size, &req);
+        EXPECT_LE(req.sensor.size(), size);
+        if (!st.ok()) return st;
+        ByteBuffer again;
+        EncodeRangeRequest(req, &again);
+        RangeRequest req2;
+        EXPECT_TRUE(
+            DecodeRangeRequest(again.data().data(), again.size(), &req2).ok());
+        EXPECT_EQ(req2.sensor, req.sensor);
+        EXPECT_EQ(req2.t_min, req.t_min);
+        EXPECT_EQ(req2.t_max, req.t_max);
+        return st;
+      },
+      102);
+}
+
+TEST(NetProtocolMutation, SensorRequest) {
+  ByteBuffer buf;
+  EncodeSensorRequest(SensorRequest{"sensor.y"}, &buf);
+  RunMutationOracle(
+      "sensor", {SeedOf(buf, {0})},
+      [](const uint8_t* data, size_t size) {
+        SensorRequest req;
+        const Status st = DecodeSensorRequest(data, size, &req);
+        EXPECT_LE(req.sensor.size(), size);
+        if (!st.ok()) return st;
+        ByteBuffer again;
+        EncodeSensorRequest(req, &again);
+        SensorRequest req2;
+        EXPECT_TRUE(
+            DecodeSensorRequest(again.data().data(), again.size(), &req2)
+                .ok());
+        EXPECT_EQ(req2.sensor, req.sensor);
+        return st;
+      },
+      103);
+}
+
+TEST(NetProtocolMutation, ReplicateBatchRequest) {
+  ReplicateBatchRequest req;
+  req.source_id = "node-a";
+  req.shard = 3;
+  req.end = {7, 4'096};
+  req.groups = {{"s1", {kSeedPoints[0], kSeedPoints[1]}},
+                {"s2", {kSeedPoints[2]}}};
+  // Built field by field to record the offsets, then checked against the
+  // real encoder.
+  MutationSeed seed;
+  ByteBuffer buf;
+  const auto field = [&] { seed.fields.push_back(buf.size()); };
+  field();
+  buf.PutLengthPrefixedString(req.source_id);
+  field();
+  buf.PutVarint64(req.shard);
+  field();
+  buf.PutVarint64(req.end.segment);
+  field();
+  buf.PutVarint64(req.end.offset);
+  field();
+  buf.PutVarint64(req.groups.size());
+  for (const WriteBatchRequest& group : req.groups) {
+    field();
+    buf.PutLengthPrefixedString(group.sensor);
+    field();
+    buf.PutVarint64(group.points.size());
+    PutPoints(group.points.data(), group.points.size(), &buf);
+  }
+  ByteBuffer encoded;
+  EncodeReplicateBatchRequest(req, &encoded);
+  ASSERT_EQ(buf.data(), encoded.data());
+  seed.bytes = buf.data();
+  RunMutationOracle(
+      "replicate_batch", {seed},
+      [](const uint8_t* data, size_t size) {
+        ReplicateBatchRequest out;
+        const Status st = DecodeReplicateBatchRequest(data, size, &out);
+        EXPECT_LE(out.source_id.size(), size);
+        EXPECT_LE(out.groups.capacity(), size);
+        for (const WriteBatchRequest& group : out.groups) {
+          EXPECT_LE(group.sensor.size(), size);
+          EXPECT_LE(group.points.capacity(), size);
+        }
+        if (!st.ok()) return st;
+        ByteBuffer again;
+        EncodeReplicateBatchRequest(out, &again);
+        ReplicateBatchRequest out2;
+        EXPECT_TRUE(DecodeReplicateBatchRequest(again.data().data(),
+                                                again.size(), &out2)
+                        .ok());
+        EXPECT_EQ(out2.source_id, out.source_id);
+        EXPECT_EQ(out2.shard, out.shard);
+        EXPECT_EQ(out2.end, out.end);
+        EXPECT_EQ(out2.groups.size(), out.groups.size());
+        for (size_t g = 0; g < std::min(out.groups.size(), out2.groups.size());
+             ++g) {
+          EXPECT_EQ(out2.groups[g].sensor, out.groups[g].sensor);
+          EXPECT_TRUE(SamePoints(out2.groups[g].points, out.groups[g].points));
+        }
+        return st;
+      },
+      104);
+}
+
+TEST(NetProtocolMutation, ReplicationAckRequest) {
+  ByteBuffer buf;
+  EncodeReplicationAckRequest(ReplicationAckRequest{"node-a.rack_1"}, &buf);
+  RunMutationOracle(
+      "replication_ack", {SeedOf(buf, {0})},
+      [](const uint8_t* data, size_t size) {
+        ReplicationAckRequest req;
+        const Status st = DecodeReplicationAckRequest(data, size, &req);
+        EXPECT_LE(req.source_id.size(), size);
+        if (!st.ok()) return st;
+        ByteBuffer again;
+        EncodeReplicationAckRequest(req, &again);
+        ReplicationAckRequest req2;
+        EXPECT_TRUE(DecodeReplicationAckRequest(again.data().data(),
+                                                again.size(), &req2)
+                        .ok());
+        EXPECT_EQ(req2.source_id, req.source_id);
+        return st;
+      },
+      105);
+}
+
+TEST(NetProtocolMutation, ResponseStatus) {
+  std::vector<MutationSeed> seeds;
+  for (const Status& st : {Status::OK(), Status::NotFound("no such sensor"),
+                           Status::Unavailable("overloaded")}) {
+    ByteBuffer buf;
+    EncodeResponseStatus(st, &buf);
+    seeds.push_back(SeedOf(buf, {0, 1}));  // code byte, message length
+  }
+  RunMutationOracle(
+      "response_status", seeds,
+      [](const uint8_t* data, size_t size) {
+        ByteReader reader(data, size);
+        Status rpc;
+        const Status st = DecodeResponseStatus(&reader, &rpc);
+        EXPECT_LE(rpc.message().size(), size + 64);  // + a fixed prefix
+        if (!st.ok()) return st;
+        ByteBuffer again;
+        EncodeResponseStatus(rpc, &again);
+        ByteReader reader2(again.data());
+        Status rpc2;
+        EXPECT_TRUE(DecodeResponseStatus(&reader2, &rpc2).ok());
+        EXPECT_EQ(rpc2.code(), rpc.code());
+        EXPECT_EQ(rpc2.message(), rpc.message());
+        return st;
+      },
+      106);
+}
+
+TEST(NetProtocolMutation, PointList) {
+  ByteBuffer buf;
+  EncodePointList(kSeedPoints, &buf);
+  RunMutationOracle(
+      "point_list", {SeedOf(buf, {0})},
+      [](const uint8_t* data, size_t size) {
+        ByteReader reader(data, size);
+        std::vector<TvPairDouble> points;
+        const Status st = DecodePointList(&reader, &points);
+        EXPECT_LE(points.capacity(), size);
+        if (!st.ok()) return st;
+        ByteBuffer again;
+        EncodePointList(points, &again);
+        ByteReader reader2(again.data());
+        std::vector<TvPairDouble> points2;
+        EXPECT_TRUE(DecodePointList(&reader2, &points2).ok());
+        EXPECT_TRUE(SamePoints(points2, points));
+        return st;
+      },
+      107);
+}
+
+TEST(NetProtocolMutation, AggregateResult) {
+  AggregateResult agg;
+  agg.stats = {3, 1.5, -1.0, std::nan(""), 1, 0.5, 3, 0.0};
+  agg.used_fast_path = true;
+  ByteBuffer buf;
+  EncodeAggregateResult(agg, &buf);
+  // The count varint and the trailing fast-path flag.
+  RunMutationOracle(
+      "aggregate_result", {SeedOf(buf, {0, buf.size() - 1})},
+      [](const uint8_t* data, size_t size) {
+        ByteReader reader(data, size);
+        AggregateResult r;
+        const Status st = DecodeAggregateResult(&reader, &r);
+        if (!st.ok()) return st;
+        ByteBuffer again;
+        EncodeAggregateResult(r, &again);
+        ByteReader reader2(again.data());
+        AggregateResult r2;
+        EXPECT_TRUE(DecodeAggregateResult(&reader2, &r2).ok());
+        EXPECT_EQ(r2.stats.count, r.stats.count);
+        EXPECT_TRUE(SameBits(r2.stats.sum, r.stats.sum));
+        EXPECT_TRUE(SameBits(r2.stats.min, r.stats.min));
+        EXPECT_TRUE(SameBits(r2.stats.max, r.stats.max));
+        EXPECT_EQ(r2.stats.first_time, r.stats.first_time);
+        EXPECT_TRUE(SameBits(r2.stats.first, r.stats.first));
+        EXPECT_EQ(r2.stats.last_time, r.stats.last_time);
+        EXPECT_TRUE(SameBits(r2.stats.last, r.stats.last));
+        EXPECT_EQ(r2.used_fast_path, r.used_fast_path);
+        return st;
+      },
+      108);
 }
 
 // --- malformed bytes against a live server -------------------------------------
