@@ -89,8 +89,10 @@
 #      the encoding suite runs under ASan here too (its differential
 #      tests decode truncated and bit-flipped pages), and so does the
 #      wire-protocol suite (every BSN1 point decoder reads through the
-#      shared GetPoints codec, and NetMalformedTest feeds it hostile
-#      frames)
+#      shared GetPoints codec, NetMalformedTest feeds it hostile frames,
+#      and a seeded mutation oracle damages every payload decoder's
+#      input), and so does the server suite (an event loop runs engine
+#      reads for idle connections while workers write and flush)
 #  12. UBSan: the encoding, WAL, WAL-tailer, wire-protocol, read-path,
 #      compaction, TsFile, merge and aggregation suites under
 #      UndefinedBehaviorSanitizer with halt_on_error, so any report fails
@@ -540,7 +542,7 @@ scale2=$(grep '"scale_out_2v1"' "$smoke_dir/BENCH_system_cluster.json" \
   | awk -F': ' '{print $2}' | tr -d ',')
 echo "cluster bench passed (2-node/1-node write ratio ${scale2} on this host)"
 
-echo "=== [11/12] ASan: interner/arena/WAL/read-path/TsFile/wire/merge/aggregation suites + 100k-sensor smoke ==="
+echo "=== [11/12] ASan: interner/arena/WAL/read-path/TsFile/wire/server/merge/aggregation suites + 100k-sensor smoke ==="
 # The interner and arenas trade allocator nodes for raw pointer lifetimes
 # (string_views into a bump arena, TVList blocks freed wholesale at seal);
 # run their suites under AddressSanitizer to keep those lifetimes honest.
@@ -551,7 +553,7 @@ cmake -B build-asan -S . -DBACKSORT_SANITIZE=address
 cmake --build build-asan -j --target interner_test tvlist_test wal_test \
   wal_tailer_test read_path_test chunk_cache_test encoding_test \
   engine_model_test compaction_test tsfile_test net_protocol_test \
-  merge_runs_test aggregate_test aggregate_differential_test
+  net_server_test merge_runs_test aggregate_test aggregate_differential_test
 ./build-asan/tests/interner_test
 ./build-asan/tests/tvlist_test
 ./build-asan/tests/wal_test
@@ -575,8 +577,12 @@ cmake --build build-asan -j --target interner_test tvlist_test wal_test \
 # them there; the model suite drives that copy through every seal.
 ./build-asan/tests/engine_model_test
 # WAL replay and every BSN1 point decoder share one point-run codec
-# (GetPoints): the wire suite's hostile frames must stay in bounds too.
+# (GetPoints): the wire suite's hostile frames and its payload mutation
+# oracle must stay in bounds too.
 ./build-asan/tests/net_protocol_test
+# An event loop answers reads for idle connections on its own thread
+# while workers write and flush; the server suite drives both at once.
+./build-asan/tests/net_server_test
 # Query, AggregateFast and compaction share one merge over page cursors
 # (clipped to the read's range, each holding one decoded page) and sorted
 # in-memory runs; its sinks slice and fold those pages in place.
